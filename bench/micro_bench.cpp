@@ -470,8 +470,6 @@ void BM_WireSize(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
-  state.counters["cached_blocks"] =
-      static_cast<double>(sizer.cached_blocks());
 }
 BENCHMARK(BM_WireSize)->Arg(1)->Arg(10)->Arg(100);
 

@@ -37,6 +37,13 @@ inline constexpr ExtCommunity kAbrrReflectedCommunity = 0xABBA'0000'0000'0001ULL
 struct PathAttrs {
   AsPath as_path;
   Origin origin = Origin::kIncomplete;
+  /// Exact RFC 4271 encoded length of this block (encoded_attrs_size),
+  /// stored by AttrsInterner::intern() so byte accounting never re-walks
+  /// an interned block; 0 = not stored (a block built outside the
+  /// interner, or one longer than 65535 bytes). Like content_hash, not a
+  /// semantic field: operator== ignores it. Placed beside `origin`, where
+  /// it fills padding.
+  std::uint16_t encoded_size = 0;
   /// NEXT_HOP. Border routers apply next-hop-self, so inside the AS this
   /// is the RouterId of the egress border router.
   Ipv4Addr next_hop = 0;
@@ -72,6 +79,16 @@ struct PathAttrs {
   }
 };
 
+/// Exact RFC 4271 length of the AS_PATH attribute value: one (type,
+/// count) prelude per 255-ASN segment, 4 octets per ASN (RFC 6793
+/// four-octet AS numbers). An empty path is a zero-length value.
+std::size_t encoded_as_path_size(const AsPath& path);
+
+/// Exact length of the RFC 4271 path-attribute list that
+/// wire::Encoder::append_path_attrs() writes for `attrs` (attribute list
+/// only, no message framing), computed without encoding.
+std::size_t encoded_attrs_size(const PathAttrs& attrs);
+
 /// Shared immutable attribute handle: a stable pointer into the owning
 /// AttrsInterner's slab storage (see lifetime note above).
 using AttrsPtr = const PathAttrs*;
@@ -80,14 +97,27 @@ using AttrsPtr = const PathAttrs*;
 /// content hash and canonicalizes through AttrsInterner::global().
 AttrsPtr make_attrs(PathAttrs attrs);
 
+namespace detail {
+/// with_attrs()'s per-thread clone buffer. Copy-assigning into it reuses
+/// its vectors' capacity.
+PathAttrs& clone_buffer();
+/// Recomputes the clone's content hash and interns it. On a hit the
+/// clone keeps its storage for the next with_attrs(); only a new block
+/// takes the vectors with it.
+AttrsPtr intern_clone(PathAttrs& clone);
+}  // namespace detail
+
 /// Copy-on-write helper: clones `base`, applies `mutate`, and re-interns.
-/// The clone's cached hash is invalidated so the mutated block gets a
-/// fresh one (make_attrs recomputes unconditionally).
+/// The clone's cached hash is recomputed so the mutated block gets a
+/// fresh one. Deriving a block that is already interned (a reflector
+/// re-marking a route it reflected before) allocates nothing. `mutate`
+/// must not call with_attrs() itself.
 template <typename Fn>
 AttrsPtr with_attrs(AttrsPtr base, Fn&& mutate) {
-  PathAttrs copy = *base;
+  PathAttrs& copy = detail::clone_buffer();
+  copy = *base;
   mutate(copy);
-  return make_attrs(std::move(copy));
+  return detail::intern_clone(copy);
 }
 
 }  // namespace abrr::bgp

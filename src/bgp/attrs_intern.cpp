@@ -29,6 +29,13 @@ void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
 
+// Every stored block carries its exact wire length, so byte accounting
+// on the send path reads a field instead of walking the block.
+void store_encoded_size(PathAttrs& attrs) {
+  const std::size_t size = encoded_attrs_size(attrs);
+  attrs.encoded_size = size <= 0xffff ? static_cast<std::uint16_t>(size) : 0;
+}
+
 }  // namespace
 
 std::uint64_t attrs_content_hash(const PathAttrs& attrs) {
@@ -68,6 +75,7 @@ AttrsPtr AttrsInterner::intern(PathAttrs&& attrs) {
   if (!g_interning_enabled) {
     // Legacy mode: fresh slab slot per block, no canonicalization. The
     // slot is still reclaimed by the next reset, not by refcounts.
+    store_encoded_size(attrs);
     return arena_.create<PathAttrs>(std::move(attrs));
   }
 
@@ -79,6 +87,7 @@ AttrsPtr AttrsInterner::intern(PathAttrs&& attrs) {
     }
   }
   ++misses_;
+  store_encoded_size(attrs);
   const PathAttrs* block = arena_.create<PathAttrs>(std::move(attrs));
   table_.emplace(block->content_hash, block);
   return block;

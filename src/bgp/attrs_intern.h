@@ -55,7 +55,7 @@ class AttrsInterner {
 
   /// Canonicalizes `attrs`: returns the existing block when an equal one
   /// is live, otherwise moves `attrs` into a fresh slab-backed block.
-  /// Always returns a block with content_hash set.
+  /// Always returns a block with content_hash and encoded_size set.
   AttrsPtr intern(PathAttrs&& attrs);
 
   /// Pre-sizes table and slabs for an expected number of distinct

@@ -6,6 +6,9 @@
 namespace abrr::bgp {
 namespace {
 
+// Smallest capacity AdjRibIn::replace gives a path list it grows.
+constexpr std::size_t kMinPaths = 4;
+
 struct KeyLess {
   bool operator()(const Route& entry,
                   const std::pair<RouterId, PathId>& key) const {
@@ -67,7 +70,10 @@ void AdjRibIn::erase_if_empty(const Ipv4Prefix& prefix) {
 
 AdjRibIn::Change AdjRibIn::announce(const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  PathList& paths = ensure_list(route.prefix);
+  return insert(ensure_list(route.prefix), route);
+}
+
+AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
   const Key key{route.learned_from, route.path_id};
   const auto it =
       std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
@@ -101,17 +107,32 @@ bool AdjRibIn::withdraw(RouterId peer, const Ipv4Prefix& prefix,
   return true;
 }
 
-std::size_t AdjRibIn::withdraw_prefix(RouterId peer, const Ipv4Prefix& prefix) {
+void AdjRibIn::replace(RouterId peer, const Ipv4Prefix& prefix,
+                       std::span<const Route> routes) {
   PathList& paths = ensure_list(prefix);
   const std::size_t before = paths.size();
   std::erase_if(paths, [&](const Route& entry) {
     return entry.learned_from == peer;
   });
-  const std::size_t removed = before - paths.size();
-  size_ -= removed;
-  per_peer_[peer] -= removed;
+  std::size_t& from_peer = per_peer_[peer];
+  from_peer -= before - paths.size();
+  size_ -= before - paths.size();
+  // Grow once for the whole set, geometrically and to at least
+  // kMinPaths: a client's list holds the reflected set of every ARR
+  // session for the prefix, so growing one path at a time from empty
+  // would reallocate several times during the table load.
+  const std::size_t need = paths.size() + routes.size();
+  if (need > paths.capacity()) {
+    paths.reserve(std::max({need, 2 * paths.capacity(), kMinPaths}));
+  }
+  for (const Route& route : routes) {
+    if (!route.valid()) throw std::invalid_argument{"replace: invalid route"};
+    if (route.learned_from != peer || route.prefix != prefix) {
+      throw std::invalid_argument{"replace: route not from (peer, prefix)"};
+    }
+    insert(paths, route);
+  }
   erase_if_empty(prefix);
-  return removed;
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
@@ -285,7 +306,7 @@ void AdjRibOut::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
 
 namespace {
 
-bool same_route_set(const std::vector<Route>& a, const std::vector<Route>& b) {
+bool same_route_set(std::span<const Route> a, std::span<const Route> b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (!a[i].same_announcement(b[i])) return false;
@@ -295,9 +316,7 @@ bool same_route_set(const std::vector<Route>& a, const std::vector<Route>& b) {
 
 }  // namespace
 
-std::optional<UpdateMessage> AdjRibOut::set(const Ipv4Prefix& prefix,
-                                            std::vector<Route> routes,
-                                            bool full_set) {
+bool AdjRibOut::set(const Ipv4Prefix& prefix, std::span<Route> routes) {
   // Canonical order: by path id, so set comparison is stable.
   std::sort(routes.begin(), routes.end(), [](const Route& a, const Route& b) {
     return a.path_id < b.path_id;
@@ -311,53 +330,23 @@ std::optional<UpdateMessage> AdjRibOut::set(const Ipv4Prefix& prefix,
       slot = &flat_[*id];
     }
   }
-  const std::vector<Route>* old = nullptr;
-  if (slot != nullptr) {
-    old = slot->empty() ? nullptr : slot;
-  } else {
-    const auto it = table_.find(prefix);
-    old = it == table_.end() ? nullptr : &it->second;
-  }
-  if (old == nullptr && routes.empty()) return std::nullopt;
-  if (old != nullptr && same_route_set(*old, routes)) return std::nullopt;
-
-  UpdateMessage msg;
-  msg.prefix = prefix;
-  msg.full_set = full_set;
-  if (full_set) {
-    msg.announce = routes;
-  } else {
-    // add-paths diff: announce new/changed paths, withdraw removed ones.
-    for (const Route& r : routes) {
-      const bool unchanged =
-          old != nullptr &&
-          std::any_of(old->begin(), old->end(), [&](const Route& o) {
-            return o.same_announcement(r);
-          });
-      if (!unchanged) msg.announce.push_back(r);
+  if (slot == nullptr) {
+    // Unindexed fallback: entries exist only for non-empty sets.
+    auto it = table_.find(prefix);
+    if (it == table_.end()) {
+      if (routes.empty()) return false;
+      it = table_.emplace(prefix, std::vector<Route>{}).first;
+    } else if (routes.empty()) {
+      size_ -= it->second.size();
+      table_.erase(it);
+      return true;
     }
-    if (old != nullptr) {
-      for (const Route& o : *old) {
-        const bool still =
-            std::any_of(routes.begin(), routes.end(), [&](const Route& r) {
-              return r.path_id == o.path_id;
-            });
-        if (!still) msg.withdraw.push_back(o.path_id);
-      }
-    }
+    slot = &it->second;
   }
-
-  // Commit.
-  if (old != nullptr) size_ -= old->size();
-  size_ += routes.size();
-  if (slot != nullptr) {
-    *slot = std::move(routes);
-  } else if (routes.empty()) {
-    table_.erase(prefix);
-  } else {
-    table_[prefix] = std::move(routes);
-  }
-  return msg;
+  if (same_route_set(*slot, routes)) return false;
+  size_ = size_ - slot->size() + routes.size();
+  slot->assign(routes.begin(), routes.end());
+  return true;
 }
 
 const std::vector<Route>* AdjRibOut::get(const Ipv4Prefix& prefix) const {

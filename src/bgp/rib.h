@@ -15,14 +15,13 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bgp/prefix_index.h"
 #include "bgp/route.h"
-#include "bgp/update.h"
 
 namespace abrr::bgp {
 
@@ -44,8 +43,13 @@ class AdjRibIn {
   /// Removes one path. Returns true if it existed.
   bool withdraw(RouterId peer, const Ipv4Prefix& prefix, PathId path_id);
 
-  /// Removes all paths for `prefix` from `peer`. Returns count removed.
-  std::size_t withdraw_prefix(RouterId peer, const Ipv4Prefix& prefix);
+  /// Replacement semantics for one (peer, prefix): removes every path
+  /// `peer` reported for `prefix`, then announce()s each of `routes`
+  /// (all learned from `peer`; empty withdraws the prefix from the
+  /// peer), with one index lookup and one capacity reservation for the
+  /// whole set.
+  void replace(RouterId peer, const Ipv4Prefix& prefix,
+               std::span<const Route> routes);
 
   /// Session teardown: removes everything from `peer`; returns the
   /// affected prefixes (sorted) for re-running decisions.
@@ -89,6 +93,8 @@ class AdjRibIn {
   const PathList* find_list(const Ipv4Prefix& prefix) const;
   PathList& ensure_list(const Ipv4Prefix& prefix);
   void erase_if_empty(const Ipv4Prefix& prefix);
+  /// announce() into an already-resolved list.
+  Change insert(PathList& paths, const Route& route);
 
   std::shared_ptr<const PrefixIndex> index_;
   std::vector<PathList> flat_;  // slot per PrefixId; empty = no routes
@@ -133,13 +139,12 @@ class AdjRibOut {
  public:
   void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
 
-  /// Replaces the advertised set for `prefix`. Returns the update to
-  /// send if something changed, std::nullopt otherwise. `full_set`
-  /// selects ABRR replacement semantics for the generated message;
-  /// otherwise an add-paths diff (announce changed, withdraw removed) is
-  /// produced.
-  std::optional<UpdateMessage> set(const Ipv4Prefix& prefix,
-                                   std::vector<Route> routes, bool full_set);
+  /// Replaces the advertised set for `prefix` with a copy of `routes`
+  /// (an empty set withdraws the prefix). Sorts `routes` in place into
+  /// the canonical path-id order first. Returns true if the stored set
+  /// changed. The copy reuses the prefix's storage, so replacing a set
+  /// with one no larger allocates nothing.
+  bool set(const Ipv4Prefix& prefix, std::span<Route> routes);
 
   /// Current advertised set (nullptr if none).
   const std::vector<Route>* get(const Ipv4Prefix& prefix) const;

@@ -102,7 +102,11 @@ class RouteBuilder {
   }
 
   Route build() {
-    route_.attrs = make_attrs(attrs_);
+    // Through with_attrs()'s clone buffer: building a route whose
+    // attributes are already interned allocates nothing.
+    PathAttrs& copy = detail::clone_buffer();
+    copy = attrs_;
+    route_.attrs = detail::intern_clone(copy);
     return route_;
   }
 

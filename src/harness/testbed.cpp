@@ -94,7 +94,16 @@ ibgp::Speaker& Testbed::make_speaker(ibgp::SpeakerConfig cfg) {
   auto speaker = std::make_unique<ibgp::Speaker>(cfg, scheduler_, network_,
                                                  &obs_->metrics());
   speaker->set_tracer(obs_->tracer());
-  if (prefix_index_) speaker->set_prefix_index(prefix_index_);
+  if (prefix_index_) {
+    // Every ABRR speaker of the bed maps prefixes through ap_of_: resolve
+    // each prefix's APs once, for all of them.
+    if (cfg.ap_of && !prefix_aps_) {
+      prefix_aps_ =
+          std::make_shared<const ibgp::PrefixApTable>(*prefix_index_, ap_of_);
+    }
+    speaker->set_prefix_index(prefix_index_,
+                              cfg.ap_of ? prefix_aps_ : nullptr);
+  }
   auto& ref = *speaker;
   speakers_.emplace(cfg.id, std::move(speaker));
   all_ids_.push_back(cfg.id);

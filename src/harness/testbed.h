@@ -245,6 +245,8 @@ class Testbed {
   std::optional<core::PartitionScheme> partition_;
   ibgp::ApOfFn ap_of_;
   std::shared_ptr<bgp::PrefixIndex> prefix_index_;
+  /// ap_of_ over prefix_index_, shared by the ABRR speakers.
+  std::shared_ptr<const ibgp::PrefixApTable> prefix_aps_;
 
   std::unordered_map<RouterId, std::unique_ptr<ibgp::Speaker>> speakers_;
   std::vector<RouterId> rr_ids_;

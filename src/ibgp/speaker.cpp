@@ -15,6 +15,22 @@ Route client_export_copy(const Route& best, RouterId self) {
   return out;
 }
 
+// Retention bound (elements) for the reused buffers. Typical drains,
+// flushes and route sets fit; a burst (the initial table load) grows a
+// buffer past it once, and recycle() then releases the storage.
+constexpr std::size_t kKeptCapacity = 64;
+
+// Empties a reused buffer; frees its storage when it grew past
+// kKeptCapacity.
+template <typename T>
+void recycle(std::vector<T>& v) {
+  if (v.capacity() > kKeptCapacity) {
+    std::vector<T>{}.swap(v);
+  } else {
+    v.clear();
+  }
+}
+
 // Deduplicates a reflected set by path id (redundant RRs can deliver the
 // same client route twice via different sessions).
 void dedup_by_path_id(std::vector<Route>& routes) {
@@ -30,6 +46,17 @@ void dedup_by_path_id(std::vector<Route>& routes) {
 }
 
 }  // namespace
+
+PrefixApTable::PrefixApTable(const bgp::PrefixIndex& index,
+                             const ApOfFn& ap_of) {
+  begin_.reserve(index.size() + 1);
+  for (const Ipv4Prefix& prefix : index.prefixes()) {
+    begin_.push_back(static_cast<std::uint32_t>(aps_.size()));
+    const std::vector<ApId> aps = ap_of(prefix);
+    aps_.insert(aps_.end(), aps.begin(), aps.end());
+  }
+  begin_.push_back(static_cast<std::uint32_t>(aps_.size()));
+}
 
 Speaker::Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
                  net::Network& network, obs::MetricsRegistry* metrics)
@@ -126,13 +153,15 @@ void Speaker::add_peer(const PeerInfo& peer) {
       }
     }
   }
-  const PeerInfo& merged = it->second.info;
+  PeerState& ps = it->second;
+  const PeerInfo& merged = ps.info;
 
   const auto join = [&](int key) {
     auto& g = group(key);
     if (std::find(g.members.begin(), g.members.end(), merged.id) ==
         g.members.end()) {
       g.members.push_back(merged.id);
+      ps.groups.push_back(key);
     }
   };
 
@@ -153,8 +182,8 @@ void Speaker::add_peer(const PeerInfo& peer) {
 void Speaker::start() {
   network_->register_endpoint(
       config_.id,
-      [this](RouterId from, const bgp::UpdateMessage& msg) {
-        receive(from, msg);
+      [this](RouterId from, bgp::UpdateMessage&& msg) {
+        receive(from, std::move(msg));
       });
   if (config_.hold_time > 0 && !keepalive_armed_) {
     keepalive_armed_ = true;
@@ -198,7 +227,7 @@ void Speaker::keepalive_tick() {
       keepalive_interval(), [this] { keepalive_tick(); });
 }
 
-void Speaker::receive(RouterId from, const bgp::UpdateMessage& msg) {
+void Speaker::receive(RouterId from, bgp::UpdateMessage&& msg) {
   if (!alive_) return;  // a crashed process hears nothing
   const auto pit = peers_.find(from);
   if (pit != peers_.end()) {
@@ -221,10 +250,10 @@ void Speaker::receive(RouterId from, const bgp::UpdateMessage& msg) {
     tracer_->record(obs::TraceEventKind::kUpdateRx, config_.id, from,
                     msg.announce.size());
   }
-  enqueue(Incoming{from, msg, /*ebgp=*/false, /*withdraw_ebgp=*/false});
+  enqueue(Incoming{from, std::move(msg)});
 }
 
-void Speaker::enqueue(Incoming incoming) {
+void Speaker::enqueue(Incoming&& incoming) {
   if (!alive_) return;  // eBGP injections towards a dead router are lost
   input_queue_.push_back(std::move(incoming));
   if (!drain_scheduled_) {
@@ -238,11 +267,12 @@ void Speaker::enqueue(Incoming incoming) {
 void Speaker::drain_input() {
   drain_scheduled_ = false;
   if (!alive_) return;
-  std::deque<Incoming> batch;
-  batch.swap(input_queue_);
+  // drain_batch_ is empty between drains; the swap hands the queue's
+  // storage to the batch and the batch's to the queue.
+  drain_batch_.swap(input_queue_);
   busy_until_ =
       std::max(busy_until_, scheduler_->now()) +
-      static_cast<sim::Time>(batch.size()) * config_.proc_per_update;
+      static_cast<sim::Time>(drain_batch_.size()) * config_.proc_per_update;
 
   // Coalesce the batch's dirty prefixes: indexed prefixes dedup in O(1)
   // via per-PrefixId epoch stamps, so the sort below only sees uniques
@@ -250,7 +280,8 @@ void Speaker::drain_input() {
   // downstream message generation storage-independent.
   ++dirty_epoch_;
   scratch_dirty_.clear();
-  for (const Incoming& incoming : batch) apply(incoming, scratch_dirty_);
+  for (Incoming& incoming : drain_batch_) apply(incoming, scratch_dirty_);
+  drain_batch_.clear();
 
   std::sort(scratch_dirty_.begin(), scratch_dirty_.end());
   scratch_dirty_.erase(
@@ -262,24 +293,38 @@ void Speaker::drain_input() {
                     scratch_dirty_.size());
   }
   for (const Ipv4Prefix& prefix : scratch_dirty_) run_pipeline(prefix);
+  trim_scratch();
 }
 
-void Speaker::mark_dirty(const Ipv4Prefix& prefix,
+void Speaker::trim_scratch() {
+  recycle(drain_batch_);
+  if (input_queue_.empty()) recycle(input_queue_);
+  recycle(scratch_dirty_);
+  recycle(scratch_out_);
+  recycle(scratch_to_rrs_);
+}
+
+Speaker::PrefixId Speaker::prefix_id(const Ipv4Prefix& prefix) const {
+  if (!prefix_index_) return std::nullopt;
+  return prefix_index_->id_of(prefix);
+}
+
+void Speaker::mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
                          std::vector<Ipv4Prefix>& dirty) {
-  if (prefix_index_) {
-    if (const auto id = prefix_index_->id_of(prefix)) {
-      if (dirty_mark_.size() <= *id) {
-        dirty_mark_.resize(prefix_index_->size(), 0);
-      }
-      if (dirty_mark_[*id] == dirty_epoch_) return;
-      dirty_mark_[*id] = dirty_epoch_;
+  if (pid) {
+    if (dirty_mark_.size() <= *pid) {
+      dirty_mark_.resize(prefix_index_->size(), 0);
     }
+    if (dirty_mark_[*pid] == dirty_epoch_) return;
+    dirty_mark_[*pid] = dirty_epoch_;
   }
   dirty.push_back(prefix);
 }
 
-void Speaker::set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index) {
+void Speaker::set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index,
+                               std::shared_ptr<const PrefixApTable> aps) {
   prefix_index_ = std::move(index);
+  prefix_aps_ = std::move(aps);
   adj_rib_in_.set_prefix_index(prefix_index_);
   loc_rib_.set_prefix_index(prefix_index_);
   for (auto& [key, g] : groups_) g.rib.set_prefix_index(prefix_index_);
@@ -299,16 +344,17 @@ bool Speaker::accept_route(const Route& route, const PeerState*) const {
   return true;
 }
 
-void Speaker::apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
+void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
   const Ipv4Prefix prefix = incoming.msg.prefix;
+  const PrefixId pid = prefix_id(prefix);
 
   if (incoming.ebgp) {
     // eBGP injection / withdrawal, already policy-filtered.
-    adj_rib_in_.withdraw_prefix(incoming.from, prefix);
-    if (!incoming.withdraw_ebgp) {
-      for (const Route& r : incoming.msg.announce) adj_rib_in_.announce(r);
-    }
-    mark_dirty(prefix, dirty);
+    const Route& route = incoming.ebgp_route;
+    adj_rib_in_.replace(incoming.from, prefix,
+                        route.valid() ? std::span<const Route>{&route, 1}
+                                      : std::span<const Route>{});
+    mark_dirty(prefix, pid, dirty);
     return;
   }
 
@@ -320,7 +366,7 @@ void Speaker::apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
   // one of the prefix's APs)?
   bool from_abrr_reflector = false;
   if (!peer.info.reflector_for.empty()) {
-    const std::vector<ApId> aps = aps_of(prefix);
+    const std::span<const ApId> aps = aps_of(prefix, pid);
     for (const ApId ap : peer.info.reflector_for) {
       if (std::find(aps.begin(), aps.end(), ap) != aps.end()) {
         from_abrr_reflector = true;
@@ -329,18 +375,20 @@ void Speaker::apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
     }
   }
 
-  // Prepare received copies: stamp who we learned them from.
-  std::vector<Route> received;
-  received.reserve(incoming.msg.announce.size());
-  for (Route r : incoming.msg.announce) {
+  // The message is ours: stamp who we learned its routes from, in place,
+  // and drop the loops.
+  std::vector<Route>& received = incoming.msg.announce;
+  std::size_t kept = 0;
+  for (Route& r : received) {
     r.learned_from = incoming.from;
     r.via = bgp::LearnedVia::kIbgp;
     if (!accept_route(r, &peer)) {
       c_.loops_suppressed->inc();
       continue;
     }
-    received.push_back(std::move(r));
+    received[kept++] = r;
   }
+  received.resize(kept);
 
   if (from_abrr_reflector) {
     // §3.4 storage: pure control-plane speakers (ARRs in their client
@@ -354,22 +402,23 @@ void Speaker::apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
     // what makes ABRR match full-mesh exactly.
     const bool reduce =
         !config_.data_plane || config_.abrr_force_client_reduction;
-    adj_rib_in_.withdraw_prefix(incoming.from, prefix);
-    if (!received.empty()) {
-      if (reduce) {
-        const Route best = bgp::select_best(received, config_.id, igp_,
-                                            config_.decision);
-        if (best.valid()) adj_rib_in_.announce(best);
-      } else {
-        for (const Route& r : received) adj_rib_in_.announce(r);
-      }
+    std::span<const Route> stored = received;
+    if (reduce && !received.empty()) {
+      scratch_candidates_.clear();
+      for (const Route& r : received) scratch_candidates_.push_back(&r);
+      const Route* best =
+          bgp::select_best_from(scratch_candidates_, config_.id, igp_,
+                                config_.decision, scratch_select_);
+      stored = best != nullptr ? std::span<const Route>{best, 1}
+                               : std::span<const Route>{};
     }
-    mark_dirty(prefix, dirty);
+    adj_rib_in_.replace(incoming.from, prefix, stored);
+    mark_dirty(prefix, pid, dirty);
     return;
   }
 
   if (!config_.managed_aps.empty() && config_.cluster_id == 0 &&
-      peer.info.rr_client && !manages_prefix(prefix)) {
+      peer.info.rr_client && !manages_prefix(prefix, pid)) {
     // A client sent us a route outside our Address Partitions: a
     // misconfiguration (§2.3.2). Never absorb it into the reflection
     // state.
@@ -380,7 +429,7 @@ void Speaker::apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
   // Replacement semantics per (sender, prefix): store the announced set.
   // Covers client->ARR, client->TRR, TRR->TRR, full-mesh, and the
   // multi-path TBRR full sets (which clients/TRRs store whole).
-  if (peer.info.rr_client && manages_prefix(prefix)) {
+  if (peer.info.rr_client && manages_prefix(prefix, pid)) {
     // §2.3.2: a "client" handing us an already-reflected route means the
     // ARR/client configuration is inconsistent somewhere. The reflected
     // bit keeps such routes out of re-reflection (enforced again in
@@ -391,9 +440,8 @@ void Speaker::apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
       }
     }
   }
-  adj_rib_in_.withdraw_prefix(incoming.from, prefix);
-  for (const Route& r : received) adj_rib_in_.announce(r);
-  mark_dirty(prefix, dirty);
+  adj_rib_in_.replace(incoming.from, prefix, received);
+  mark_dirty(prefix, pid, dirty);
 }
 
 void Speaker::run_pipeline(const Ipv4Prefix& prefix) {
@@ -401,13 +449,14 @@ void Speaker::run_pipeline(const Ipv4Prefix& prefix) {
   // pipeline (decide_local only touches the Loc-RIB; the reflectors only
   // touch Adj-RIB-Outs).
   adj_rib_in_.routes_for(prefix, scratch_candidates_);
+  const PrefixId pid = prefix_id(prefix);
 
   // Every speaker (including control-plane RRs) maintains a Loc-RIB;
   // only data-plane clients export their best into iBGP.
-  decide_local(prefix, scratch_candidates_);
+  decide_local(prefix, pid, scratch_candidates_);
   if (config_.cluster_id != 0) reflect_tbrr(prefix, scratch_candidates_);
-  if (!config_.managed_aps.empty() && manages_prefix(prefix)) {
-    reflect_abrr(prefix, scratch_candidates_);
+  if (!config_.managed_aps.empty() && manages_prefix(prefix, pid)) {
+    reflect_abrr(prefix, pid, scratch_candidates_);
   }
 }
 
@@ -421,7 +470,7 @@ void Speaker::refresh_all() {
   for (const Ipv4Prefix& prefix : seen) run_pipeline(prefix);
 }
 
-void Speaker::decide_local(const Ipv4Prefix& prefix,
+void Speaker::decide_local(const Ipv4Prefix& prefix, PrefixId pid,
                            std::span<const Route* const> candidates) {
   const std::span<const Route* const> accepted =
       filter_accepted(prefix, candidates);
@@ -437,12 +486,13 @@ void Speaker::decide_local(const Ipv4Prefix& prefix,
   c_.best_changes->inc();
   if (best_change_hook_) best_change_hook_(prefix, best);
   if (config_.data_plane) {
-    export_own_best(prefix, best);
-    export_ebgp(prefix, best);
+    export_own_best(prefix, pid, best);
+    export_ebgp(prefix, pid, best);
   }
 }
 
-void Speaker::export_ebgp(const Ipv4Prefix& prefix, const Route* best) {
+void Speaker::export_ebgp(const Ipv4Prefix& prefix, PrefixId pid,
+                          const Route* best) {
   for (auto& [neighbor, state] : ebgp_neighbors_) {
     std::optional<Route> out;
     if (best != nullptr) {
@@ -454,19 +504,16 @@ void Speaker::export_ebgp(const Ipv4Prefix& prefix, const Route* best) {
       const Route* p = &*out;
       h = bgp::route_set_hash(std::span<const Route* const>{&p, 1});
     }
-    if (prefix_index_) {
-      const auto pid = prefix_index_->id_of(prefix);
-      if (pid) {
-        if (state.advertised_flat.size() <= *pid) {
-          state.advertised_flat.resize(prefix_index_->size(), 0);
-        }
-        std::uint64_t& last = state.advertised_flat[*pid];
-        if (h == last) continue;
-        last = h;
-        c_.ebgp_updates_sent->inc();
-        if (ebgp_send_hook_) ebgp_send_hook_(neighbor, prefix, out);
-        continue;
+    if (pid) {
+      if (state.advertised_flat.size() <= *pid) {
+        state.advertised_flat.resize(prefix_index_->size(), 0);
       }
+      std::uint64_t& last = state.advertised_flat[*pid];
+      if (h == last) continue;
+      last = h;
+      c_.ebgp_updates_sent->inc();
+      if (ebgp_send_hook_) ebgp_send_hook_(neighbor, prefix, out);
+      continue;
     }
     auto& last = state.advertised[prefix];
     if (h == last) continue;
@@ -483,7 +530,8 @@ void Speaker::add_ebgp_neighbor(RouterId neighbor, Asn neighbor_as,
   state.policy = policy;
   ebgp_neighbors_.emplace(neighbor, std::move(state));
   // Initial table sync: everything currently best goes out.
-  loc_rib_.for_each([&](const Route& r) { export_ebgp(r.prefix, &r); });
+  loc_rib_.for_each(
+      [&](const Route& r) { export_ebgp(r.prefix, prefix_id(r.prefix), &r); });
 }
 
 void Speaker::reset_peer_tx_state(PeerState& ps) {
@@ -598,11 +646,13 @@ void Speaker::restart() {
   }
 }
 
-void Speaker::export_own_best(const Ipv4Prefix& prefix, const Route* best) {
+void Speaker::export_own_best(const Ipv4Prefix& prefix, PrefixId pid,
+                              const Route* best) {
   // Table 1, client rows: advertise the best route into iBGP iff it is
   // eBGP-learned or locally originated; otherwise advertise nothing
   // (withdraw any previous advertisement).
-  std::vector<Route> out;
+  std::vector<Route>& out = scratch_out_;
+  out.clear();
   if (best != nullptr && best->via != bgp::LearnedVia::kIbgp) {
     out.push_back(client_export_copy(*best, config_.id));
   }
@@ -610,7 +660,7 @@ void Speaker::export_own_best(const Ipv4Prefix& prefix, const Route* best) {
   // Role-driven: a kDual client advertises on every plane it has
   // sessions for (§2.4: routers run both TBRR and ABRR).
   if (config_.mode == IbgpMode::kFullMesh) {
-    set_group_routes(kGroupMesh, prefix, std::move(out));
+    set_group_routes(kGroupMesh, prefix, out);
     return;
   }
   // Plain clients advertise up to their TRRs; a TRR's own advertisement
@@ -618,7 +668,7 @@ void Speaker::export_own_best(const Ipv4Prefix& prefix, const Route* best) {
   if (groups_.count(kGroupUplink) != 0 && config_.cluster_id == 0) {
     set_group_routes(kGroupUplink, prefix, out);
   }
-  for (const ApId ap : aps_of(prefix)) {
+  for (const ApId ap : aps_of(prefix, pid)) {
     if (manages_ap(ap)) continue;  // internal hand-off to our ARR role
     if (groups_.count(client_group(ap)) != 0) {
       set_group_routes(client_group(ap), prefix, out);
@@ -683,8 +733,10 @@ void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
   if (!config_.multipath) {
     const Route* best = bgp::select_best_from(
         candidates, config_.id, igp_, config_.decision, scratch_select_);
-    std::vector<Route> to_clients;
-    std::vector<Route> to_rrs;
+    std::vector<Route>& to_clients = scratch_out_;
+    std::vector<Route>& to_rrs = scratch_to_rrs_;
+    to_clients.clear();
+    to_rrs.clear();
     if (best != nullptr) {
       const Route reflected = reflect_copy(*best);
       to_clients.push_back(reflected);
@@ -693,12 +745,12 @@ void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
       // hierarchy) are reflected to clients only.
       if (learned_from_client(*best)) to_rrs.push_back(reflected);
     }
-    set_group_routes(kGroupClients, prefix, std::move(to_clients));
+    set_group_routes(kGroupClients, prefix, to_clients);
     set_group_routes(kGroupRrPeers, prefix, to_rrs);
     // Multi-level hierarchy: a mid-level TRR is itself a client of its
     // parents and advertises its client-learned best upward.
     if (groups_.count(kGroupUplink) != 0) {
-      set_group_routes(kGroupUplink, prefix, std::move(to_rrs));
+      set_group_routes(kGroupUplink, prefix, to_rrs);
     }
     return;
   }
@@ -707,9 +759,10 @@ void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
   // AS-level routes. Client-learned survivors go to both groups; the
   // full set goes to clients.
   bgp::best_as_level_into(candidates, config_.decision, scratch_bal_);
-  std::vector<Route> to_clients;
-  std::vector<Route> to_rrs;
-  to_clients.reserve(scratch_bal_.size());
+  std::vector<Route>& to_clients = scratch_out_;
+  std::vector<Route>& to_rrs = scratch_to_rrs_;
+  to_clients.clear();
+  to_rrs.clear();
   for (const Route* r : scratch_bal_) {
     const Route reflected = reflect_copy(*r);
     to_clients.push_back(reflected);
@@ -717,14 +770,14 @@ void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
   }
   dedup_by_path_id(to_clients);
   dedup_by_path_id(to_rrs);
-  set_group_routes(kGroupClients, prefix, std::move(to_clients));
+  set_group_routes(kGroupClients, prefix, to_clients);
   set_group_routes(kGroupRrPeers, prefix, to_rrs);
   if (groups_.count(kGroupUplink) != 0) {
-    set_group_routes(kGroupUplink, prefix, std::move(to_rrs));
+    set_group_routes(kGroupUplink, prefix, to_rrs);
   }
 }
 
-void Speaker::reflect_abrr(const Ipv4Prefix& prefix,
+void Speaker::reflect_abrr(const Ipv4Prefix& prefix, PrefixId pid,
                            std::span<const Route* const> candidates) {
   // Eligible inputs to the ARR role: client advertisements that have not
   // been reflected before (§2.3.2 single-bit loop prevention), plus our
@@ -750,8 +803,8 @@ void Speaker::reflect_abrr(const Ipv4Prefix& prefix,
   }
 
   bgp::best_as_level_into(scratch_eligible_, config_.decision, scratch_bal_);
-  std::vector<Route> set;
-  set.reserve(scratch_bal_.size());
+  std::vector<Route>& set = scratch_out_;
+  set.clear();
   for (const Route* r : scratch_bal_) set.push_back(*r);
   for (Route& r : set) {
     if (!r.attrs->has_ext_community(bgp::kAbrrReflectedCommunity)) {
@@ -763,16 +816,15 @@ void Speaker::reflect_abrr(const Ipv4Prefix& prefix,
   }
   dedup_by_path_id(set);
 
-  for (const ApId ap : aps_of(prefix)) {
+  for (const ApId ap : aps_of(prefix, pid)) {
     if (manages_ap(ap)) set_group_routes(arr_group(ap), prefix, set);
   }
 }
 
 void Speaker::set_group_routes(int key, const Ipv4Prefix& prefix,
-                               std::vector<Route> routes) {
+                               std::span<Route> routes) {
   OutGroup& g = group(key);
-  const auto msg = g.rib.set(prefix, std::move(routes), /*full_set=*/true);
-  if (!msg) return;
+  if (!g.rib.set(prefix, routes)) return;
   c_.updates_generated->inc();
   if (key == kGroupClients || (key >= 0 && key % 2 == 0)) {
     c_.generated_to_clients->inc();  // reflections toward clients
@@ -800,12 +852,17 @@ void Speaker::schedule_send(RouterId peer, int key, const Ipv4Prefix& prefix) {
         config_.mrai, [this, peer] { flush_peer(peer); });
     return;
   }
-  const std::uint64_t pkey =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key + 8)) << 40) ^
-      std::hash<Ipv4Prefix>{}(prefix);
-  if (ps.pending_keys.insert(pkey).second) {
+  if (ps.pending_keys.insert(tx_key(key, prefix))) {
     ps.pending.emplace_back(key, prefix);
   }
+}
+
+std::uint64_t Speaker::tx_key(int key, const Ipv4Prefix& prefix) {
+  // Address, length and group side by side: distinct pairs never share a
+  // key, and no pair maps to KeySet::kReservedKey (lengths stop at 32).
+  return static_cast<std::uint64_t>(prefix.address()) << 32 |
+         static_cast<std::uint64_t>(prefix.length()) << 24 |
+         (static_cast<std::uint32_t>(key + 8) & 0xffffffu);
 }
 
 void Speaker::flush_peer(RouterId peer) {
@@ -816,10 +873,12 @@ void Speaker::flush_peer(RouterId peer) {
     ps.mrai_armed = false;
     return;
   }
-  std::vector<std::pair<int, Ipv4Prefix>> batch;
-  batch.swap(ps.pending);
+  // flush_batch_ is empty between flushes; the peer's list takes its
+  // storage, which recycle() keeps bounded.
+  flush_batch_.swap(ps.pending);
   ps.pending_keys.clear();
-  for (const auto& [key, prefix] : batch) transmit(ps, key, prefix);
+  for (const auto& [key, prefix] : flush_batch_) transmit(ps, key, prefix);
+  recycle(flush_batch_);
   ps.mrai_timer = scheduler_->schedule_after(
       config_.mrai, [this, peer] { flush_peer(peer); });
 }
@@ -848,42 +907,44 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
                               ? 0
                               : bgp::route_set_hash(std::span<
                                     const Route* const>{scratch_target_});
-  std::uint64_t& last = sent_hash(ps, key, prefix);
+  std::uint64_t& last = sent_hash(ps, key, prefix, prefix_id(prefix));
   if (h == last) return;  // peer already has exactly this
   last = h;
 
+  // The message's route vector is the one allocation a transmission
+  // makes: it travels through the network into the receiver's queue and
+  // is stamped in place there.
   bgp::UpdateMessage msg;
   msg.prefix = prefix;
   msg.full_set = true;
   msg.announce.reserve(scratch_target_.size());
   for (const Route* r : scratch_target_) msg.announce.push_back(*r);
+  const net::MessageBytes bytes = network_->measure(msg);
   c_.updates_transmitted->inc();
   c_.routes_transmitted->inc(msg.announce.size());
-  c_.bytes_transmitted->inc(msg.wire_size());
-  c_.wire_bytes_transmitted->inc(network_->wire_size(msg));
+  c_.bytes_transmitted->inc(bytes.modeled);
+  c_.wire_bytes_transmitted->inc(bytes.wire);
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kUpdateTx, config_.id, ps.info.id,
                     msg.announce.size());
   }
-  network_->send(config_.id, ps.info.id, std::move(msg));
+  network_->send(config_.id, ps.info.id, std::move(msg), bytes);
 }
 
 std::uint64_t& Speaker::sent_hash(PeerState& ps, int key,
-                                  const Ipv4Prefix& prefix) {
-  if (prefix_index_) {
-    const auto pid = prefix_index_->id_of(prefix);
-    if (pid) {
-      const std::uint32_t slot = group_slot_.at(key);
-      const std::size_t stride = prefix_index_->size();
-      const std::size_t need = (slot + 1) * stride;
-      if (ps.sent_hash_flat.size() < need) ps.sent_hash_flat.resize(need, 0);
-      return ps.sent_hash_flat[slot * stride + *pid];
-    }
+                                  const Ipv4Prefix& prefix, PrefixId pid) {
+  if (pid) {
+    // The peer's stripe for this group; stripes exist only for the
+    // groups the peer belongs to.
+    auto it = std::find(ps.groups.begin(), ps.groups.end(), key);
+    if (it == ps.groups.end()) it = ps.groups.insert(it, key);  // appends
+    const auto stripe = static_cast<std::size_t>(it - ps.groups.begin());
+    const std::size_t stride = prefix_index_->size();
+    const std::size_t need = (stripe + 1) * stride;
+    if (ps.sent_hash_flat.size() < need) ps.sent_hash_flat.resize(need, 0);
+    return ps.sent_hash_flat[stripe * stride + *pid];
   }
-  const std::uint64_t mkey =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key + 8)) << 40) ^
-      std::hash<Ipv4Prefix>{}(prefix);
-  return ps.sent_hash_map[mkey];
+  return ps.sent_hash_map[tx_key(key, prefix)];
 }
 
 void Speaker::inject_ebgp(RouterId neighbor, Route route) {
@@ -904,16 +965,13 @@ void Speaker::inject_ebgp(RouterId neighbor, Route route) {
   }
   bgp::UpdateMessage msg;
   msg.prefix = route.prefix;
-  msg.announce.push_back(std::move(route));
-  enqueue(Incoming{neighbor, std::move(msg), /*ebgp=*/true,
-                   /*withdraw_ebgp=*/false});
+  enqueue(Incoming{neighbor, std::move(msg), /*ebgp=*/true, route});
 }
 
 void Speaker::withdraw_ebgp(RouterId neighbor, const Ipv4Prefix& prefix) {
   bgp::UpdateMessage msg;
   msg.prefix = prefix;
-  enqueue(Incoming{neighbor, std::move(msg), /*ebgp=*/true,
-                   /*withdraw_ebgp=*/true});
+  enqueue(Incoming{neighbor, std::move(msg), /*ebgp=*/true, Route{}});
 }
 
 void Speaker::originate(Route route) {
@@ -926,9 +984,7 @@ void Speaker::originate(Route route) {
   }
   bgp::UpdateMessage msg;
   msg.prefix = route.prefix;
-  msg.announce.push_back(std::move(route));
-  enqueue(Incoming{bgp::kNoRouter, std::move(msg), /*ebgp=*/true,
-                   /*withdraw_ebgp=*/false});
+  enqueue(Incoming{bgp::kNoRouter, std::move(msg), /*ebgp=*/true, route});
 }
 
 std::size_t Speaker::rib_out_size() const {
@@ -943,17 +999,21 @@ const bgp::AdjRibOut* Speaker::out_group(int key) const {
 }
 
 Speaker::OutGroup& Speaker::group(int key) {
-  const auto [it, inserted] = groups_.emplace(key, OutGroup{});
-  if (inserted) {
-    group_slot_.emplace(key, static_cast<std::uint32_t>(group_slot_.size()));
-    if (prefix_index_) it->second.rib.set_prefix_index(prefix_index_);
+  // Look up first: emplace would build (and free) a whole OutGroup node
+  // on every hit.
+  if (const auto it = groups_.find(key); it != groups_.end()) {
+    return it->second;
   }
-  return it->second;
+  OutGroup& g = groups_[key];
+  if (prefix_index_) g.rib.set_prefix_index(prefix_index_);
+  return g;
 }
 
-std::vector<ApId> Speaker::aps_of(const Ipv4Prefix& prefix) const {
+std::span<const ApId> Speaker::aps_of(const Ipv4Prefix& prefix, PrefixId pid) {
+  if (pid && prefix_aps_) return prefix_aps_->aps(*pid);
   if (!config_.ap_of) return {};
-  return config_.ap_of(prefix);
+  scratch_aps_ = config_.ap_of(prefix);
+  return scratch_aps_;
 }
 
 bool Speaker::manages_ap(ApId ap) const {
@@ -961,8 +1021,8 @@ bool Speaker::manages_ap(ApId ap) const {
                    ap) != config_.managed_aps.end();
 }
 
-bool Speaker::manages_prefix(const Ipv4Prefix& prefix) const {
-  for (const ApId ap : aps_of(prefix)) {
+bool Speaker::manages_prefix(const Ipv4Prefix& prefix, PrefixId pid) {
+  for (const ApId ap : aps_of(prefix, pid)) {
     if (manages_ap(ap)) return true;
   }
   return false;

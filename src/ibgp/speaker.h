@@ -12,13 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/decision.h"
@@ -30,6 +28,7 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sim/key_set.h"
 #include "sim/scheduler.h"
 
 namespace abrr::ibgp {
@@ -52,6 +51,24 @@ using ApId = std::int32_t;
 /// APs maps to all of them (§2.1). Supplied by core::ApMapper; the
 /// speaker only needs the function.
 using ApOfFn = std::function<std::vector<ApId>(const Ipv4Prefix&)>;
+
+/// The APs of every prefix of a PrefixIndex, resolved once through an
+/// ApOfFn. A testbed builds one and shares it between its speakers, as it
+/// shares the PrefixIndex, so a speaker's per-message AP lookup is an
+/// array read instead of a call returning a fresh vector.
+class PrefixApTable {
+ public:
+  PrefixApTable(const bgp::PrefixIndex& index, const ApOfFn& ap_of);
+
+  /// APs of the prefix with dense id `id`.
+  std::span<const ApId> aps(std::uint32_t id) const {
+    return {aps_.data() + begin_[id], aps_.data() + begin_[id + 1]};
+  }
+
+ private:
+  std::vector<std::uint32_t> begin_;  // per id, offset into aps_; +1 end
+  std::vector<ApId> aps_;
+};
 
 /// One iBGP peer as seen from this speaker. A peer can hold several
 /// roles at once (e.g. in ABRR, router X can be both my client — I
@@ -185,8 +202,11 @@ class Speaker {
   /// Shared dense prefix numbering: switches the RIBs, the per-peer
   /// sent-hash state, and the dirty-prefix coalescing to flat storage
   /// indexed by PrefixId. Call right after construction (before routes
-  /// arrive); map fallbacks cover prefixes outside the index.
-  void set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index);
+  /// arrive); map fallbacks cover prefixes outside the index. `aps`, when
+  /// given, must be built over the same index from this speaker's
+  /// config().ap_of; indexed prefixes then take their APs from it.
+  void set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index,
+                        std::shared_ptr<const PrefixApTable> aps = nullptr);
 
   /// §2.4 transition switch (kDual mode): returns true when the best-path
   /// decision for this prefix should use routes learned from ABRR (and
@@ -333,31 +353,48 @@ class Speaker {
     // MRAI state.
     bool mrai_armed = false;
     sim::EventId mrai_timer = 0;
-    // Pending (group, prefix) pairs awaiting the MRAI flush.
+    // Pending (group, prefix) pairs awaiting the MRAI flush, in first-
+    // insertion order; `pending_keys` holds their tx_key()s so each pair
+    // is queued once per window.
     std::vector<std::pair<int, Ipv4Prefix>> pending;
-    std::unordered_set<std::uint64_t> pending_keys;
+    sim::KeySet pending_keys;
+    // The groups this peer is a member of, in join order.
+    std::vector<int> groups;
     // Last transmitted content hash per (group, prefix); 0 = nothing.
-    // Flat when a PrefixIndex is available, map otherwise.
+    // Flat when a PrefixIndex is available: one PrefixIndex-sized stripe
+    // per entry of `groups`, allocated when that stripe is first used.
+    // Map otherwise, keyed by tx_key().
     std::unordered_map<std::uint64_t, std::uint64_t> sent_hash_map;
-    std::vector<std::uint64_t> sent_hash_flat;  // indexed by group slot
+    std::vector<std::uint64_t> sent_hash_flat;
   };
 
   struct Incoming {
     RouterId from;
+    /// iBGP: the received message. eBGP: carries only the prefix.
     bgp::UpdateMessage msg;
     bool ebgp = false;
-    bool withdraw_ebgp = false;
+    /// eBGP: the injected or originated route, held inline so a feed
+    /// event allocates nothing; an invalid route withdraws.
+    Route ebgp_route;
   };
 
+  /// Dense id of `prefix`, or nullopt when it has none (no index, or
+  /// outside it). Resolved once per message, pipeline run and
+  /// transmission, then handed down.
+  using PrefixId = std::optional<std::uint32_t>;
+  PrefixId prefix_id(const Ipv4Prefix& prefix) const;
+
   // -- receive path --
-  void receive(RouterId from, const bgp::UpdateMessage& msg);
-  void enqueue(Incoming incoming);
+  void receive(RouterId from, bgp::UpdateMessage&& msg);
+  void enqueue(Incoming&& incoming);
   void drain_input();
   /// Applies one message to the Adj-RIB-In; appends dirty prefixes.
-  void apply(const Incoming& incoming, std::vector<Ipv4Prefix>& dirty);
+  /// Stamps and filters the message's routes in place.
+  void apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty);
   /// Appends `prefix` to `dirty` unless already marked this drain epoch
   /// (dense-index dedup; unindexed prefixes are deduped by sort later).
-  void mark_dirty(const Ipv4Prefix& prefix, std::vector<Ipv4Prefix>& dirty);
+  void mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
+                  std::vector<Ipv4Prefix>& dirty);
   bool accept_route(const Route& route, const PeerState* peer) const;
 
   // -- decision + advertisement path --
@@ -367,24 +404,29 @@ class Speaker {
   void run_pipeline(const Ipv4Prefix& prefix);
   void reflect_tbrr(const Ipv4Prefix& prefix,
                     std::span<const Route* const> candidates);
-  void reflect_abrr(const Ipv4Prefix& prefix,
+  void reflect_abrr(const Ipv4Prefix& prefix, PrefixId pid,
                     std::span<const Route* const> candidates);
-  void decide_local(const Ipv4Prefix& prefix,
+  void decide_local(const Ipv4Prefix& prefix, PrefixId pid,
                     std::span<const Route* const> candidates);
-  void export_own_best(const Ipv4Prefix& prefix, const Route* best);
-  void export_ebgp(const Ipv4Prefix& prefix, const Route* best);
+  void export_own_best(const Ipv4Prefix& prefix, PrefixId pid,
+                       const Route* best);
+  void export_ebgp(const Ipv4Prefix& prefix, PrefixId pid, const Route* best);
 
-  /// Updates a group's Adj-RIB-Out; on change, schedules per-member
-  /// transmission under MRAI.
+  /// Commits `routes` as a group's Adj-RIB-Out set for `prefix` (sorting
+  /// them in place); on change, schedules per-member transmission under
+  /// MRAI.
   void set_group_routes(int group, const Ipv4Prefix& prefix,
-                        std::vector<Route> routes);
+                        std::span<Route> routes);
 
   void schedule_send(RouterId peer, int group, const Ipv4Prefix& prefix);
   void flush_peer(RouterId peer);
   void transmit(PeerState& peer, int group, const Ipv4Prefix& prefix);
 
   std::uint64_t& sent_hash(PeerState& peer, int group,
-                           const Ipv4Prefix& prefix);
+                           const Ipv4Prefix& prefix, PrefixId pid);
+  /// Exact (group, prefix) key for the pending set and the unindexed
+  /// sent-hash map.
+  static std::uint64_t tx_key(int group, const Ipv4Prefix& prefix);
 
   // -- liveness (hold/keepalive) --
   sim::Time keepalive_interval() const;
@@ -402,9 +444,15 @@ class Speaker {
   /// scratch_accepted_ and returns a span over it.
   std::span<const Route* const> filter_accepted(
       const Ipv4Prefix& prefix, std::span<const Route* const> in);
-  std::vector<ApId> aps_of(const Ipv4Prefix& prefix) const;
+  /// The prefix's APs: a view into the shared PrefixApTable for indexed
+  /// prefixes, else config().ap_of's answer held in scratch_aps_ (valid
+  /// until the next aps_of call).
+  std::span<const ApId> aps_of(const Ipv4Prefix& prefix, PrefixId pid);
   bool manages_ap(ApId ap) const;
-  bool manages_prefix(const Ipv4Prefix& prefix) const;
+  bool manages_prefix(const Ipv4Prefix& prefix, PrefixId pid);
+  /// Empties the reused per-drain buffers, releasing any that a burst
+  /// grew past its retention bound.
+  void trim_scratch();
 
   /// Registers the `speaker.*` counter cells and histograms with
   /// `metrics_` and caches the hot-path handles in `c_`.
@@ -419,6 +467,7 @@ class Speaker {
   BestChangeHook best_change_hook_;
   RibClearedHook rib_cleared_hook_;
   std::shared_ptr<const bgp::PrefixIndex> prefix_index_;
+  std::shared_ptr<const PrefixApTable> prefix_aps_;
 
   struct EbgpNeighborState {
     Asn asn = 0;
@@ -436,13 +485,15 @@ class Speaker {
   /// the keepalive tick and crash teardown.
   std::vector<RouterId> peer_order_;
   std::unordered_map<int, OutGroup> groups_;
-  // Dense slot assignment for (group) -> index used by sent_hash_flat.
-  std::unordered_map<int, std::uint32_t> group_slot_;
 
   bgp::AdjRibIn adj_rib_in_;
   bgp::LocRib loc_rib_;
 
-  std::deque<Incoming> input_queue_;
+  // Received messages awaiting the next drain. A drain swaps them into
+  // drain_batch_, so the two vectors trade storage instead of
+  // reallocating; trim_scratch() bounds what either keeps.
+  std::vector<Incoming> input_queue_;
+  std::vector<Incoming> drain_batch_;
   bool drain_scheduled_ = false;
   sim::EventId drain_event_ = 0;
   sim::Time busy_until_ = 0;
@@ -458,6 +509,13 @@ class Speaker {
   std::uint64_t dirty_epoch_ = 0;
 
   // Reusable pipeline scratch (valid only within one run_pipeline call).
+  // Route vectors hold the sets committed to Adj-RIB-Outs; the commit
+  // copies them into the RIB's own storage.
+  std::vector<Route> scratch_out_;
+  std::vector<Route> scratch_to_rrs_;
+  std::vector<ApId> scratch_aps_;
+  // flush_peer's batch; swapped with a peer's pending list.
+  std::vector<std::pair<int, Ipv4Prefix>> flush_batch_;
   std::vector<const Route*> scratch_candidates_;
   std::vector<const Route*> scratch_accepted_;
   std::vector<const Route*> scratch_eligible_;

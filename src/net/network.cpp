@@ -45,7 +45,7 @@ bool Network::connected(RouterId a, RouterId b) const {
 }
 
 void Network::dispatch(RouterId from, RouterId to, ChannelState& ch,
-                       bgp::UpdateMessage msg) {
+                       const Receiver& receiver, bgp::UpdateMessage msg) {
   sim::Time latency = ch.base_latency + ch.extra_delay;
   if (ch.jitter > 0) latency += rng_->uniform_int(0, ch.jitter);
   sim::Time at = scheduler_->now() + latency;
@@ -53,22 +53,21 @@ void Network::dispatch(RouterId from, RouterId to, ChannelState& ch,
   ch.last_delivery = at;
   const std::uint64_t seq = ch.next_seq++;
 
-  // The receiver (and the channel, for the in-order check) are looked up
-  // at delivery time so endpoints can be replaced mid-run (e.g.
-  // transition experiments) and the channel map may rehash.
-  const std::uint64_t k = key(from, to);
-  auto deliver = [this, k, from, to, seq, m = std::move(msg)]() {
-    const auto cit = channels_.find(k);
-    if (cit == channels_.end()) return;
-    if (seq != cit->second.expect_seq) {
+  // The closure holds the channel (for the in-order check) and the
+  // receiver slot by pointer: neither is ever erased, a rehash does not
+  // move them, and an endpoint re-registered mid-run (e.g. transition
+  // experiments) is reached through the same slot. The payload is moved
+  // into the receiver, not copied.
+  auto deliver = [chp = &ch, rcv = &receiver, from, to, seq,
+                  m = std::move(msg)]() mutable {
+    if (seq != chp->expect_seq) {
       throw std::logic_error{"channel " + std::to_string(from) + " -> " +
                              std::to_string(to) +
                              " delivered out of order (fault hooks broke "
                              "the FIFO invariant)"};
     }
-    ++cit->second.expect_seq;
-    const auto it = endpoints_.find(to);
-    if (it != endpoints_.end()) it->second(from, m);
+    ++chp->expect_seq;
+    (*rcv)(from, std::move(m));
   };
   // The delivery closure is the dominant event on the scheduler hot path;
   // it must stay within the pooled nodes' inline capture budget or every
@@ -78,7 +77,8 @@ void Network::dispatch(RouterId from, RouterId to, ChannelState& ch,
   scheduler_->schedule_at(at, std::move(deliver));
 }
 
-void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
+void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
+                   MessageBytes bytes) {
   const auto cit = channels_.find(key(from, to));
   if (cit == channels_.end()) {
     throw std::logic_error{"send: no session " + std::to_string(from) +
@@ -91,7 +91,7 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
   }
 
   ChannelState& ch = cit->second;
-  if (down_endpoints_.count(to) != 0) {
+  if (!down_endpoints_.empty() && down_endpoints_.count(to) != 0) {
     // The destination's TCP stack died with it; nothing retransmits.
     ++ch.dropped;
     ++total_dropped_;
@@ -113,8 +113,8 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
     return;
   }
 
-  const std::uint64_t wire = sizer_.message_size(msg);
-  const std::uint64_t modeled = msg.wire_size();
+  const std::uint64_t wire = bytes.wire;
+  const std::uint64_t modeled = bytes.modeled;
   ++ch.messages;
   ch.bytes += modeled;
   ch.wire_bytes += wire;
@@ -138,7 +138,7 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
     ch.buffered.push_back(std::move(msg));
     return;
   }
-  dispatch(from, to, ch, std::move(msg));
+  dispatch(from, to, ch, eit->second, std::move(msg));
 }
 
 void Network::set_link(RouterId a, RouterId b, bool up) {
@@ -154,8 +154,10 @@ void Network::set_link(RouterId a, RouterId b, bool up) {
     if (!up) continue;
     std::vector<bgp::UpdateMessage> flush;
     flush.swap(ch.buffered);
+    // send() refused to buffer toward an unregistered endpoint.
+    const Receiver& receiver = endpoints_.at(to);
     for (bgp::UpdateMessage& msg : flush) {
-      dispatch(from, to, ch, std::move(msg));
+      dispatch(from, to, ch, receiver, std::move(msg));
     }
   }
 }

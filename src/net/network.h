@@ -21,8 +21,18 @@ namespace abrr::net {
 
 using bgp::RouterId;
 
-/// Delivery callback: (sender, message).
-using Receiver = std::function<void(RouterId, const bgp::UpdateMessage&)>;
+/// Delivery callback: (sender, message). The message is handed over by
+/// rvalue so a receiver can keep its payload without copying it; a
+/// callable taking `const bgp::UpdateMessage&` works as well.
+using Receiver = std::function<void(RouterId, bgp::UpdateMessage&&)>;
+
+/// What one message adds to the byte counters.
+struct MessageBytes {
+  /// Exact RFC 4271 encoded length of the message train.
+  std::uint64_t wire = 0;
+  /// Closed-form estimate (bgp::UpdateMessage::wire_size).
+  std::uint64_t modeled = 0;
+};
 
 /// Reliable in-order message fabric between registered endpoints.
 ///
@@ -54,7 +64,16 @@ class Network {
   /// previous message on the same directed channel. Throws if the
   /// channel does not exist. While the link is down the message is
   /// buffered; while the destination endpoint is down it is dropped.
-  void send(RouterId from, RouterId to, bgp::UpdateMessage msg);
+  /// `bytes` must be measure(msg): a sender that counts the bytes itself
+  /// measures once and passes the result on.
+  void send(RouterId from, RouterId to, bgp::UpdateMessage msg,
+            MessageBytes bytes);
+
+  /// send() for callers that do not count bytes themselves.
+  void send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
+    const MessageBytes bytes = measure(msg);
+    send(from, to, std::move(msg), bytes);
+  }
 
   // --- fault-injection hooks -----------------------------------------
 
@@ -98,24 +117,21 @@ class Network {
 
   /// Aggregate counters. total_bytes() is measured: the sum of the
   /// exact RFC 4271 encoded lengths each message occupies on the wire
-  /// (wire::WireSizer, O(1) per message after the first encode of an
-  /// interned attribute block). total_modeled_bytes() keeps the legacy
-  /// closed-form estimate for modeled-vs-measured comparison.
+  /// (wire::WireSizer, which reads each interned attribute block's stored
+  /// length). total_modeled_bytes() keeps the legacy closed-form estimate
+  /// for modeled-vs-measured comparison.
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
   std::uint64_t total_modeled_bytes() const { return total_modeled_bytes_; }
   /// Messages dropped by fault hooks (loss, dead endpoints, resets).
   std::uint64_t total_dropped() const { return total_dropped_; }
 
-  /// Exact encoded size of `msg` on the wire (cached per interned
-  /// attribute block). Speakers use this for their own byte counters so
-  /// every layer reports the same measured number.
-  std::uint64_t wire_size(const bgp::UpdateMessage& msg) {
-    return sizer_.message_size(msg);
+  /// Both byte counts of `msg`, as send() accounts them. Speakers use
+  /// this for their own byte counters so every layer reports the same
+  /// measured number.
+  MessageBytes measure(const bgp::UpdateMessage& msg) {
+    return MessageBytes{sizer_.message_size(msg), msg.wire_size()};
   }
-
-  /// Attribute blocks the size cache has resolved (introspection).
-  std::size_t sizer_cached_blocks() const { return sizer_.cached_blocks(); }
 
   /// Per-directed-channel counters, or nullptr if not connected.
   const ChannelState* channel(RouterId from, RouterId to) const;
@@ -127,13 +143,18 @@ class Network {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  /// Schedules the delivery of `msg` on channel (from, to), assigning
-  /// its FIFO sequence number. The channel must exist and be up.
+  /// Schedules the delivery of `msg` on channel (from, to) to `receiver`
+  /// (the endpoint's registered slot), assigning its FIFO sequence
+  /// number. The channel must exist and be up.
   void dispatch(RouterId from, RouterId to, ChannelState& ch,
-                bgp::UpdateMessage msg);
+                const Receiver& receiver, bgp::UpdateMessage msg);
 
   sim::Scheduler* scheduler_;
   sim::Rng* rng_;
+  // Node-based maps with no erase: a delivery in flight holds pointers
+  // to its channel and its endpoint's receiver slot, which stay valid
+  // across rehashes, and re-registering an endpoint assigns into the
+  // same slot.
   std::unordered_map<RouterId, Receiver> endpoints_;
   std::unordered_map<std::uint64_t, ChannelState> channels_;
   std::unordered_set<RouterId> down_endpoints_;
@@ -142,8 +163,7 @@ class Network {
   std::uint64_t total_modeled_bytes_ = 0;
   std::uint64_t total_dropped_ = 0;
 
-  // Exact-size oracle; safe to cache per attrs pointer because the
-  // network lives inside one interner TrialScope.
+  // Exact-size oracle.
   wire::WireSizer sizer_;
   // Full encoder, used only when a pcap capture ring is attached.
   wire::Encoder encoder_;

@@ -12,9 +12,12 @@ std::uint32_t Scheduler::acquire_slot() {
     const std::uint32_t base =
         static_cast<std::uint32_t>(slabs_.size()) * kSlabSize;
     slabs_.push_back(std::make_unique<Node[]>(kSlabSize));
-    // Live events are bounded by pool capacity, so sizing the heap with
-    // the pool keeps pushes free of vector growth on the hot path.
-    queue_.reserve(slabs_.size() * kSlabSize);
+    // Live events are bounded by pool capacity, so keeping the heap's
+    // capacity at least the pool's keeps pushes free of vector growth on
+    // the hot path. Doubling (rather than reserving exactly the new
+    // capacity) re-copies the heap O(log n) times instead of once per
+    // slab.
+    queue_.reserve_at_least(pool_capacity());
     for (std::uint32_t i = kSlabSize; i-- > 0;) {
       Node& n = slabs_.back()[i];
       n.next_free = free_head_;
@@ -103,6 +106,9 @@ bool Scheduler::step() {
   if (queue_.empty()) return false;
   const HeapItem item = queue_.top();
   queue_.pop();
+  // The next event's node is often not in cache (heap order and slot
+  // order are unrelated); start loading it while this callback runs.
+  if (!queue_.empty()) __builtin_prefetch(&node(queue_.top().slot));
   Node& n = node(item.slot);
   // Move the callback out and recycle the slot *before* invoking, so the
   // callback is free to schedule into (or cancel within) the pool.

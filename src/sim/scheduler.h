@@ -12,6 +12,7 @@
 // per-event std::function heap box.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -146,7 +147,12 @@ class Scheduler {
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }
     const HeapItem& top() const { return items_.front(); }
-    void reserve(std::size_t n) { items_.reserve(n); }
+    /// Grows capacity to at least `n`, geometrically.
+    void reserve_at_least(std::size_t n) {
+      if (n > items_.capacity()) {
+        items_.reserve(std::max(n, 2 * items_.capacity()));
+      }
+    }
 
     void push(const HeapItem& item) {
       std::size_t i = items_.size();

@@ -129,20 +129,6 @@ void put_attr_header(std::vector<std::uint8_t>& out, std::uint8_t flags,
   }
 }
 
-std::size_t attr_overhead(std::size_t value_len) {
-  return value_len > 255 ? 4 : 3;
-}
-
-/// AS_PATH value length: one (type, count) prelude per 255-ASN segment,
-/// 4 octets per ASN (RFC 6793 four-octet AS numbers). An empty path is
-/// a zero-length value (locally originated iBGP route).
-std::size_t as_path_value_size(const bgp::AsPath& path) {
-  const std::size_t n = path.length();
-  if (n == 0) return 0;
-  const std::size_t segments = (n + 254) / 255;
-  return 2 * segments + 4 * n;
-}
-
 void put_as_path(std::vector<std::uint8_t>& out, const bgp::AsPath& path) {
   const auto& asns = path.asns();
   std::size_t i = 0;
@@ -170,30 +156,6 @@ std::string DecodeError::to_string() const {
 
 // --- encoder ----------------------------------------------------------
 
-std::size_t Encoder::path_attrs_size(const bgp::PathAttrs& attrs) {
-  std::size_t size = 0;
-  size += 3 + 1;  // ORIGIN
-  const std::size_t ap = as_path_value_size(attrs.as_path);
-  size += attr_overhead(ap) + ap;  // AS_PATH
-  size += 3 + 4;                   // NEXT_HOP
-  if (attrs.med) size += 3 + 4;    // MULTI_EXIT_DISC
-  size += 3 + 4;                   // LOCAL_PREF (always present on iBGP)
-  if (!attrs.communities.empty()) {
-    const std::size_t v = 4 * attrs.communities.size();
-    size += attr_overhead(v) + v;
-  }
-  if (attrs.originator_id) size += 3 + 4;
-  if (!attrs.cluster_list.empty()) {
-    const std::size_t v = 4 * attrs.cluster_list.size();
-    size += attr_overhead(v) + v;
-  }
-  if (!attrs.ext_communities.empty()) {
-    const std::size_t v = 8 * attrs.ext_communities.size();
-    size += attr_overhead(v) + v;
-  }
-  return size;
-}
-
 void Encoder::append_path_attrs(const bgp::PathAttrs& attrs,
                                 std::vector<std::uint8_t>& out) {
   // Canonical ascending type-code order.
@@ -201,7 +163,7 @@ void Encoder::append_path_attrs(const bgp::PathAttrs& attrs,
   put8(out, static_cast<std::uint8_t>(attrs.origin));
 
   put_attr_header(out, kFlagTransitive, AttrType::kAsPath,
-                  as_path_value_size(attrs.as_path));
+                  bgp::encoded_as_path_size(attrs.as_path));
   put_as_path(out, attrs.as_path);
 
   put_attr_header(out, kFlagTransitive, AttrType::kNextHop, 4);
@@ -311,7 +273,7 @@ std::span<const std::uint8_t> Encoder::encode(const bgp::UpdateMessage& msg) {
 
   for (const std::uint32_t g : order_) {
     const bgp::AttrsPtr attrs = msg.announce[g].attrs;
-    const std::size_t alen = path_attrs_size(*attrs);
+    const std::size_t alen = WireSizer::attrs_size(*attrs);
     std::size_t i = g;  // first member of the group
     while (i < msg.announce.size()) {
       const std::size_t start = begin_message(buf_, kTypeUpdate);
@@ -348,12 +310,9 @@ std::span<const std::uint8_t> Encoder::encode(const bgp::UpdateMessage& msg) {
 
 // --- exact size accounting --------------------------------------------
 
-std::size_t WireSizer::attrs_size(bgp::AttrsPtr attrs) {
-  const auto it = cache_.find(attrs);
-  if (it != cache_.end()) return it->second;
-  const std::size_t size = Encoder::path_attrs_size(*attrs);
-  cache_.emplace(attrs, static_cast<std::uint32_t>(size));
-  return size;
+std::size_t WireSizer::attrs_size(const bgp::PathAttrs& attrs) {
+  return attrs.encoded_size != 0 ? attrs.encoded_size
+                                 : bgp::encoded_attrs_size(attrs);
 }
 
 std::uint64_t WireSizer::message_size(const bgp::UpdateMessage& msg) {
@@ -381,7 +340,7 @@ std::uint64_t WireSizer::message_size(const bgp::UpdateMessage& msg) {
     }
   }
   for (const bgp::AttrsPtr attrs : order_) {
-    const std::size_t alen = attrs_size(attrs);
+    const std::size_t alen = attrs_size(*attrs);
     std::size_t members = 0;
     for (const bgp::Route& r : msg.announce) {
       if (r.attrs == attrs) ++members;

@@ -40,7 +40,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/attributes.h"
@@ -173,9 +172,6 @@ class Encoder {
   static void append_path_attrs(const bgp::PathAttrs& attrs,
                                 std::vector<std::uint8_t>& out);
 
-  /// Exact length append_path_attrs() would produce, without encoding.
-  static std::size_t path_attrs_size(const bgp::PathAttrs& attrs);
-
  private:
   std::vector<std::uint8_t> buf_;
   // encode() scratch: announced-route indices grouped by attrs block.
@@ -186,24 +182,21 @@ class Encoder {
 
 /// Exact encoded size of model messages, without encoding them.
 ///
-/// Attribute-block lengths are cached per interned `AttrsPtr` — an ARR
-/// reflecting one block to hundreds of clients computes its length
-/// once, so Network::send's byte accounting is O(#routes) pointer
-/// lookups after the first encounter. The cache is owned per Network
-/// (one per trial): pointers can never dangle across an interner reset
-/// because the Network dies with its trial.
+/// Attribute-block lengths come from the interned block itself
+/// (PathAttrs::encoded_size, stored by AttrsInterner::intern()), so an
+/// ARR reflecting one block to hundreds of clients walks it once, at
+/// intern time, and Network::send's byte accounting is O(#routes) field
+/// reads. Holds only a reused grouping scratch; one per Network.
 class WireSizer {
  public:
   /// Exact total wire length of the message train encode() would emit.
   std::uint64_t message_size(const bgp::UpdateMessage& msg);
 
-  /// Cached exact length of one attribute block.
-  std::size_t attrs_size(bgp::AttrsPtr attrs);
-
-  std::size_t cached_blocks() const { return cache_.size(); }
+  /// Exact length of one attribute block (the stored length when the
+  /// block has one, bgp::encoded_attrs_size otherwise).
+  static std::size_t attrs_size(const bgp::PathAttrs& attrs);
 
  private:
-  std::unordered_map<const bgp::PathAttrs*, std::uint32_t> cache_;
   std::vector<const bgp::PathAttrs*> order_;  // message_size() scratch
 };
 

@@ -38,7 +38,7 @@ TEST_P(RibProperty, AdjRibInSizeNeverDrifts) {
       rib.withdraw(peer, prefix, path);
       truth.erase({pfx_idx, peer, path});
     } else {  // withdraw the peer's whole prefix
-      rib.withdraw_prefix(peer, prefix);
+      rib.replace(peer, prefix, {});
       for (auto it = truth.begin(); it != truth.end();) {
         const auto& [p, pr, pa] = it->first;
         it = (p == pfx_idx && pr == peer) ? truth.erase(it) : std::next(it);
@@ -76,7 +76,7 @@ TEST_P(RibProperty, AdjRibOutSizeMatchesContents) {
                                65000 + rng.index(3))})
                            .build());
     }
-    rib.set(prefix, routes, rng.chance(0.5));
+    rib.set(prefix, routes);
     truth[pfx_idx] = n;
 
     std::size_t expected = 0;

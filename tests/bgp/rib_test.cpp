@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <stdexcept>
+#include <vector>
+
+#include "bgp/update.h"
+
 namespace abrr::bgp {
 namespace {
 
@@ -51,9 +57,28 @@ TEST(AdjRibIn, WithdrawPrefixRemovesAllFromPeer) {
   rib.announce(mk(kP1, 5, 1, 100));
   rib.announce(mk(kP1, 5, 2, 100));
   rib.announce(mk(kP1, 6, 3, 100));
-  EXPECT_EQ(rib.withdraw_prefix(5, kP1), 2u);
+  rib.replace(5, kP1, {});
   EXPECT_EQ(rib.size(), 1u);
+  EXPECT_EQ(rib.peer_size(5), 0u);
   EXPECT_EQ(rib.routes_for(kP1).front().learned_from, 6u);
+}
+
+TEST(AdjRibIn, ReplaceSwapsOnePeersSetAndKeepsOrder) {
+  AdjRibIn rib;
+  rib.announce(mk(kP1, 5, 1, 100));
+  rib.announce(mk(kP1, 5, 2, 100));
+  rib.announce(mk(kP1, 6, 3, 100));
+  const std::vector<Route> next = {mk(kP1, 5, 9, 101), mk(kP1, 5, 4, 102)};
+  rib.replace(5, kP1, next);
+  EXPECT_EQ(rib.size(), 3u);
+  EXPECT_EQ(rib.peer_size(5), 2u);
+  const std::vector<Route> all = rib.routes_for(kP1);
+  ASSERT_EQ(all.size(), 3u);
+  // Sorted by (peer, path id), as announce() keeps them.
+  EXPECT_EQ(all[0].path_id, 4u);
+  EXPECT_EQ(all[1].path_id, 9u);
+  EXPECT_EQ(all[2].learned_from, 6u);
+  EXPECT_THROW(rib.replace(6, kP1, next), std::invalid_argument);
 }
 
 TEST(AdjRibIn, WithdrawPeerReportsAffectedPrefixes) {
@@ -90,55 +115,48 @@ TEST(LocRib, InstallDetectsChange) {
   EXPECT_FALSE(rib.remove(kP1));
 }
 
+// Owning argument for AdjRibOut::set, which sorts its input in place.
+std::vector<Route> set_of(std::initializer_list<Route> routes) {
+  return std::vector<Route>(routes);
+}
+
 TEST(AdjRibOut, FirstSetAnnouncesEverything) {
   AdjRibOut rib;
-  const auto msg = rib.set(kP1, {mk(kP1, 5, 1, 100), mk(kP1, 6, 2, 100)},
-                           /*full_set=*/true);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(msg->full_set);
-  EXPECT_EQ(msg->announce.size(), 2u);
+  auto routes = set_of({mk(kP1, 5, 1, 100), mk(kP1, 6, 2, 100)});
+  EXPECT_TRUE(rib.set(kP1, routes));
   EXPECT_EQ(rib.size(), 2u);
+  ASSERT_NE(rib.get(kP1), nullptr);
+  EXPECT_EQ(rib.get(kP1)->size(), 2u);
 }
 
 TEST(AdjRibOut, UnchangedSetYieldsNothing) {
   AdjRibOut rib;
-  rib.set(kP1, {mk(kP1, 5, 1, 100)}, true);
-  EXPECT_FALSE(rib.set(kP1, {mk(kP1, 5, 1, 100)}, true).has_value());
+  auto routes = set_of({mk(kP1, 5, 1, 100)});
+  rib.set(kP1, routes);
+  auto again = set_of({mk(kP1, 5, 1, 100)});
+  EXPECT_FALSE(rib.set(kP1, again));
   EXPECT_EQ(rib.size(), 1u);
-}
-
-TEST(AdjRibOut, DiffModeAnnouncesChangedWithdrawsRemoved) {
-  AdjRibOut rib;
-  rib.set(kP1, {mk(kP1, 5, 1, 100), mk(kP1, 6, 2, 100)}, false);
-  const auto msg =
-      rib.set(kP1, {mk(kP1, 5, 1, 101), mk(kP1, 7, 3, 100)}, false);
-  ASSERT_TRUE(msg.has_value());
-  // Path 1 changed attrs, path 3 is new, path 2 disappeared.
-  EXPECT_EQ(msg->announce.size(), 2u);
-  ASSERT_EQ(msg->withdraw.size(), 1u);
-  EXPECT_EQ(msg->withdraw.front(), 2u);
-  EXPECT_EQ(rib.size(), 2u);
 }
 
 TEST(AdjRibOut, EmptySetWithdrawsAll) {
   AdjRibOut rib;
-  rib.set(kP1, {mk(kP1, 5, 1, 100)}, true);
-  const auto msg = rib.set(kP1, {}, true);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(msg->announce.empty());
-  EXPECT_TRUE(msg->is_withdraw_only());
+  auto routes = set_of({mk(kP1, 5, 1, 100)});
+  rib.set(kP1, routes);
+  EXPECT_TRUE(rib.set(kP1, {}));
   EXPECT_EQ(rib.size(), 0u);
   EXPECT_EQ(rib.get(kP1), nullptr);
   // Withdrawing again is a no-op.
-  EXPECT_FALSE(rib.set(kP1, {}, true).has_value());
+  EXPECT_FALSE(rib.set(kP1, {}));
 }
 
 TEST(AdjRibOut, CanonicalOrderIngoresInputOrder) {
   AdjRibOut a, b;
-  a.set(kP1, {mk(kP1, 5, 1, 100), mk(kP1, 6, 2, 100)}, true);
-  b.set(kP1, {mk(kP1, 6, 2, 100), mk(kP1, 5, 1, 100)}, true);
-  EXPECT_FALSE(
-      a.set(kP1, {mk(kP1, 6, 2, 100), mk(kP1, 5, 1, 100)}, true).has_value());
+  auto forward = set_of({mk(kP1, 5, 1, 100), mk(kP1, 6, 2, 100)});
+  auto reverse = set_of({mk(kP1, 6, 2, 100), mk(kP1, 5, 1, 100)});
+  a.set(kP1, forward);
+  b.set(kP1, reverse);
+  auto reverse_again = set_of({mk(kP1, 6, 2, 100), mk(kP1, 5, 1, 100)});
+  EXPECT_FALSE(a.set(kP1, reverse_again));
   ASSERT_NE(a.get(kP1), nullptr);
   EXPECT_EQ(a.get(kP1)->front().path_id, b.get(kP1)->front().path_id);
 }

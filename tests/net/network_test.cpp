@@ -81,7 +81,8 @@ TEST_F(NetworkTest, CountsMessagesAndBytes) {
   // total_bytes() is measured (exact RFC 4271 encoding); the legacy
   // closed-form estimate moves to total_modeled_bytes().
   EXPECT_EQ(net.total_modeled_bytes(), 2 * m.wire_size());
-  EXPECT_EQ(net.total_bytes(), 2 * net.wire_size(m));
+  EXPECT_EQ(net.measure(m).modeled, m.wire_size());
+  EXPECT_EQ(net.total_bytes(), 2 * net.measure(m).wire);
   EXPECT_GT(net.total_bytes(), 0u);
   const ChannelState* ch = net.channel(1, 2);
   ASSERT_NE(ch, nullptr);
@@ -89,8 +90,6 @@ TEST_F(NetworkTest, CountsMessagesAndBytes) {
   EXPECT_EQ(ch->bytes, 2 * m.wire_size());
   EXPECT_EQ(ch->wire_bytes, net.total_bytes());
   EXPECT_EQ(net.channel(2, 1)->messages, 0u);
-  // One interned attribute block -> one cached size.
-  EXPECT_EQ(net.sizer_cached_blocks(), 1u);
 }
 
 TEST_F(NetworkTest, SenderIdentityIsDelivered) {
@@ -124,6 +123,83 @@ TEST_F(NetworkTest, EndpointReplacementTakesEffectAtDelivery) {
                         [&](RouterId, const UpdateMessage&) { ++via_new; });
   sched.run_to_quiescence();
   EXPECT_EQ(via_new, 1);
+}
+
+/// A message of `routes` routes on `prefix`, path ids `tag*100 + i`,
+/// alternating between two attribute blocks.
+UpdateMessage multi(const Ipv4Prefix& prefix, int tag, int routes) {
+  UpdateMessage m;
+  m.prefix = prefix;
+  m.full_set = true;
+  for (int i = 0; i < routes; ++i) {
+    m.announce.push_back(RouteBuilder{prefix}
+                             .path_id(static_cast<bgp::PathId>(tag * 100 + i))
+                             .as_path({65001u + static_cast<bgp::Asn>(i % 2)})
+                             .build());
+  }
+  return m;
+}
+
+bool same_payload(const UpdateMessage& a, const UpdateMessage& b) {
+  if (a.prefix != b.prefix || a.full_set != b.full_set ||
+      a.keepalive != b.keepalive || a.withdraw != b.withdraw ||
+      a.announce.size() != b.announce.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.announce.size(); ++i) {
+    if (!a.announce[i].same_announcement(b.announce[i])) return false;
+  }
+  return true;
+}
+
+TEST_F(NetworkTest, ConstRefReceiverGetsIntactPayloadsInFifoOrder) {
+  // Delivery moves each payload into the receiver; a receiver that takes
+  // the message by const reference must still see every route, in send
+  // order, under jitter.
+  std::vector<UpdateMessage> sent;
+  std::vector<UpdateMessage> got;
+  net.register_endpoint(1, [](RouterId, const UpdateMessage&) {});
+  net.register_endpoint(2, [&](RouterId, const UpdateMessage& m) {
+    got.push_back(m);
+  });
+  net.connect(1, 2, sim::msec(5), /*jitter=*/sim::msec(50));
+  const Ipv4Prefix p = Ipv4Prefix::parse("10.0.0.0/8");
+  for (int i = 0; i < 30; ++i) {
+    sent.push_back(multi(p, i, 1 + i % 5));
+    net.send(1, 2, sent.back());
+  }
+  sched.run_to_quiescence();
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_TRUE(same_payload(got[i], sent[i])) << "message " << i;
+  }
+}
+
+TEST_F(NetworkTest, RvalueReceiverTakesOwnershipOfThePayload) {
+  std::vector<UpdateMessage> kept;
+  net.register_endpoint(1, [](RouterId, const UpdateMessage&) {});
+  net.register_endpoint(2, [&](RouterId, UpdateMessage&& m) {
+    kept.push_back(std::move(m));
+  });
+  net.connect(1, 2, sim::msec(1));
+  const UpdateMessage m = multi(Ipv4Prefix::parse("10.0.0.0/8"), 1, 3);
+  net.send(1, 2, m);
+  sched.run_to_quiescence();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_TRUE(same_payload(kept.front(), m));
+}
+
+TEST_F(NetworkTest, SendCountsTheBytesItIsGiven) {
+  net.register_endpoint(1, [](RouterId, const UpdateMessage&) {});
+  net.register_endpoint(2, [](RouterId, const UpdateMessage&) {});
+  net.connect(1, 2, sim::msec(1));
+  const UpdateMessage m = multi(Ipv4Prefix::parse("10.0.0.0/8"), 1, 3);
+  const MessageBytes bytes = net.measure(m);
+  net.send(1, 2, m, bytes);
+  net.send(1, 2, m);
+  sched.run_to_quiescence();
+  EXPECT_EQ(net.total_bytes(), 2 * bytes.wire);
+  EXPECT_EQ(net.total_modeled_bytes(), 2 * bytes.modeled);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST_F(MrtTest, AttributeBlocksMatchWireCodecExactly) {
       wire::Encoder::append_path_attrs(*a.to_route(entry.prefix).attrs,
                                        block);
       ASSERT_FALSE(block.empty());
-      ASSERT_EQ(block.size(), wire::Encoder::path_attrs_size(
+      ASSERT_EQ(block.size(), bgp::encoded_attrs_size(
                                   *a.to_route(entry.prefix).attrs));
 
       bgp::PathAttrs decoded;

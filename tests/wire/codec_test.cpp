@@ -291,7 +291,10 @@ TEST(WireSizer, MatchesEncoderExactly) {
   for (const UpdateMessage& m : cases) {
     EXPECT_EQ(sizer.message_size(m), enc.encode(m).size());
   }
-  EXPECT_EQ(sizer.cached_blocks(), 2u);
+  // Interned blocks carry their exact length; the sizer reads it.
+  const bgp::PathAttrs& block = *cases.back().announce.front().attrs;
+  EXPECT_NE(block.encoded_size, 0u);
+  EXPECT_EQ(block.encoded_size, bgp::encoded_attrs_size(block));
 }
 
 TEST(WireReassemble, InvertsTheEncoderMapping) {

@@ -137,7 +137,6 @@ TEST(WireRoundTrip, RandomMessagesSizeAndFixedPoint) {
     EXPECT_EQ(sizer.message_size(m), bytes.size()) << "trial " << trial;
     expect_wire_fixed_point(bytes, enc2);
   }
-  EXPECT_GT(sizer.cached_blocks(), 0u);
 }
 
 TEST(WireRoundTrip, ReassembleRecoversModelSemantics) {
