@@ -181,17 +181,18 @@ void run_adj_rib_in(benchmark::State& state, bool dense) {
     }
   }
   bgp::AdjRibIn rib;
+  std::shared_ptr<bgp::PrefixIndex> index;
   if (dense) {
-    auto index = std::make_shared<bgp::PrefixIndex>();
+    index = std::make_shared<bgp::PrefixIndex>();
     for (const auto& pfx : prefixes) index->add(pfx);
-    rib.set_prefix_index(std::move(index));
+    rib.set_prefix_index(index);
   }
   std::vector<const Route*> scratch;
   for (auto _ : state) {
     for (const auto& r : routes) {
       rib.announce(r);
       if (dense) {
-        rib.routes_for(r.prefix, scratch);
+        rib.routes_for(bgp::index_prefix(index.get(), r.prefix), scratch);
         benchmark::DoNotOptimize(scratch.data());
       } else {
         // Pre-overhaul read path: materialize a fresh copy per lookup.

@@ -15,6 +15,16 @@
 
 namespace abrr::bgp {
 
+/// A prefix with its PrefixIndex id already looked up: `id` is nullopt
+/// when the prefix is outside the index or there is no index. RIB calls
+/// that take one skip their own lookup, so a caller touching several
+/// RIBs for one prefix looks it up once; the id must come from the index
+/// those RIBs were given.
+struct IndexedPrefix {
+  Ipv4Prefix prefix;
+  std::optional<std::uint32_t> id;
+};
+
 /// Bidirectional mapping Ipv4Prefix <-> dense index.
 class PrefixIndex {
  public:
@@ -46,5 +56,13 @@ class PrefixIndex {
   std::unordered_map<Ipv4Prefix, std::uint32_t> ids_;
   std::vector<Ipv4Prefix> prefixes_;
 };
+
+/// `prefix` with its id in `index` (nullopt when `index` is null or
+/// does not hold the prefix).
+inline IndexedPrefix index_prefix(const PrefixIndex* index,
+                                  const Ipv4Prefix& prefix) {
+  return IndexedPrefix{prefix,
+                       index ? index->id_of(prefix) : std::nullopt};
+}
 
 }  // namespace abrr::bgp

@@ -36,41 +36,35 @@ void AdjRibIn::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
   }
 }
 
-const AdjRibIn::PathList* AdjRibIn::find_list(const Ipv4Prefix& prefix) const {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || flat_[*id].empty()) return nullptr;
-      return &flat_[*id];
-    }
+const AdjRibIn::PathList* AdjRibIn::find_list(const IndexedPrefix& key) const {
+  if (key.id) {
+    if (*key.id >= flat_.size() || flat_[*key.id].empty()) return nullptr;
+    return &flat_[*key.id];
   }
-  const auto it = table_.find(prefix);
+  const auto it = table_.find(key.prefix);
   if (it == table_.end() || it->second.empty()) return nullptr;
   return &it->second;
 }
 
-AdjRibIn::PathList& AdjRibIn::ensure_list(const Ipv4Prefix& prefix) {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size()) flat_.resize(index_->size());
-      return flat_[*id];
-    }
+AdjRibIn::PathList& AdjRibIn::ensure_list(const IndexedPrefix& key) {
+  if (key.id) {
+    if (*key.id >= flat_.size()) flat_.resize(index_->size());
+    return flat_[*key.id];
   }
-  return table_[prefix];
+  return table_[key.prefix];
 }
 
-void AdjRibIn::erase_if_empty(const Ipv4Prefix& prefix) {
+void AdjRibIn::erase_if_empty(const IndexedPrefix& key) {
   // Flat slots keep their (empty) vector; only the fallback map sheds
   // nodes, matching the old per-prefix erase.
-  if (index_ && index_->id_of(prefix)) return;
-  const auto it = table_.find(prefix);
+  if (key.id) return;
+  const auto it = table_.find(key.prefix);
   if (it != table_.end() && it->second.empty()) table_.erase(it);
 }
 
 AdjRibIn::Change AdjRibIn::announce(const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  return insert(ensure_list(route.prefix), route);
+  return insert(ensure_list(index_prefix(index_.get(), route.prefix)), route);
 }
 
 AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
@@ -92,24 +86,30 @@ AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
 
 bool AdjRibIn::withdraw(RouterId peer, const Ipv4Prefix& prefix,
                         PathId path_id) {
-  PathList& paths = ensure_list(prefix);
+  const IndexedPrefix indexed = index_prefix(index_.get(), prefix);
+  PathList& paths = ensure_list(indexed);
   const Key key{peer, path_id};
   const auto it =
       std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
   if (it == paths.end() || key_of(*it) != key) {
-    erase_if_empty(prefix);
+    erase_if_empty(indexed);
     return false;
   }
   paths.erase(it);
   --size_;
   --per_peer_[peer];
-  erase_if_empty(prefix);
+  erase_if_empty(indexed);
   return true;
 }
 
 void AdjRibIn::replace(RouterId peer, const Ipv4Prefix& prefix,
                        std::span<const Route> routes) {
-  PathList& paths = ensure_list(prefix);
+  replace(peer, index_prefix(index_.get(), prefix), routes);
+}
+
+void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
+                       std::span<const Route> routes) {
+  PathList& paths = ensure_list(key);
   const std::size_t before = paths.size();
   std::erase_if(paths, [&](const Route& entry) {
     return entry.learned_from == peer;
@@ -127,12 +127,12 @@ void AdjRibIn::replace(RouterId peer, const Ipv4Prefix& prefix,
   }
   for (const Route& route : routes) {
     if (!route.valid()) throw std::invalid_argument{"replace: invalid route"};
-    if (route.learned_from != peer || route.prefix != prefix) {
+    if (route.learned_from != peer || route.prefix != key.prefix) {
       throw std::invalid_argument{"replace: route not from (peer, prefix)"};
     }
     insert(paths, route);
   }
-  erase_if_empty(prefix);
+  erase_if_empty(key);
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
@@ -163,17 +163,17 @@ std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
 
 std::vector<Route> AdjRibIn::routes_for(const Ipv4Prefix& prefix) const {
   std::vector<Route> out;
-  const PathList* paths = find_list(prefix);
+  const PathList* paths = find_list(index_prefix(index_.get(), prefix));
   if (paths == nullptr) return out;
   out.reserve(paths->size());
   out.assign(paths->begin(), paths->end());
   return out;
 }
 
-void AdjRibIn::routes_for(const Ipv4Prefix& prefix,
+void AdjRibIn::routes_for(const IndexedPrefix& key,
                           std::vector<const Route*>& out) const {
   out.clear();
-  const PathList* paths = find_list(prefix);
+  const PathList* paths = find_list(key);
   if (paths == nullptr) return;
   out.reserve(paths->size());
   for (const Route& route : *paths) out.push_back(&route);
@@ -219,24 +219,25 @@ void LocRib::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
 }
 
 bool LocRib::install(const Route& route) {
+  return install(index_prefix(index_.get(), route.prefix), route);
+}
+
+bool LocRib::install(const IndexedPrefix& key, const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"install: invalid route"};
-  if (index_) {
-    const auto id = index_->id_of(route.prefix);
-    if (id) {
-      if (*id >= flat_.size()) flat_.resize(index_->size());
-      Route& slot = flat_[*id];
-      if (!slot.valid()) {
-        slot = route;
-        ++flat_count_;
-        return true;
-      }
-      if (slot.same_announcement(route) &&
-          slot.learned_from == route.learned_from && slot.via == route.via) {
-        return false;
-      }
+  if (key.id) {
+    if (*key.id >= flat_.size()) flat_.resize(index_->size());
+    Route& slot = flat_[*key.id];
+    if (!slot.valid()) {
       slot = route;
+      ++flat_count_;
       return true;
     }
+    if (slot.same_announcement(route) &&
+        slot.learned_from == route.learned_from && slot.via == route.via) {
+      return false;
+    }
+    slot = route;
+    return true;
   }
   auto [it, inserted] = table_.emplace(route.prefix, route);
   if (inserted) return true;
@@ -250,27 +251,29 @@ bool LocRib::install(const Route& route) {
 }
 
 bool LocRib::remove(const Ipv4Prefix& prefix) {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || !flat_[*id].valid()) return false;
-      flat_[*id] = Route{};
-      --flat_count_;
-      return true;
-    }
+  return remove(index_prefix(index_.get(), prefix));
+}
+
+bool LocRib::remove(const IndexedPrefix& key) {
+  if (key.id) {
+    if (*key.id >= flat_.size() || !flat_[*key.id].valid()) return false;
+    flat_[*key.id] = Route{};
+    --flat_count_;
+    return true;
   }
-  return table_.erase(prefix) > 0;
+  return table_.erase(key.prefix) > 0;
 }
 
 const Route* LocRib::best(const Ipv4Prefix& prefix) const {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || !flat_[*id].valid()) return nullptr;
-      return &flat_[*id];
-    }
+  return best(index_prefix(index_.get(), prefix));
+}
+
+const Route* LocRib::best(const IndexedPrefix& key) const {
+  if (key.id) {
+    if (*key.id >= flat_.size() || !flat_[*key.id].valid()) return nullptr;
+    return &flat_[*key.id];
   }
-  const auto it = table_.find(prefix);
+  const auto it = table_.find(key.prefix);
   return it == table_.end() ? nullptr : &it->second;
 }
 
@@ -317,25 +320,25 @@ bool same_route_set(std::span<const Route> a, std::span<const Route> b) {
 }  // namespace
 
 bool AdjRibOut::set(const Ipv4Prefix& prefix, std::span<Route> routes) {
+  return set(index_prefix(index_.get(), prefix), routes);
+}
+
+bool AdjRibOut::set(const IndexedPrefix& key, std::span<Route> routes) {
   // Canonical order: by path id, so set comparison is stable.
   std::sort(routes.begin(), routes.end(), [](const Route& a, const Route& b) {
     return a.path_id < b.path_id;
   });
 
   std::vector<Route>* slot = nullptr;
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size()) flat_.resize(index_->size());
-      slot = &flat_[*id];
-    }
-  }
-  if (slot == nullptr) {
+  if (key.id) {
+    if (*key.id >= flat_.size()) flat_.resize(index_->size());
+    slot = &flat_[*key.id];
+  } else {
     // Unindexed fallback: entries exist only for non-empty sets.
-    auto it = table_.find(prefix);
+    auto it = table_.find(key.prefix);
     if (it == table_.end()) {
       if (routes.empty()) return false;
-      it = table_.emplace(prefix, std::vector<Route>{}).first;
+      it = table_.emplace(key.prefix, std::vector<Route>{}).first;
     } else if (routes.empty()) {
       size_ -= it->second.size();
       table_.erase(it);
@@ -350,14 +353,15 @@ bool AdjRibOut::set(const Ipv4Prefix& prefix, std::span<Route> routes) {
 }
 
 const std::vector<Route>* AdjRibOut::get(const Ipv4Prefix& prefix) const {
-  if (index_) {
-    const auto id = index_->id_of(prefix);
-    if (id) {
-      if (*id >= flat_.size() || flat_[*id].empty()) return nullptr;
-      return &flat_[*id];
-    }
+  return get(index_prefix(index_.get(), prefix));
+}
+
+const std::vector<Route>* AdjRibOut::get(const IndexedPrefix& key) const {
+  if (key.id) {
+    if (*key.id >= flat_.size() || flat_[*key.id].empty()) return nullptr;
+    return &flat_[*key.id];
   }
-  const auto it = table_.find(prefix);
+  const auto it = table_.find(key.prefix);
   return it == table_.end() ? nullptr : &it->second;
 }
 

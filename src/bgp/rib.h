@@ -44,11 +44,12 @@ class AdjRibIn {
   bool withdraw(RouterId peer, const Ipv4Prefix& prefix, PathId path_id);
 
   /// Replacement semantics for one (peer, prefix): removes every path
-  /// `peer` reported for `prefix`, then announce()s each of `routes`
+  /// `peer` reported for the prefix, then announce()s each of `routes`
   /// (all learned from `peer`; empty withdraws the prefix from the
-  /// peer), with one index lookup and one capacity reservation for the
-  /// whole set.
+  /// peer), with one capacity reservation for the whole set.
   void replace(RouterId peer, const Ipv4Prefix& prefix,
+               std::span<const Route> routes);
+  void replace(RouterId peer, const IndexedPrefix& key,
                std::span<const Route> routes);
 
   /// Session teardown: removes everything from `peer`; returns the
@@ -61,7 +62,7 @@ class AdjRibIn {
   /// Copy-free variant: clears `out` and fills it with pointers to the
   /// stored routes (ordered by (peer, path id), same as routes_for).
   /// Pointers stay valid until the next mutation of this RIB.
-  void routes_for(const Ipv4Prefix& prefix,
+  void routes_for(const IndexedPrefix& key,
                   std::vector<const Route*>& out) const;
 
   /// Total entries (the paper's RIB-In size metric).
@@ -90,9 +91,9 @@ class AdjRibIn {
   /// Route already carries.
   using PathList = std::vector<Route>;
 
-  const PathList* find_list(const Ipv4Prefix& prefix) const;
-  PathList& ensure_list(const Ipv4Prefix& prefix);
-  void erase_if_empty(const Ipv4Prefix& prefix);
+  const PathList* find_list(const IndexedPrefix& key) const;
+  PathList& ensure_list(const IndexedPrefix& key);
+  void erase_if_empty(const IndexedPrefix& key);
   /// announce() into an already-resolved list.
   Change insert(PathList& paths, const Route& route);
 
@@ -111,12 +112,16 @@ class LocRib {
   /// Installs `route` as best for its prefix; returns true if this
   /// changed the entry (new or different announcement).
   bool install(const Route& route);
+  /// install() for `key.prefix == route.prefix`, already looked up.
+  bool install(const IndexedPrefix& key, const Route& route);
 
   /// Removes the entry; returns true if one existed.
   bool remove(const Ipv4Prefix& prefix);
+  bool remove(const IndexedPrefix& key);
 
   /// Current best, or nullptr.
   const Route* best(const Ipv4Prefix& prefix) const;
+  const Route* best(const IndexedPrefix& key) const;
 
   std::size_t size() const { return flat_count_ + table_.size(); }
 
@@ -145,9 +150,11 @@ class AdjRibOut {
   /// changed. The copy reuses the prefix's storage, so replacing a set
   /// with one no larger allocates nothing.
   bool set(const Ipv4Prefix& prefix, std::span<Route> routes);
+  bool set(const IndexedPrefix& key, std::span<Route> routes);
 
   /// Current advertised set (nullptr if none).
   const std::vector<Route>* get(const Ipv4Prefix& prefix) const;
+  const std::vector<Route>* get(const IndexedPrefix& key) const;
 
   /// Total advertised route entries (the paper's RIB-Out size metric).
   std::size_t size() const { return size_; }

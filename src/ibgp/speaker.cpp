@@ -351,7 +351,7 @@ void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
   if (incoming.ebgp) {
     // eBGP injection / withdrawal, already policy-filtered.
     const Route& route = incoming.ebgp_route;
-    adj_rib_in_.replace(incoming.from, prefix,
+    adj_rib_in_.replace(incoming.from, {prefix, pid},
                         route.valid() ? std::span<const Route>{&route, 1}
                                       : std::span<const Route>{});
     mark_dirty(prefix, pid, dirty);
@@ -412,7 +412,7 @@ void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
       stored = best != nullptr ? std::span<const Route>{best, 1}
                                : std::span<const Route>{};
     }
-    adj_rib_in_.replace(incoming.from, prefix, stored);
+    adj_rib_in_.replace(incoming.from, {prefix, pid}, stored);
     mark_dirty(prefix, pid, dirty);
     return;
   }
@@ -440,7 +440,7 @@ void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
       }
     }
   }
-  adj_rib_in_.replace(incoming.from, prefix, received);
+  adj_rib_in_.replace(incoming.from, {prefix, pid}, received);
   mark_dirty(prefix, pid, dirty);
 }
 
@@ -448,13 +448,15 @@ void Speaker::run_pipeline(const Ipv4Prefix& prefix) {
   // Candidates are pointers into the Adj-RIB-In, valid across the whole
   // pipeline (decide_local only touches the Loc-RIB; the reflectors only
   // touch Adj-RIB-Outs).
-  adj_rib_in_.routes_for(prefix, scratch_candidates_);
   const PrefixId pid = prefix_id(prefix);
+  adj_rib_in_.routes_for({prefix, pid}, scratch_candidates_);
 
   // Every speaker (including control-plane RRs) maintains a Loc-RIB;
   // only data-plane clients export their best into iBGP.
   decide_local(prefix, pid, scratch_candidates_);
-  if (config_.cluster_id != 0) reflect_tbrr(prefix, scratch_candidates_);
+  if (config_.cluster_id != 0) {
+    reflect_tbrr(prefix, pid, scratch_candidates_);
+  }
   if (!config_.managed_aps.empty() && manages_prefix(prefix, pid)) {
     reflect_abrr(prefix, pid, scratch_candidates_);
   }
@@ -478,9 +480,9 @@ void Speaker::decide_local(const Ipv4Prefix& prefix, PrefixId pid,
                                             config_.decision, scratch_select_);
   bool changed;
   if (best != nullptr) {
-    changed = loc_rib_.install(*best);
+    changed = loc_rib_.install({prefix, pid}, *best);
   } else {
-    changed = loc_rib_.remove(prefix);
+    changed = loc_rib_.remove({prefix, pid});
   }
   if (!changed) return;
   c_.best_changes->inc();
@@ -660,18 +662,18 @@ void Speaker::export_own_best(const Ipv4Prefix& prefix, PrefixId pid,
   // Role-driven: a kDual client advertises on every plane it has
   // sessions for (§2.4: routers run both TBRR and ABRR).
   if (config_.mode == IbgpMode::kFullMesh) {
-    set_group_routes(kGroupMesh, prefix, out);
+    set_group_routes(kGroupMesh, prefix, pid, out);
     return;
   }
   // Plain clients advertise up to their TRRs; a TRR's own advertisement
   // is folded into its reflection logic instead.
   if (groups_.count(kGroupUplink) != 0 && config_.cluster_id == 0) {
-    set_group_routes(kGroupUplink, prefix, out);
+    set_group_routes(kGroupUplink, prefix, pid, out);
   }
   for (const ApId ap : aps_of(prefix, pid)) {
     if (manages_ap(ap)) continue;  // internal hand-off to our ARR role
     if (groups_.count(client_group(ap)) != 0) {
-      set_group_routes(client_group(ap), prefix, out);
+      set_group_routes(client_group(ap), prefix, pid, out);
     }
   }
 }
@@ -710,7 +712,7 @@ std::span<const Route* const> Speaker::filter_accepted(
   return scratch_accepted_;
 }
 
-void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
+void Speaker::reflect_tbrr(const Ipv4Prefix& prefix, PrefixId pid,
                            std::span<const Route* const> candidates) {
   // Reflection copy: append our CLUSTER_ID and pin ORIGINATOR_ID when
   // reflecting an iBGP-learned route (RFC 4456).
@@ -745,12 +747,12 @@ void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
       // hierarchy) are reflected to clients only.
       if (learned_from_client(*best)) to_rrs.push_back(reflected);
     }
-    set_group_routes(kGroupClients, prefix, to_clients);
-    set_group_routes(kGroupRrPeers, prefix, to_rrs);
+    set_group_routes(kGroupClients, prefix, pid, to_clients);
+    set_group_routes(kGroupRrPeers, prefix, pid, to_rrs);
     // Multi-level hierarchy: a mid-level TRR is itself a client of its
     // parents and advertises its client-learned best upward.
     if (groups_.count(kGroupUplink) != 0) {
-      set_group_routes(kGroupUplink, prefix, to_rrs);
+      set_group_routes(kGroupUplink, prefix, pid, to_rrs);
     }
     return;
   }
@@ -770,10 +772,10 @@ void Speaker::reflect_tbrr(const Ipv4Prefix& prefix,
   }
   dedup_by_path_id(to_clients);
   dedup_by_path_id(to_rrs);
-  set_group_routes(kGroupClients, prefix, to_clients);
-  set_group_routes(kGroupRrPeers, prefix, to_rrs);
+  set_group_routes(kGroupClients, prefix, pid, to_clients);
+  set_group_routes(kGroupRrPeers, prefix, pid, to_rrs);
   if (groups_.count(kGroupUplink) != 0) {
-    set_group_routes(kGroupUplink, prefix, to_rrs);
+    set_group_routes(kGroupUplink, prefix, pid, to_rrs);
   }
 }
 
@@ -795,7 +797,7 @@ void Speaker::reflect_abrr(const Ipv4Prefix& prefix, PrefixId pid,
   // best-AS-level elimination below.
   Route own_export;
   if (config_.data_plane) {
-    const Route* own = loc_rib_.best(prefix);
+    const Route* own = loc_rib_.best({prefix, pid});
     if (own != nullptr && own->via != bgp::LearnedVia::kIbgp) {
       own_export = client_export_copy(*own, config_.id);
       scratch_eligible_.push_back(&own_export);
@@ -817,14 +819,14 @@ void Speaker::reflect_abrr(const Ipv4Prefix& prefix, PrefixId pid,
   dedup_by_path_id(set);
 
   for (const ApId ap : aps_of(prefix, pid)) {
-    if (manages_ap(ap)) set_group_routes(arr_group(ap), prefix, set);
+    if (manages_ap(ap)) set_group_routes(arr_group(ap), prefix, pid, set);
   }
 }
 
 void Speaker::set_group_routes(int key, const Ipv4Prefix& prefix,
-                               std::span<Route> routes) {
+                               PrefixId pid, std::span<Route> routes) {
   OutGroup& g = group(key);
-  if (!g.rib.set(prefix, routes)) return;
+  if (!g.rib.set({prefix, pid}, routes)) return;
   c_.updates_generated->inc();
   if (key == kGroupClients || (key >= 0 && key % 2 == 0)) {
     c_.generated_to_clients->inc();  // reflections toward clients
@@ -886,7 +888,8 @@ void Speaker::flush_peer(RouterId peer) {
 void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
   if (!ps.up) return;
   const OutGroup& g = group(key);
-  const std::vector<Route>* current = g.rib.get(prefix);
+  const PrefixId pid = prefix_id(prefix);
+  const std::vector<Route>* current = g.rib.get({prefix, pid});
 
   // "Not returned to sender": drop routes this peer itself advertised.
   // Filter and hash over pointers first; Route copies are made only when
@@ -907,7 +910,7 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
                               ? 0
                               : bgp::route_set_hash(std::span<
                                     const Route* const>{scratch_target_});
-  std::uint64_t& last = sent_hash(ps, key, prefix, prefix_id(prefix));
+  std::uint64_t& last = sent_hash(ps, key, prefix, pid);
   if (h == last) return;  // peer already has exactly this
   last = h;
 

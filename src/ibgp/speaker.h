@@ -380,7 +380,8 @@ class Speaker {
 
   /// Dense id of `prefix`, or nullopt when it has none (no index, or
   /// outside it). Resolved once per message, pipeline run and
-  /// transmission, then handed down.
+  /// transmission, then handed down to the speaker's own arrays and, as
+  /// a bgp::IndexedPrefix, to the RIBs.
   using PrefixId = std::optional<std::uint32_t>;
   PrefixId prefix_id(const Ipv4Prefix& prefix) const;
 
@@ -402,7 +403,7 @@ class Speaker {
   // into the Adj-RIB-In (and, for the ARR hand-off, one local copy);
   // routes are only materialized when an Adj-RIB-Out actually changes.
   void run_pipeline(const Ipv4Prefix& prefix);
-  void reflect_tbrr(const Ipv4Prefix& prefix,
+  void reflect_tbrr(const Ipv4Prefix& prefix, PrefixId pid,
                     std::span<const Route* const> candidates);
   void reflect_abrr(const Ipv4Prefix& prefix, PrefixId pid,
                     std::span<const Route* const> candidates);
@@ -415,7 +416,7 @@ class Speaker {
   /// Commits `routes` as a group's Adj-RIB-Out set for `prefix` (sorting
   /// them in place); on change, schedules per-member transmission under
   /// MRAI.
-  void set_group_routes(int group, const Ipv4Prefix& prefix,
+  void set_group_routes(int group, const Ipv4Prefix& prefix, PrefixId pid,
                         std::span<Route> routes);
 
   void schedule_send(RouterId peer, int group, const Ipv4Prefix& prefix);
