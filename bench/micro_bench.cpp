@@ -1,25 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the BGP
 // substrate: decision process, best-AS-level filtering, RIB operations,
-// prefix-trie longest match, scheduler throughput, SPF, and a small
-// end-to-end convergence run.
-//
-// Benchmarks measuring an optimized path have a `_Legacy` twin running
-// the pre-optimization strategy (value-semantics elimination, uncached
-// hashing, map-backed RIB storage) so a single run quantifies each
-// speedup. Pass --json_out=PATH to also write a machine-readable report
-// with the computed fast-vs-legacy ratios (see bench/run_bench.sh).
+// longest-prefix match, scheduler throughput, SPF, and a small
+// end-to-end convergence run. Pass --json_out=PATH to also write every
+// benchmark's time and counters as JSON (see bench/run_bench.sh).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "bgp/attrs_intern.h"
 #include "bgp/decision.h"
 #include "bgp/flat_lpm.h"
 #include "bgp/prefix_trie.h"
@@ -60,61 +53,6 @@ std::vector<Route> make_candidates(std::size_t n, sim::Rng& rng) {
   return out;
 }
 
-// ---------------------------------------------------------------------
-// Legacy reference implementations: the strategies the hot paths used
-// before the pointer-scratch / interning / dense-index overhaul. Kept
-// here (not in the library) purely as benchmark baselines.
-// ---------------------------------------------------------------------
-namespace legacy {
-
-template <typename Key>
-void keep_min(std::vector<Route>& routes, Key key) {
-  if (routes.size() <= 1) return;
-  auto best = key(routes.front());
-  for (std::size_t i = 1; i < routes.size(); ++i) {
-    best = std::min(best, key(routes[i]));
-  }
-  std::erase_if(routes, [&](const Route& r) { return key(r) != best; });
-}
-
-// Value-semantics best-AS-level: copies every candidate, eliminates by
-// erase_if over Route objects, and groups MED minima in a std::map.
-std::vector<Route> best_as_level_routes(std::span<const Route> candidates,
-                                        const bgp::DecisionConfig& cfg) {
-  std::vector<Route> out;
-  out.reserve(candidates.size());
-  for (const Route& r : candidates) {
-    if (r.valid()) out.push_back(r);
-  }
-  keep_min(out, [](const Route& r) {
-    return -static_cast<std::int64_t>(r.attrs->local_pref);
-  });
-  keep_min(out, [](const Route& r) { return r.attrs->as_path.length(); });
-  keep_min(out, [](const Route& r) { return static_cast<int>(r.attrs->origin); });
-  if (out.size() <= 1 || cfg.ignore_med) return out;
-  if (cfg.always_compare_med) {
-    keep_min(out, [&](const Route& r) { return cfg.med_of(r); });
-    return out;
-  }
-  std::map<bgp::Asn, std::uint32_t> group_min;
-  for (const Route& r : out) {
-    const bgp::Asn as = r.neighbor_as();
-    const std::uint32_t med = cfg.med_of(r);
-    const auto it = group_min.find(as);
-    if (it == group_min.end()) {
-      group_min.emplace(as, med);
-    } else {
-      it->second = std::min(it->second, med);
-    }
-  }
-  std::erase_if(out, [&](const Route& r) {
-    return cfg.med_of(r) != group_min.at(r.neighbor_as());
-  });
-  return out;
-}
-
-}  // namespace legacy
-
 void BM_SelectBest(benchmark::State& state) {
   sim::Rng rng{1};
   const auto candidates =
@@ -146,21 +84,10 @@ void BM_BestAsLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_BestAsLevel)->Arg(10)->Arg(30)->Arg(100);
 
-void BM_BestAsLevel_Legacy(benchmark::State& state) {
-  sim::Rng rng{1};
-  const auto candidates =
-      make_candidates(static_cast<std::size_t>(state.range(0)), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        legacy::best_as_level_routes(candidates, bgp::DecisionConfig{}));
-  }
-}
-BENCHMARK(BM_BestAsLevel_Legacy)->Arg(10)->Arg(30)->Arg(100);
-
 // The speaker's real Adj-RIB-In access pattern: many prefixes with a
 // handful of paths each, and every announce/withdraw followed by a
 // routes_for() read when the decision pipeline re-runs the prefix.
-void run_adj_rib_in(benchmark::State& state, bool dense) {
+void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
   constexpr std::size_t kPrefixes = 256;
   constexpr std::size_t kPathsPerPrefix = 4;
   std::vector<Ipv4Prefix> prefixes;
@@ -180,25 +107,15 @@ void run_adj_rib_in(benchmark::State& state, bool dense) {
       routes.push_back(b.build());
     }
   }
-  bgp::AdjRibIn rib;
-  std::shared_ptr<bgp::PrefixIndex> index;
-  if (dense) {
-    index = std::make_shared<bgp::PrefixIndex>();
-    for (const auto& pfx : prefixes) index->add(pfx);
-    rib.set_prefix_index(index);
-  }
+  auto index = std::make_shared<bgp::PrefixIndex>();
+  for (const auto& pfx : prefixes) index->add(pfx);
+  bgp::AdjRibIn rib{index};
   std::vector<const Route*> scratch;
   for (auto _ : state) {
     for (const auto& r : routes) {
       rib.announce(r);
-      if (dense) {
-        rib.routes_for(bgp::index_prefix(index.get(), r.prefix), scratch);
-        benchmark::DoNotOptimize(scratch.data());
-      } else {
-        // Pre-overhaul read path: materialize a fresh copy per lookup.
-        auto copy = rib.routes_for(r.prefix);
-        benchmark::DoNotOptimize(copy.data());
-      }
+      rib.routes_for(index->intern(r.prefix), scratch);
+      benchmark::DoNotOptimize(scratch.data());
     }
     for (const auto& r : routes) {
       rib.withdraw(r.learned_from, r.prefix, r.path_id);
@@ -207,17 +124,7 @@ void run_adj_rib_in(benchmark::State& state, bool dense) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * routes.size()));
 }
-
-void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
-  run_adj_rib_in(state, /*dense=*/true);
-}
 BENCHMARK(BM_AdjRibInAnnounceWithdraw);
-
-void BM_AdjRibInAnnounceWithdraw_Legacy(benchmark::State& state) {
-  bgp::ScopedInterningDisabled no_intern;
-  run_adj_rib_in(state, /*dense=*/false);
-}
-BENCHMARK(BM_AdjRibInAnnounceWithdraw_Legacy);
 
 // Shared random table for the LPM benchmarks below: `n` prefixes drawn
 // with the same generator the trie bench has always used, so the
@@ -240,8 +147,8 @@ std::vector<std::pair<Ipv4Prefix, int>> lpm_bench_table(int n) {
 
 // Probes per timed iteration. Sub-50ns lookups drown in per-iteration
 // harness bookkeeping, so every LPM benchmark below times a small batch
-// (identical on both sides of each twin pair, so the reported ratios
-// are probe-for-probe honest); items_per_second is per single lookup.
+// (the same probe sequence in each, so their rows compare probe for
+// probe); items_per_second is per single lookup.
 constexpr int kLpmProbeBatch = 16;
 
 void BM_TrieLongestMatch(benchmark::State& state) {
@@ -265,10 +172,8 @@ void BM_TrieLongestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieLongestMatch)->Arg(10000)->Arg(416000);
 
-// The serving read path (16/8 DIR table, src/bgp/flat_lpm.h) against
-// the trie on the SAME table and the SAME probe sequence — the honest
-// apples-to-apples comparison. The `_Legacy` twin is the trie so the
-// JSON report computes the flat-vs-trie speedup per table size.
+// The serving read path (16/8 DIR table, src/bgp/flat_lpm.h) on the
+// same table and probe sequence as the trie benchmark above.
 void BM_FlatLpmLongestMatch(benchmark::State& state) {
   const bgp::FlatLpm<int> lpm{
       lpm_bench_table(static_cast<int>(state.range(0)))};
@@ -289,27 +194,6 @@ void BM_FlatLpmLongestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatLpmLongestMatch)->Arg(10000)->Arg(416000);
 
-void BM_FlatLpmLongestMatch_Legacy(benchmark::State& state) {
-  bgp::PrefixTrie<int> trie;
-  for (const auto& [prefix, value] :
-       lpm_bench_table(static_cast<int>(state.range(0)))) {
-    trie.insert(prefix, value);
-  }
-  bgp::Ipv4Addr probe = 0x0A000000;
-  for (auto _ : state) {
-    std::uintptr_t acc = 0;
-    for (int i = 0; i < kLpmProbeBatch; ++i) {
-      probe = probe * 2654435761u + 12345;
-      const auto hit = trie.longest_match(probe);
-      acc += hit ? reinterpret_cast<std::uintptr_t>(hit->second) : 0;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kLpmProbeBatch);
-}
-BENCHMARK(BM_FlatLpmLongestMatch_Legacy)->Arg(10000)->Arg(416000);
-
 void BM_SchedulerThroughput(benchmark::State& state) {
   std::uint64_t pool_capacity = 0;
   for (auto _ : state) {
@@ -329,10 +213,8 @@ void BM_SchedulerThroughput(benchmark::State& state) {
 BENCHMARK(BM_SchedulerThroughput);
 
 // The trial allocation model in isolation: 1000 PathAttrs blocks built
-// per iteration, then the whole batch torn down at once. The arena path
-// bumps a slab pointer and reuses the same chunks across resets; the
-// legacy twin is the strategy interned attributes used before —
-// one heap allocation (and one free) per block via shared_ptr.
+// per iteration, then the whole batch torn down at once. The arena bumps
+// a slab pointer and reuses the same chunks across resets.
 void BM_ArenaAlloc(benchmark::State& state) {
   sim::Arena arena;
   for (auto _ : state) {
@@ -350,23 +232,6 @@ void BM_ArenaAlloc(benchmark::State& state) {
   state.counters["chunks"] = static_cast<double>(arena.chunk_count());
 }
 BENCHMARK(BM_ArenaAlloc);
-
-void BM_ArenaAlloc_Legacy(benchmark::State& state) {
-  std::vector<std::shared_ptr<const bgp::PathAttrs>> blocks;
-  blocks.reserve(1000);
-  for (auto _ : state) {
-    for (int i = 0; i < 1000; ++i) {
-      auto attrs = std::make_shared<bgp::PathAttrs>();
-      attrs->local_pref = static_cast<std::uint32_t>(i);
-      blocks.push_back(std::move(attrs));
-      benchmark::DoNotOptimize(blocks.back());
-    }
-    blocks.clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1000);
-}
-BENCHMARK(BM_ArenaAlloc_Legacy);
 
 // Observability hot paths: these run inside every update receive /
 // decision / transmit, so the handle dereference + add must stay cheap
@@ -430,15 +295,6 @@ void BM_RouteSetHash(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteSetHash);
 
-void BM_RouteSetHash_Legacy(benchmark::State& state) {
-  sim::Rng rng{5};
-  const auto routes = make_candidates(10, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bgp::route_set_hash_uncached(routes));
-  }
-}
-BENCHMARK(BM_RouteSetHash_Legacy);
-
 // Wire codec hot paths: Network::send runs one of these per message.
 // The sizer is the per-send cost (cached attr-block lengths, so steady
 // state is arithmetic); the encoder only runs when packet capture is on.
@@ -476,9 +332,7 @@ BENCHMARK(BM_WireSize)->Arg(1)->Arg(10)->Arg(100);
 
 // ---------------------------------------------------------------------
 // End-to-end: a small TBRR deployment converging on an initial snapshot
-// (testbed construction + paced injection + run to quiescence). The
-// legacy twin runs the identical scenario on the map-fallback storage
-// with attribute interning off.
+// (testbed construction + paced injection + run to quiescence).
 // ---------------------------------------------------------------------
 struct ConvergenceScenario {
   topo::Topology topology;
@@ -507,10 +361,9 @@ const ConvergenceScenario& convergence_scenario() {
   return *scenario;
 }
 
-void run_convergence(benchmark::State& state, bool fast) {
+void BM_TestbedConvergence(benchmark::State& state) {
   const ConvergenceScenario& s = convergence_scenario();
-  auto options = bench::paper_options(ibgp::IbgpMode::kTbrr, 4, 42);
-  options.use_prefix_index = fast;
+  const auto options = bench::paper_options(ibgp::IbgpMode::kTbrr, 4, 42);
   for (auto _ : state) {
     harness::Testbed bed{s.topology, options, s.prefixes};
     const bool converged = bench::load_snapshot(bed, s.workload, 5.0);
@@ -518,22 +371,11 @@ void run_convergence(benchmark::State& state, bool fast) {
     benchmark::DoNotOptimize(bed.rr_rib_in());
   }
 }
-
-void BM_TestbedConvergence(benchmark::State& state) {
-  run_convergence(state, /*fast=*/true);
-}
 BENCHMARK(BM_TestbedConvergence)->Unit(benchmark::kMillisecond);
-
-void BM_TestbedConvergence_Legacy(benchmark::State& state) {
-  bgp::ScopedInterningDisabled no_intern;
-  run_convergence(state, /*fast=*/false);
-}
-BENCHMARK(BM_TestbedConvergence_Legacy)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // JSON reporting: console output stays the default; --json_out=PATH
-// additionally writes {benchmarks: [...], speedups: [...]} where each
-// speedup pairs a benchmark with its _Legacy twin.
+// additionally writes {benchmarks: [...]}.
 // ---------------------------------------------------------------------
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
@@ -602,29 +444,6 @@ bool write_json(const std::string& path,
     }
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"speedups\": [\n");
-  // Pair "X_Legacy[/args]" rows with their "X[/args]" fast twin.
-  std::vector<std::string> lines;
-  for (const auto& row : rows) {
-    const std::size_t pos = row.name.find("_Legacy");
-    if (pos == std::string::npos) continue;
-    const std::string fast_name =
-        row.name.substr(0, pos) + row.name.substr(pos + 7);
-    for (const auto& fast : rows) {
-      if (fast.name != fast_name || fast.real_ns <= 0) continue;
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "    {\"benchmark\": \"%s\", \"fast_ns\": %.3f, "
-                    "\"legacy_ns\": %.3f, \"speedup\": %.3f}",
-                    json_escape(fast_name).c_str(), fast.real_ns, row.real_ns,
-                    row.real_ns / fast.real_ns);
-      lines.emplace_back(buf);
-    }
-  }
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::fprintf(f, "%s%s\n", lines[i].c_str(),
-                 i + 1 < lines.size() ? "," : "");
-  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   return true;
@@ -637,7 +456,7 @@ int main(int argc, char** argv) {
   // --benchmark_* passes through to google-benchmark untouched.
   std::string json_path;
   abrr::runner::ArgParser parser{"micro_bench"};
-  parser.add("json_out", "write fast-vs-legacy ratio report here",
+  parser.add("json_out", "write the JSON report here",
              &json_path);
   parser.allow_prefix("--benchmark_");
   parser.parse(argc, argv);

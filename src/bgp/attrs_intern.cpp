@@ -6,8 +6,6 @@
 namespace abrr::bgp {
 namespace {
 
-thread_local bool g_interning_enabled = true;
-
 // The active interner for this thread. Null means "use the default
 // per-thread instance"; a TrialScope points it at the trial pool.
 thread_local AttrsInterner* g_active_interner = nullptr;
@@ -67,18 +65,8 @@ AttrsInterner& AttrsInterner::global() {
   return active != nullptr ? *active : default_interner();
 }
 
-void AttrsInterner::set_enabled(bool enabled) { g_interning_enabled = enabled; }
-bool AttrsInterner::enabled() { return g_interning_enabled; }
-
 AttrsPtr AttrsInterner::intern(PathAttrs&& attrs) {
   if (attrs.content_hash == 0) attrs.content_hash = attrs_content_hash(attrs);
-  if (!g_interning_enabled) {
-    // Legacy mode: fresh slab slot per block, no canonicalization. The
-    // slot is still reclaimed by the next reset, not by refcounts.
-    store_encoded_size(attrs);
-    return arena_.create<PathAttrs>(std::move(attrs));
-  }
-
   const auto [begin, end] = table_.equal_range(attrs.content_hash);
   for (auto it = begin; it != end; ++it) {
     if (*it->second == attrs) {

@@ -78,13 +78,6 @@ class AttrsInterner {
   std::uint64_t arena_allocations() const { return arena_.allocations(); }
   std::uint64_t slab_resets() const { return arena_.resets(); }
 
-  /// Kill switch: with interning disabled, intern() places every block in
-  /// a fresh slab slot without canonicalizing (content hash still
-  /// computed). Used by the equivalence tests and the legacy-path
-  /// benchmarks. Per-thread, like the table itself.
-  static void set_enabled(bool enabled);
-  static bool enabled();
-
   /// RAII trial scope: makes a dedicated per-thread trial interner the
   /// active one, resetting it ON ENTRY (the only moment no route from
   /// the previous trial on this worker can be alive) and pre-sizing it
@@ -113,21 +106,6 @@ class AttrsInterner {
   sim::Arena arena_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-};
-
-/// RAII guard for tests/benches that need the legacy (non-interned)
-/// allocation behaviour.
-class ScopedInterningDisabled {
- public:
-  ScopedInterningDisabled() : prev_(AttrsInterner::enabled()) {
-    AttrsInterner::set_enabled(false);
-  }
-  ~ScopedInterningDisabled() { AttrsInterner::set_enabled(prev_); }
-  ScopedInterningDisabled(const ScopedInterningDisabled&) = delete;
-  ScopedInterningDisabled& operator=(const ScopedInterningDisabled&) = delete;
-
- private:
-  bool prev_;
 };
 
 }  // namespace abrr::bgp

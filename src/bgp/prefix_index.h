@@ -1,8 +1,10 @@
 // Dense prefix numbering shared across a testbed.
 //
-// Experiments know the prefix universe up front; giving each prefix a
-// dense id lets speakers keep per-peer advertisement state in flat
-// arrays (a few bytes per prefix) instead of node-based maps.
+// Every RIB and speaker keeps its per-prefix state in flat arrays
+// addressed by a prefix's dense id (a few bytes per prefix) instead of
+// node-based maps. Ids are append-only and assigned on first sight: a
+// testbed registers its prefix universe up front, and a prefix seen
+// later simply gets the next id.
 #pragma once
 
 #include <cstdint>
@@ -15,25 +17,30 @@
 
 namespace abrr::bgp {
 
-/// A prefix with its PrefixIndex id already looked up: `id` is nullopt
-/// when the prefix is outside the index or there is no index. RIB calls
-/// that take one skip their own lookup, so a caller touching several
-/// RIBs for one prefix looks it up once; the id must come from the index
-/// those RIBs were given.
+/// A prefix with its PrefixIndex id already looked up. RIB calls that
+/// take one skip their own lookup, so a caller touching several RIBs for
+/// one prefix looks it up once; the id must come from the index those
+/// RIBs share.
 struct IndexedPrefix {
   Ipv4Prefix prefix;
-  std::optional<std::uint32_t> id;
+  std::uint32_t id = 0;
 };
 
 /// Bidirectional mapping Ipv4Prefix <-> dense index.
 class PrefixIndex {
  public:
-  /// Registers a prefix (idempotent); returns its id.
+  /// Registers a prefix (idempotent); returns its id. A new prefix gets
+  /// the next id; a known one allocates nothing.
   std::uint32_t add(const Ipv4Prefix& prefix) {
-    const auto [it, inserted] =
-        ids_.emplace(prefix, static_cast<std::uint32_t>(prefixes_.size()));
+    const auto [it, inserted] = ids_.try_emplace(
+        prefix, static_cast<std::uint32_t>(prefixes_.size()));
     if (inserted) prefixes_.push_back(prefix);
     return it->second;
+  }
+
+  /// `prefix` with its id, registering the prefix if it is new.
+  IndexedPrefix intern(const Ipv4Prefix& prefix) {
+    return IndexedPrefix{prefix, add(prefix)};
   }
 
   /// Id of a registered prefix, or nullopt.
@@ -56,13 +63,5 @@ class PrefixIndex {
   std::unordered_map<Ipv4Prefix, std::uint32_t> ids_;
   std::vector<Ipv4Prefix> prefixes_;
 };
-
-/// `prefix` with its id in `index` (nullopt when `index` is null or
-/// does not hold the prefix).
-inline IndexedPrefix index_prefix(const PrefixIndex* index,
-                                  const Ipv4Prefix& prefix) {
-  return IndexedPrefix{prefix,
-                       index ? index->id_of(prefix) : std::nullopt};
-}
 
 }  // namespace abrr::bgp

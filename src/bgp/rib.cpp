@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace abrr::bgp {
 namespace {
@@ -20,51 +21,23 @@ struct KeyLess {
 
 // --- AdjRibIn ---------------------------------------------------------
 
-void AdjRibIn::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
-  index_ = std::move(index);
-  if (!index_) return;
-  if (flat_.size() < index_->size()) flat_.resize(index_->size());
-  // Migrate entries that are now indexable out of the fallback map.
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto id = index_->id_of(it->first);
-    if (id) {
-      flat_[*id] = std::move(it->second);
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+AdjRibIn::AdjRibIn(std::shared_ptr<PrefixIndex> index)
+    : index_(std::move(index)) {}
+
+const AdjRibIn::PathList* AdjRibIn::find_list(
+    std::optional<std::uint32_t> id) const {
+  if (!id || *id >= flat_.size() || flat_[*id].empty()) return nullptr;
+  return &flat_[*id];
 }
 
-const AdjRibIn::PathList* AdjRibIn::find_list(const IndexedPrefix& key) const {
-  if (key.id) {
-    if (*key.id >= flat_.size() || flat_[*key.id].empty()) return nullptr;
-    return &flat_[*key.id];
-  }
-  const auto it = table_.find(key.prefix);
-  if (it == table_.end() || it->second.empty()) return nullptr;
-  return &it->second;
-}
-
-AdjRibIn::PathList& AdjRibIn::ensure_list(const IndexedPrefix& key) {
-  if (key.id) {
-    if (*key.id >= flat_.size()) flat_.resize(index_->size());
-    return flat_[*key.id];
-  }
-  return table_[key.prefix];
-}
-
-void AdjRibIn::erase_if_empty(const IndexedPrefix& key) {
-  // Flat slots keep their (empty) vector; only the fallback map sheds
-  // nodes, matching the old per-prefix erase.
-  if (key.id) return;
-  const auto it = table_.find(key.prefix);
-  if (it != table_.end() && it->second.empty()) table_.erase(it);
+AdjRibIn::PathList& AdjRibIn::ensure_list(std::uint32_t id) {
+  if (id >= flat_.size()) flat_.resize(index_->size());
+  return flat_[id];
 }
 
 AdjRibIn::Change AdjRibIn::announce(const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  return insert(ensure_list(index_prefix(index_.get(), route.prefix)), route);
+  return insert(ensure_list(index_->add(route.prefix)), route);
 }
 
 AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
@@ -86,30 +59,27 @@ AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
 
 bool AdjRibIn::withdraw(RouterId peer, const Ipv4Prefix& prefix,
                         PathId path_id) {
-  const IndexedPrefix indexed = index_prefix(index_.get(), prefix);
-  PathList& paths = ensure_list(indexed);
+  const auto id = index_->id_of(prefix);
+  if (!id || *id >= flat_.size()) return false;
+  PathList& paths = flat_[*id];
   const Key key{peer, path_id};
   const auto it =
       std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
-  if (it == paths.end() || key_of(*it) != key) {
-    erase_if_empty(indexed);
-    return false;
-  }
+  if (it == paths.end() || key_of(*it) != key) return false;
   paths.erase(it);
   --size_;
   --per_peer_[peer];
-  erase_if_empty(indexed);
   return true;
 }
 
 void AdjRibIn::replace(RouterId peer, const Ipv4Prefix& prefix,
                        std::span<const Route> routes) {
-  replace(peer, index_prefix(index_.get(), prefix), routes);
+  replace(peer, index_->intern(prefix), routes);
 }
 
 void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
                        std::span<const Route> routes) {
-  PathList& paths = ensure_list(key);
+  PathList& paths = ensure_list(key.id);
   const std::size_t before = paths.size();
   std::erase_if(paths, [&](const Route& entry) {
     return entry.learned_from == peer;
@@ -132,7 +102,6 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
     }
     insert(paths, route);
   }
-  erase_if_empty(key);
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
@@ -150,20 +119,16 @@ std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
   for (std::size_t id = 0; id < flat_.size(); ++id) {
     if (!flat_[id].empty()) purge(index_->prefix_of(id), flat_[id]);
   }
-  for (auto it = table_.begin(); it != table_.end();) {
-    purge(it->first, it->second);
-    it = it->second.empty() ? table_.erase(it) : std::next(it);
-  }
   per_peer_.erase(peer);
-  // Sorted so downstream re-decisions run in a storage-independent
-  // (and deterministic) order.
+  // Sorted so downstream re-decisions run in prefix order, not in the
+  // order the prefixes were first seen.
   std::sort(affected.begin(), affected.end());
   return affected;
 }
 
 std::vector<Route> AdjRibIn::routes_for(const Ipv4Prefix& prefix) const {
   std::vector<Route> out;
-  const PathList* paths = find_list(index_prefix(index_.get(), prefix));
+  const PathList* paths = find_list(index_->id_of(prefix));
   if (paths == nullptr) return out;
   out.reserve(paths->size());
   out.assign(paths->begin(), paths->end());
@@ -173,7 +138,7 @@ std::vector<Route> AdjRibIn::routes_for(const Ipv4Prefix& prefix) const {
 void AdjRibIn::routes_for(const IndexedPrefix& key,
                           std::vector<const Route*>& out) const {
   out.clear();
-  const PathList* paths = find_list(key);
+  const PathList* paths = find_list(key.id);
   if (paths == nullptr) return;
   out.reserve(paths->size());
   for (const Route& route : *paths) out.push_back(&route);
@@ -188,124 +153,76 @@ void AdjRibIn::for_each(const std::function<void(const Route&)>& fn) const {
   for (const PathList& paths : flat_) {
     for (const Route& route : paths) fn(route);
   }
-  for (const auto& [prefix, paths] : table_) {
-    for (const Route& route : paths) fn(route);
-  }
 }
 
 void AdjRibIn::clear() {
   for (PathList& paths : flat_) paths.clear();
-  table_.clear();
   per_peer_.clear();
   size_ = 0;
 }
 
 // --- LocRib -----------------------------------------------------------
 
-void LocRib::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
-  index_ = std::move(index);
-  if (!index_) return;
-  if (flat_.size() < index_->size()) flat_.resize(index_->size());
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto id = index_->id_of(it->first);
-    if (id) {
-      flat_[*id] = std::move(it->second);
-      ++flat_count_;
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
+LocRib::LocRib(std::shared_ptr<PrefixIndex> index) : index_(std::move(index)) {}
 
 bool LocRib::install(const Route& route) {
-  return install(index_prefix(index_.get(), route.prefix), route);
+  return install(index_->intern(route.prefix), route);
 }
 
 bool LocRib::install(const IndexedPrefix& key, const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"install: invalid route"};
-  if (key.id) {
-    if (*key.id >= flat_.size()) flat_.resize(index_->size());
-    Route& slot = flat_[*key.id];
-    if (!slot.valid()) {
-      slot = route;
-      ++flat_count_;
-      return true;
-    }
-    if (slot.same_announcement(route) &&
-        slot.learned_from == route.learned_from && slot.via == route.via) {
-      return false;
-    }
+  if (key.id >= flat_.size()) flat_.resize(index_->size());
+  Route& slot = flat_[key.id];
+  if (!slot.valid()) {
     slot = route;
+    ++count_;
     return true;
   }
-  auto [it, inserted] = table_.emplace(route.prefix, route);
-  if (inserted) return true;
-  if (it->second.same_announcement(route) &&
-      it->second.learned_from == route.learned_from &&
-      it->second.via == route.via) {
+  if (slot.same_announcement(route) &&
+      slot.learned_from == route.learned_from && slot.via == route.via) {
     return false;
   }
-  it->second = route;
+  slot = route;
   return true;
 }
 
 bool LocRib::remove(const Ipv4Prefix& prefix) {
-  return remove(index_prefix(index_.get(), prefix));
+  const auto id = index_->id_of(prefix);
+  return id && remove(IndexedPrefix{prefix, *id});
 }
 
 bool LocRib::remove(const IndexedPrefix& key) {
-  if (key.id) {
-    if (*key.id >= flat_.size() || !flat_[*key.id].valid()) return false;
-    flat_[*key.id] = Route{};
-    --flat_count_;
-    return true;
-  }
-  return table_.erase(key.prefix) > 0;
+  if (key.id >= flat_.size() || !flat_[key.id].valid()) return false;
+  flat_[key.id] = Route{};
+  --count_;
+  return true;
 }
 
 const Route* LocRib::best(const Ipv4Prefix& prefix) const {
-  return best(index_prefix(index_.get(), prefix));
+  const auto id = index_->id_of(prefix);
+  return id ? best(IndexedPrefix{prefix, *id}) : nullptr;
 }
 
 const Route* LocRib::best(const IndexedPrefix& key) const {
-  if (key.id) {
-    if (*key.id >= flat_.size() || !flat_[*key.id].valid()) return nullptr;
-    return &flat_[*key.id];
-  }
-  const auto it = table_.find(key.prefix);
-  return it == table_.end() ? nullptr : &it->second;
+  if (key.id >= flat_.size() || !flat_[key.id].valid()) return nullptr;
+  return &flat_[key.id];
 }
 
 void LocRib::for_each(const std::function<void(const Route&)>& fn) const {
   for (const Route& route : flat_) {
     if (route.valid()) fn(route);
   }
-  for (const auto& [prefix, route] : table_) fn(route);
 }
 
 void LocRib::clear() {
   for (Route& route : flat_) route = Route{};
-  flat_count_ = 0;
-  table_.clear();
+  count_ = 0;
 }
 
 // --- AdjRibOut --------------------------------------------------------
 
-void AdjRibOut::set_prefix_index(std::shared_ptr<const PrefixIndex> index) {
-  index_ = std::move(index);
-  if (!index_) return;
-  if (flat_.size() < index_->size()) flat_.resize(index_->size());
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto id = index_->id_of(it->first);
-    if (id) {
-      flat_[*id] = std::move(it->second);
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
+AdjRibOut::AdjRibOut(std::shared_ptr<PrefixIndex> index)
+    : index_(std::move(index)) {}
 
 namespace {
 
@@ -320,7 +237,7 @@ bool same_route_set(std::span<const Route> a, std::span<const Route> b) {
 }  // namespace
 
 bool AdjRibOut::set(const Ipv4Prefix& prefix, std::span<Route> routes) {
-  return set(index_prefix(index_.get(), prefix), routes);
+  return set(index_->intern(prefix), routes);
 }
 
 bool AdjRibOut::set(const IndexedPrefix& key, std::span<Route> routes) {
@@ -329,45 +246,26 @@ bool AdjRibOut::set(const IndexedPrefix& key, std::span<Route> routes) {
     return a.path_id < b.path_id;
   });
 
-  std::vector<Route>* slot = nullptr;
-  if (key.id) {
-    if (*key.id >= flat_.size()) flat_.resize(index_->size());
-    slot = &flat_[*key.id];
-  } else {
-    // Unindexed fallback: entries exist only for non-empty sets.
-    auto it = table_.find(key.prefix);
-    if (it == table_.end()) {
-      if (routes.empty()) return false;
-      it = table_.emplace(key.prefix, std::vector<Route>{}).first;
-    } else if (routes.empty()) {
-      size_ -= it->second.size();
-      table_.erase(it);
-      return true;
-    }
-    slot = &it->second;
-  }
-  if (same_route_set(*slot, routes)) return false;
-  size_ = size_ - slot->size() + routes.size();
-  slot->assign(routes.begin(), routes.end());
+  if (key.id >= flat_.size()) flat_.resize(index_->size());
+  std::vector<Route>& slot = flat_[key.id];
+  if (same_route_set(slot, routes)) return false;
+  size_ = size_ - slot.size() + routes.size();
+  slot.assign(routes.begin(), routes.end());
   return true;
 }
 
 const std::vector<Route>* AdjRibOut::get(const Ipv4Prefix& prefix) const {
-  return get(index_prefix(index_.get(), prefix));
+  const auto id = index_->id_of(prefix);
+  return id ? get(IndexedPrefix{prefix, *id}) : nullptr;
 }
 
 const std::vector<Route>* AdjRibOut::get(const IndexedPrefix& key) const {
-  if (key.id) {
-    if (*key.id >= flat_.size() || flat_[*key.id].empty()) return nullptr;
-    return &flat_[*key.id];
-  }
-  const auto it = table_.find(key.prefix);
-  return it == table_.end() ? nullptr : &it->second;
+  if (key.id >= flat_.size() || flat_[key.id].empty()) return nullptr;
+  return &flat_[key.id];
 }
 
 void AdjRibOut::clear() {
   for (std::vector<Route>& routes : flat_) routes.clear();
-  table_.clear();
   size_ = 0;
 }
 
@@ -377,7 +275,6 @@ void AdjRibOut::for_each(
   for (std::size_t id = 0; id < flat_.size(); ++id) {
     if (!flat_[id].empty()) fn(index_->prefix_of(id), flat_[id]);
   }
-  for (const auto& [prefix, routes] : table_) fn(prefix, routes);
 }
 
 }  // namespace abrr::bgp

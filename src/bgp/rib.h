@@ -4,17 +4,18 @@
 // Adj-RIB-In holds what each neighbor reported; Adj-RIB-Out holds what is
 // reported to neighbors (one logical copy per peer group).
 //
-// Storage: experiments know the prefix universe up front, so each RIB can
-// be given a shared PrefixIndex (set_prefix_index). Indexed prefixes then
-// live in flat vectors addressed by dense PrefixId — one array access
-// instead of an unordered_map probe on every hot-path touch. Prefixes
-// outside the index (and all prefixes when no index is set) fall back to
-// the original map storage; both paths behave identically.
+// Storage: every RIB keeps its entries in flat vectors addressed by the
+// dense id of a PrefixIndex — one array access instead of a map probe on
+// every hot-path touch. A speaker's RIBs share its index; a RIB built
+// without one owns a private index. Mutations register a new prefix
+// (it gets the next id, and the vectors grow to match); prefix-form
+// queries only look the prefix up.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -32,9 +33,10 @@ class AdjRibIn {
   /// Result of applying an announcement.
   enum class Change { kUnchanged, kAdded, kReplaced };
 
-  /// Switches indexed prefixes to dense flat storage. Call before or
-  /// after inserts (existing indexed entries migrate).
-  void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
+  /// Stores prefixes under `index`'s ids (a fresh private index when
+  /// none is given).
+  explicit AdjRibIn(
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>());
 
   /// Stores/overwrites the route keyed by (prefix, learned_from,
   /// path_id). Requires route.valid().
@@ -91,15 +93,15 @@ class AdjRibIn {
   /// Route already carries.
   using PathList = std::vector<Route>;
 
-  const PathList* find_list(const IndexedPrefix& key) const;
-  PathList& ensure_list(const IndexedPrefix& key);
-  void erase_if_empty(const IndexedPrefix& key);
+  /// The prefix's non-empty path list, or nullptr.
+  const PathList* find_list(std::optional<std::uint32_t> id) const;
+  /// The prefix's path list, growing the storage to cover `id`.
+  PathList& ensure_list(std::uint32_t id);
   /// announce() into an already-resolved list.
   Change insert(PathList& paths, const Route& route);
 
-  std::shared_ptr<const PrefixIndex> index_;
+  std::shared_ptr<PrefixIndex> index_;
   std::vector<PathList> flat_;  // slot per PrefixId; empty = no routes
-  std::unordered_map<Ipv4Prefix, PathList> table_;  // unindexed fallback
   std::unordered_map<RouterId, std::size_t> per_peer_;
   std::size_t size_ = 0;
 };
@@ -107,7 +109,10 @@ class AdjRibIn {
 /// Loc-RIB: the single chosen best route per prefix.
 class LocRib {
  public:
-  void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
+  /// Stores prefixes under `index`'s ids (a fresh private index when
+  /// none is given).
+  explicit LocRib(
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>());
 
   /// Installs `route` as best for its prefix; returns true if this
   /// changed the entry (new or different announcement).
@@ -123,7 +128,7 @@ class LocRib {
   const Route* best(const Ipv4Prefix& prefix) const;
   const Route* best(const IndexedPrefix& key) const;
 
-  std::size_t size() const { return flat_count_ + table_.size(); }
+  std::size_t size() const { return count_; }
 
   void for_each(const std::function<void(const Route&)>& fn) const;
 
@@ -131,10 +136,9 @@ class LocRib {
   void clear();
 
  private:
-  std::shared_ptr<const PrefixIndex> index_;
+  std::shared_ptr<PrefixIndex> index_;
   std::vector<Route> flat_;  // slot per PrefixId; !valid() = empty
-  std::size_t flat_count_ = 0;
-  std::unordered_map<Ipv4Prefix, Route> table_;  // unindexed fallback
+  std::size_t count_ = 0;
 };
 
 /// Adj-RIB-Out for one peer group: the set of routes advertised per
@@ -142,7 +146,10 @@ class LocRib {
 /// set for ARRs and multi-path TRRs).
 class AdjRibOut {
  public:
-  void set_prefix_index(std::shared_ptr<const PrefixIndex> index);
+  /// Stores prefixes under `index`'s ids (a fresh private index when
+  /// none is given).
+  explicit AdjRibOut(
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>());
 
   /// Replaces the advertised set for `prefix` with a copy of `routes`
   /// (an empty set withdraws the prefix). Sorts `routes` in place into
@@ -167,9 +174,8 @@ class AdjRibOut {
   void clear();
 
  private:
-  std::shared_ptr<const PrefixIndex> index_;
+  std::shared_ptr<PrefixIndex> index_;
   std::vector<std::vector<Route>> flat_;  // slot per PrefixId; empty = none
-  std::unordered_map<Ipv4Prefix, std::vector<Route>> table_;  // fallback
   std::size_t size_ = 0;
 };
 

@@ -18,20 +18,6 @@ void mix_route(std::uint64_t& h, const Route& r) {
   mix(h, cached != 0 ? cached : attrs_content_hash(*r.attrs));
 }
 
-void mix_route_uncached(std::uint64_t& h, const Route& r) {
-  mix(h, r.path_id);
-  if (!r.attrs) return;
-  const PathAttrs& a = *r.attrs;
-  mix(h, a.next_hop);
-  mix(h, a.local_pref);
-  mix(h, a.med ? *a.med + 1ULL : 0ULL);
-  mix(h, static_cast<std::uint64_t>(a.origin) + 1);
-  for (const Asn asn : a.as_path.asns()) mix(h, asn);
-  mix(h, a.originator_id ? *a.originator_id + 1ULL : 0ULL);
-  for (const auto c : a.cluster_list) mix(h, c);
-  for (const auto c : a.ext_communities) mix(h, c);
-}
-
 constexpr std::uint64_t kSetHashSeed = 0x84222325cbf29ce4ULL;
 
 }  // namespace
@@ -45,12 +31,6 @@ std::uint64_t route_set_hash(const std::vector<Route>& routes) {
 std::uint64_t route_set_hash(std::span<const Route* const> routes) {
   std::uint64_t h = kSetHashSeed;
   for (const Route* r : routes) mix_route(h, *r);
-  return h == 0 ? 1 : h;
-}
-
-std::uint64_t route_set_hash_uncached(const std::vector<Route>& routes) {
-  std::uint64_t h = kSetHashSeed;
-  for (const Route& r : routes) mix_route_uncached(h, r);
   return h == 0 ? 1 : h;
 }
 

@@ -69,11 +69,6 @@ std::uint64_t route_set_hash(const std::vector<Route>& routes);
 /// Same hash over a pointer set (the copy-free pipeline's currency).
 std::uint64_t route_set_hash(std::span<const Route* const> routes);
 
-/// Deep-walk variant that ignores cached attribute hashes; exposed so
-/// benches can quantify the caching win (identical distribution, not
-/// identical values).
-std::uint64_t route_set_hash_uncached(const std::vector<Route>& routes);
-
 /// Convenience builder for tests and workload generators.
 class RouteBuilder {
  public:

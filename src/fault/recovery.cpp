@@ -56,8 +56,8 @@ std::uint64_t rib_fingerprint(harness::Testbed& testbed) {
 
   std::uint64_t fp = 0;
   for (const bgp::RouterId id : ids) {
-    // Commutative per-speaker sum: LocRib::for_each iterates the map
-    // fallback in unspecified order, so the digest must not depend on it.
+    // Commutative per-speaker sum: the digest does not depend on the
+    // order LocRib::for_each visits prefixes in.
     std::uint64_t speaker_sum = 0;
     testbed.speaker(id).loc_rib().for_each([&](const bgp::Route& r) {
       speaker_sum += fp_route_term(r);

@@ -76,10 +76,6 @@ struct TestbedConfig {
   TimingOptions timing;
   bgp::DecisionConfig decision{};
   std::uint64_t seed = 7;
-  /// Dense prefix-indexed RIB/speaker storage (the fast path). Disable
-  /// to exercise the map-fallback storage (equivalence tests, legacy
-  /// benchmarks); results must be identical either way.
-  bool use_prefix_index = true;
   /// Observability. The metrics registry always exists (counters are the
   /// single source of truth either way); `obs.enabled` additionally
   /// attaches the event tracer and starts the virtual-time RIB sampler.

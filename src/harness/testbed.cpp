@@ -13,13 +13,11 @@ Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
       config_(config),
       rng_(config.seed),
       network_(scheduler_, rng_),
-      obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)) {
+      obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)),
+      prefix_index_(std::make_shared<bgp::PrefixIndex>()) {
   network_.set_metrics(&obs_->metrics());
   network_.set_tracer(obs_->tracer());
-  if (config_.use_prefix_index) {
-    prefix_index_ = std::make_shared<bgp::PrefixIndex>();
-    for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
-  }
+  for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
 
   switch (config_.mode) {
     case ibgp::IbgpMode::kFullMesh:
@@ -91,19 +89,16 @@ ibgp::Speaker& Testbed::make_speaker(ibgp::SpeakerConfig cfg) {
   cfg.proc_per_update = config_.timing.proc_per_update;
   cfg.abrr_force_client_reduction = config_.abrr.force_client_reduction;
   cfg.hold_time = config_.timing.hold_time;
-  auto speaker = std::make_unique<ibgp::Speaker>(cfg, scheduler_, network_,
-                                                 &obs_->metrics());
-  speaker->set_tracer(obs_->tracer());
-  if (prefix_index_) {
-    // Every ABRR speaker of the bed maps prefixes through ap_of_: resolve
-    // each prefix's APs once, for all of them.
-    if (cfg.ap_of && !prefix_aps_) {
-      prefix_aps_ =
-          std::make_shared<const ibgp::PrefixApTable>(*prefix_index_, ap_of_);
-    }
-    speaker->set_prefix_index(prefix_index_,
-                              cfg.ap_of ? prefix_aps_ : nullptr);
+  // Every ABRR speaker of the bed maps prefixes through ap_of_: resolve
+  // each prefix's APs once, for all of them.
+  if (cfg.ap_of && !prefix_aps_) {
+    prefix_aps_ =
+        std::make_shared<const ibgp::PrefixApTable>(*prefix_index_, ap_of_);
   }
+  auto speaker = std::make_unique<ibgp::Speaker>(
+      cfg, scheduler_, network_, &obs_->metrics(), prefix_index_,
+      cfg.ap_of ? prefix_aps_ : nullptr);
+  speaker->set_tracer(obs_->tracer());
   auto& ref = *speaker;
   speakers_.emplace(cfg.id, std::move(speaker));
   all_ids_.push_back(cfg.id);

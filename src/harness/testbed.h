@@ -49,10 +49,6 @@ struct TestbedOptions {
   sim::Time latency_per_metric = sim::usec(100);
   sim::Time latency_jitter = sim::msec(10);
   std::uint64_t seed = 7;
-  /// Dense prefix-indexed RIB/speaker storage (the fast path). Disable
-  /// to exercise the map-fallback storage (equivalence tests, legacy
-  /// benchmarks); results must be identical either way.
-  bool use_prefix_index = true;
   /// iBGP hold time for failure detection (RFC 4271 §6.5 semantics);
   /// 0 disables timers entirely — peers only go down via explicit
   /// session_down — preserving the fault-free behavior bit for bit.
@@ -80,7 +76,6 @@ struct TestbedOptions {
     c.timing.hold_time = hold_time;
     c.decision = decision;
     c.seed = seed;
-    c.use_prefix_index = use_prefix_index;
     c.obs = obs;
     return c;
   }
@@ -206,12 +201,11 @@ class Testbed {
     arr_directory_.set_alive(id, alive);
   }
 
-  /// The dense prefix universe the bed was built over (slot i ==
-  /// PrefixId i == the serving mode's LPM slot i); nullptr when
-  /// use_prefix_index is off.
-  const bgp::PrefixIndex* prefix_index() const {
-    return prefix_index_.get();
-  }
+  /// The dense prefix numbering every speaker of the bed shares. Ids
+  /// 0 .. n-1 are the prefix universe the bed was built over, in order
+  /// (slot i == PrefixId i == the serving mode's LPM slot i); prefixes
+  /// first seen later get the following ids.
+  const bgp::PrefixIndex& prefix_index() const { return *prefix_index_; }
 
   /// Resident-testbed hook: mirrors every Loc-RIB change into
   /// `on_change` (speaker id + best-change arguments; nullptr route =

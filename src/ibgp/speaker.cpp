@@ -59,10 +59,17 @@ PrefixApTable::PrefixApTable(const bgp::PrefixIndex& index,
 }
 
 Speaker::Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
-                 net::Network& network, obs::MetricsRegistry* metrics)
+                 net::Network& network, obs::MetricsRegistry* metrics,
+                 std::shared_ptr<bgp::PrefixIndex> index,
+                 std::shared_ptr<const PrefixApTable> aps)
     : config_(std::move(config)),
       scheduler_(&scheduler),
       network_(&network),
+      prefix_index_(index ? std::move(index)
+                          : std::make_shared<bgp::PrefixIndex>()),
+      prefix_aps_(std::move(aps)),
+      adj_rib_in_(prefix_index_),
+      loc_rib_(prefix_index_),
       metrics_(metrics) {
   if (config_.id == bgp::kNoRouter) {
     throw std::invalid_argument{"speaker needs a non-zero id"};
@@ -274,19 +281,16 @@ void Speaker::drain_input() {
       std::max(busy_until_, scheduler_->now()) +
       static_cast<sim::Time>(drain_batch_.size()) * config_.proc_per_update;
 
-  // Coalesce the batch's dirty prefixes: indexed prefixes dedup in O(1)
-  // via per-PrefixId epoch stamps, so the sort below only sees uniques
-  // (plus any unindexed stragglers). The sorted order is what keeps
-  // downstream message generation storage-independent.
+  // Coalesce the batch's dirty prefixes: they dedup in O(1) via
+  // per-PrefixId epoch stamps, so the sort below only sees uniques. The
+  // sorted order keeps downstream message generation independent of the
+  // order in which prefixes were first seen.
   ++dirty_epoch_;
   scratch_dirty_.clear();
   for (Incoming& incoming : drain_batch_) apply(incoming, scratch_dirty_);
   drain_batch_.clear();
 
   std::sort(scratch_dirty_.begin(), scratch_dirty_.end());
-  scratch_dirty_.erase(
-      std::unique(scratch_dirty_.begin(), scratch_dirty_.end()),
-      scratch_dirty_.end());
   c_.drain_batch->record(static_cast<double>(scratch_dirty_.size()));
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kDecision, config_.id, 0,
@@ -304,30 +308,12 @@ void Speaker::trim_scratch() {
   recycle(scratch_to_rrs_);
 }
 
-Speaker::PrefixId Speaker::prefix_id(const Ipv4Prefix& prefix) const {
-  if (!prefix_index_) return std::nullopt;
-  return prefix_index_->id_of(prefix);
-}
-
 void Speaker::mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
                          std::vector<Ipv4Prefix>& dirty) {
-  if (pid) {
-    if (dirty_mark_.size() <= *pid) {
-      dirty_mark_.resize(prefix_index_->size(), 0);
-    }
-    if (dirty_mark_[*pid] == dirty_epoch_) return;
-    dirty_mark_[*pid] = dirty_epoch_;
-  }
+  if (dirty_mark_.size() <= pid) dirty_mark_.resize(prefix_index_->size(), 0);
+  if (dirty_mark_[pid] == dirty_epoch_) return;
+  dirty_mark_[pid] = dirty_epoch_;
   dirty.push_back(prefix);
-}
-
-void Speaker::set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index,
-                               std::shared_ptr<const PrefixApTable> aps) {
-  prefix_index_ = std::move(index);
-  prefix_aps_ = std::move(aps);
-  adj_rib_in_.set_prefix_index(prefix_index_);
-  loc_rib_.set_prefix_index(prefix_index_);
-  for (auto& [key, g] : groups_) g.rib.set_prefix_index(prefix_index_);
 }
 
 bool Speaker::accept_route(const Route& route, const PeerState*) const {
@@ -506,20 +492,12 @@ void Speaker::export_ebgp(const Ipv4Prefix& prefix, PrefixId pid,
       const Route* p = &*out;
       h = bgp::route_set_hash(std::span<const Route* const>{&p, 1});
     }
-    if (pid) {
-      if (state.advertised_flat.size() <= *pid) {
-        state.advertised_flat.resize(prefix_index_->size(), 0);
-      }
-      std::uint64_t& last = state.advertised_flat[*pid];
-      if (h == last) continue;
-      last = h;
-      c_.ebgp_updates_sent->inc();
-      if (ebgp_send_hook_) ebgp_send_hook_(neighbor, prefix, out);
-      continue;
+    if (state.advertised.size() <= pid) {
+      state.advertised.resize(prefix_index_->size(), 0);
     }
-    auto& last = state.advertised[prefix];
+    std::uint64_t& last = state.advertised[pid];
     if (h == last) continue;
-    if (h == 0) state.advertised.erase(prefix); else last = h;
+    last = h;
     c_.ebgp_updates_sent->inc();
     if (ebgp_send_hook_) ebgp_send_hook_(neighbor, prefix, out);
   }
@@ -544,8 +522,9 @@ void Speaker::reset_peer_tx_state(PeerState& ps) {
   ps.pending.clear();
   ps.pending_keys.clear();
   // The peer lost our state with the TCP session.
-  ps.sent_hash_map.clear();
-  std::fill(ps.sent_hash_flat.begin(), ps.sent_hash_flat.end(), 0);
+  for (std::vector<std::uint64_t>& stripe : ps.sent_hashes) {
+    std::fill(stripe.begin(), stripe.end(), 0);
+  }
 }
 
 void Speaker::session_down(RouterId peer) {
@@ -625,8 +604,7 @@ void Speaker::crash() {
   if (rib_cleared_hook_) rib_cleared_hook_();
   for (auto& [key, g] : groups_) g.rib.clear();
   for (auto& [neighbor, state] : ebgp_neighbors_) {
-    state.advertised.clear();
-    std::fill(state.advertised_flat.begin(), state.advertised_flat.end(), 0);
+    std::fill(state.advertised.begin(), state.advertised.end(), 0);
   }
 }
 
@@ -910,7 +888,7 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
                               ? 0
                               : bgp::route_set_hash(std::span<
                                     const Route* const>{scratch_target_});
-  std::uint64_t& last = sent_hash(ps, key, prefix, pid);
+  std::uint64_t& last = sent_hash(ps, key, pid);
   if (h == last) return;  // peer already has exactly this
   last = h;
 
@@ -934,20 +912,16 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
   network_->send(config_.id, ps.info.id, std::move(msg), bytes);
 }
 
-std::uint64_t& Speaker::sent_hash(PeerState& ps, int key,
-                                  const Ipv4Prefix& prefix, PrefixId pid) {
-  if (pid) {
-    // The peer's stripe for this group; stripes exist only for the
-    // groups the peer belongs to.
-    auto it = std::find(ps.groups.begin(), ps.groups.end(), key);
-    if (it == ps.groups.end()) it = ps.groups.insert(it, key);  // appends
-    const auto stripe = static_cast<std::size_t>(it - ps.groups.begin());
-    const std::size_t stride = prefix_index_->size();
-    const std::size_t need = (stripe + 1) * stride;
-    if (ps.sent_hash_flat.size() < need) ps.sent_hash_flat.resize(need, 0);
-    return ps.sent_hash_flat[stripe * stride + *pid];
-  }
-  return ps.sent_hash_map[tx_key(key, prefix)];
+std::uint64_t& Speaker::sent_hash(PeerState& ps, int key, PrefixId pid) {
+  // The peer's stripe for this group; stripes exist only for the groups
+  // the peer belongs to.
+  auto it = std::find(ps.groups.begin(), ps.groups.end(), key);
+  if (it == ps.groups.end()) it = ps.groups.insert(it, key);  // appends
+  const auto at = static_cast<std::size_t>(it - ps.groups.begin());
+  if (ps.sent_hashes.size() <= at) ps.sent_hashes.resize(at + 1);
+  std::vector<std::uint64_t>& stripe = ps.sent_hashes[at];
+  if (stripe.size() <= pid) stripe.resize(prefix_index_->size(), 0);
+  return stripe[pid];
 }
 
 void Speaker::inject_ebgp(RouterId neighbor, Route route) {
@@ -1007,13 +981,12 @@ Speaker::OutGroup& Speaker::group(int key) {
   if (const auto it = groups_.find(key); it != groups_.end()) {
     return it->second;
   }
-  OutGroup& g = groups_[key];
-  if (prefix_index_) g.rib.set_prefix_index(prefix_index_);
-  return g;
+  return groups_.emplace(key, OutGroup{bgp::AdjRibOut{prefix_index_}, {}})
+      .first->second;
 }
 
 std::span<const ApId> Speaker::aps_of(const Ipv4Prefix& prefix, PrefixId pid) {
-  if (pid && prefix_aps_) return prefix_aps_->aps(*pid);
+  if (prefix_aps_ && pid < prefix_aps_->size()) return prefix_aps_->aps(pid);
   if (!config_.ap_of) return {};
   scratch_aps_ = config_.ap_of(prefix);
   return scratch_aps_;

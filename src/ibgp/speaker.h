@@ -55,12 +55,16 @@ using ApOfFn = std::function<std::vector<ApId>(const Ipv4Prefix&)>;
 /// The APs of every prefix of a PrefixIndex, resolved once through an
 /// ApOfFn. A testbed builds one and shares it between its speakers, as it
 /// shares the PrefixIndex, so a speaker's per-message AP lookup is an
-/// array read instead of a call returning a fresh vector.
+/// array read instead of a call returning a fresh vector. It covers the
+/// ids the index held when the table was built.
 class PrefixApTable {
  public:
   PrefixApTable(const bgp::PrefixIndex& index, const ApOfFn& ap_of);
 
-  /// APs of the prefix with dense id `id`.
+  /// Number of ids covered (0 .. size()-1).
+  std::size_t size() const { return begin_.size() - 1; }
+
+  /// APs of the prefix with dense id `id` (< size()).
   std::span<const ApId> aps(std::uint32_t id) const {
     return {aps_.data() + begin_[id], aps_.data() + begin_[id + 1]};
   }
@@ -171,8 +175,16 @@ class Speaker {
   /// its shared registry so per-speaker counters can be summed and
   /// snapshotted centrally. When null the speaker owns a private
   /// registry, so standalone construction (unit tests) keeps working.
+  ///
+  /// `index` numbers the prefixes for the RIBs, the per-peer sent-hash
+  /// state and the dirty-prefix coalescing; a testbed shares one between
+  /// its speakers. When null the speaker owns a private one. `aps`, when
+  /// given, must be built over the same index from config().ap_of; the
+  /// prefixes it covers take their APs from it.
   Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
-          net::Network& network, obs::MetricsRegistry* metrics = nullptr);
+          net::Network& network, obs::MetricsRegistry* metrics = nullptr,
+          std::shared_ptr<bgp::PrefixIndex> index = nullptr,
+          std::shared_ptr<const PrefixApTable> aps = nullptr);
 
   Speaker(const Speaker&) = delete;
   Speaker& operator=(const Speaker&) = delete;
@@ -198,15 +210,6 @@ class Speaker {
   /// (returns nullopt to reject). Policies live at clients (§2.1).
   using ImportPolicy = std::function<std::optional<Route>(const Route&)>;
   void set_import_policy(ImportPolicy policy) { import_ = std::move(policy); }
-
-  /// Shared dense prefix numbering: switches the RIBs, the per-peer
-  /// sent-hash state, and the dirty-prefix coalescing to flat storage
-  /// indexed by PrefixId. Call right after construction (before routes
-  /// arrive); map fallbacks cover prefixes outside the index. `aps`, when
-  /// given, must be built over the same index from this speaker's
-  /// config().ap_of; indexed prefixes then take their APs from it.
-  void set_prefix_index(std::shared_ptr<const bgp::PrefixIndex> index,
-                        std::shared_ptr<const PrefixApTable> aps = nullptr);
 
   /// §2.4 transition switch (kDual mode): returns true when the best-path
   /// decision for this prefix should use routes learned from ABRR (and
@@ -361,11 +364,9 @@ class Speaker {
     // The groups this peer is a member of, in join order.
     std::vector<int> groups;
     // Last transmitted content hash per (group, prefix); 0 = nothing.
-    // Flat when a PrefixIndex is available: one PrefixIndex-sized stripe
-    // per entry of `groups`, allocated when that stripe is first used.
-    // Map otherwise, keyed by tx_key().
-    std::unordered_map<std::uint64_t, std::uint64_t> sent_hash_map;
-    std::vector<std::uint64_t> sent_hash_flat;
+    // One stripe per entry of `groups`, indexed by PrefixId and grown
+    // when an id past its end is first used.
+    std::vector<std::vector<std::uint64_t>> sent_hashes;
   };
 
   struct Incoming {
@@ -378,12 +379,13 @@ class Speaker {
     Route ebgp_route;
   };
 
-  /// Dense id of `prefix`, or nullopt when it has none (no index, or
-  /// outside it). Resolved once per message, pipeline run and
-  /// transmission, then handed down to the speaker's own arrays and, as
-  /// a bgp::IndexedPrefix, to the RIBs.
-  using PrefixId = std::optional<std::uint32_t>;
-  PrefixId prefix_id(const Ipv4Prefix& prefix) const;
+  /// Dense id of `prefix`, registered on first sight. Resolved once per
+  /// message, pipeline run and transmission, then handed down to the
+  /// speaker's own arrays and, as a bgp::IndexedPrefix, to the RIBs.
+  using PrefixId = std::uint32_t;
+  PrefixId prefix_id(const Ipv4Prefix& prefix) {
+    return prefix_index_->add(prefix);
+  }
 
   // -- receive path --
   void receive(RouterId from, bgp::UpdateMessage&& msg);
@@ -392,8 +394,7 @@ class Speaker {
   /// Applies one message to the Adj-RIB-In; appends dirty prefixes.
   /// Stamps and filters the message's routes in place.
   void apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty);
-  /// Appends `prefix` to `dirty` unless already marked this drain epoch
-  /// (dense-index dedup; unindexed prefixes are deduped by sort later).
+  /// Appends `prefix` to `dirty` unless already marked this drain epoch.
   void mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
                   std::vector<Ipv4Prefix>& dirty);
   bool accept_route(const Route& route, const PeerState* peer) const;
@@ -423,10 +424,8 @@ class Speaker {
   void flush_peer(RouterId peer);
   void transmit(PeerState& peer, int group, const Ipv4Prefix& prefix);
 
-  std::uint64_t& sent_hash(PeerState& peer, int group,
-                           const Ipv4Prefix& prefix, PrefixId pid);
-  /// Exact (group, prefix) key for the pending set and the unindexed
-  /// sent-hash map.
+  std::uint64_t& sent_hash(PeerState& peer, int group, PrefixId pid);
+  /// Exact (group, prefix) key for the pending set.
   static std::uint64_t tx_key(int group, const Ipv4Prefix& prefix);
 
   // -- liveness (hold/keepalive) --
@@ -445,8 +444,8 @@ class Speaker {
   /// scratch_accepted_ and returns a span over it.
   std::span<const Route* const> filter_accepted(
       const Ipv4Prefix& prefix, std::span<const Route* const> in);
-  /// The prefix's APs: a view into the shared PrefixApTable for indexed
-  /// prefixes, else config().ap_of's answer held in scratch_aps_ (valid
+  /// The prefix's APs: a view into the shared PrefixApTable for the ids
+  /// it covers, else config().ap_of's answer held in scratch_aps_ (valid
   /// until the next aps_of call).
   std::span<const ApId> aps_of(const Ipv4Prefix& prefix, PrefixId pid);
   bool manages_ap(ApId ap) const;
@@ -467,16 +466,14 @@ class Speaker {
   std::function<bool(const Ipv4Prefix&)> accept_abrr_;
   BestChangeHook best_change_hook_;
   RibClearedHook rib_cleared_hook_;
-  std::shared_ptr<const bgp::PrefixIndex> prefix_index_;
+  std::shared_ptr<bgp::PrefixIndex> prefix_index_;
   std::shared_ptr<const PrefixApTable> prefix_aps_;
 
   struct EbgpNeighborState {
     Asn asn = 0;
     EbgpExportPolicy policy;
-    // Advertised-content hash per prefix (0 = nothing advertised).
-    // Flat when a PrefixIndex is available, map otherwise.
-    std::unordered_map<Ipv4Prefix, std::uint64_t> advertised;
-    std::vector<std::uint64_t> advertised_flat;  // indexed by PrefixId
+    // Advertised-content hash per PrefixId (0 = nothing advertised).
+    std::vector<std::uint64_t> advertised;
   };
   std::unordered_map<RouterId, EbgpNeighborState> ebgp_neighbors_;
   EbgpSendHook ebgp_send_hook_;
@@ -505,7 +502,7 @@ class Speaker {
   sim::EventId keepalive_timer_ = 0;
 
   // Dirty-prefix coalescing for drain_input: per-PrefixId epoch stamps
-  // so a drain batch dedups indexed prefixes in O(1) per touch.
+  // so a drain batch dedups prefixes in O(1) per touch.
   std::vector<std::uint64_t> dirty_mark_;
   std::uint64_t dirty_epoch_ = 0;
 

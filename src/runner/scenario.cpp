@@ -145,11 +145,6 @@ std::vector<ValidationError> ScenarioSpec::validate() const {
       err("serve.max_resident_snapshots",
           "needs room for the live snapshot plus at least one retired one");
     }
-    if (!use_prefix_index) {
-      err("serve.enabled",
-          "snapshots are compiled from the dense PrefixIndex RIB; "
-          "use_prefix_index must stay on");
-    }
     if (fault.enabled) {
       err("serve.enabled",
           "serving churn and the batch fault episode are mutually "
@@ -220,7 +215,6 @@ harness::TestbedConfig ScenarioSpec::testbed_config(
   if (fault.enabled) c.timing.hold_time = fault.hold_time;
   c.decision = decision;
   c.seed = seed;
-  c.use_prefix_index = use_prefix_index;
   c.obs = obs;
   return c;
 }

@@ -113,7 +113,6 @@ struct ScenarioSpec {
   ServeOptions serve;
   obs::ObsOptions obs;
   bgp::DecisionConfig decision{};
-  bool use_prefix_index = true;
 
   /// Seeds to run; every seed is one independent trial.
   std::vector<std::uint64_t> seeds = {42};

@@ -107,24 +107,71 @@ void arm_churn(const runner::ScenarioSpec& spec, std::uint64_t seed,
 
 }  // namespace
 
-/// Everything thread-confined to the writer: the live RIB mirror the
-/// hooks maintain, its incremental fingerprint sums, and the published
-/// (COW-shared) per-router tables.
-struct RouteService::WriterState {
-  struct Mirror {
-    std::vector<RouteEntry> entries;  // dense by LPM/prefix slot
-    std::uint64_t sum = 0;            // commutative fingerprint sum
-    std::shared_ptr<const RibSnapshot::Table> published;
-    bool dirty = false;
-  };
+void RibMirror::init(const harness::Testbed& bed) {
+  prefixes = &bed.prefix_index();
+  index = std::make_shared<const bgp::LpmIndex>(prefixes->prefixes());
+  ids = bed.all_ids();
+  std::sort(ids.begin(), ids.end());
+  bgp::RouterId max_id = 0;
+  for (const bgp::RouterId id : ids) max_id = std::max(max_id, id);
+  pos.assign(static_cast<std::size_t>(max_id) + 1, 0);
+  routers.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    pos[ids[i]] = static_cast<std::uint32_t>(i) + 1;
+    routers[i].entries.assign(prefixes->size(), RouteEntry{});
+  }
+}
 
-  std::vector<bgp::RouterId> ids;  // ascending
-  std::vector<std::uint32_t> pos;  // RouterId -> index+1
-  std::vector<Mirror> mirrors;
-  std::shared_ptr<const bgp::LpmIndex> index;
-  const bgp::PrefixIndex* pidx = nullptr;
+void RibMirror::on_change(bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
+                          const bgp::Route* best) {
+  Router& m = routers[pos[id] - 1];
+  // Ids past the mirror were first seen after init: they have no LPM
+  // slot and are not served.
+  const std::optional<std::uint32_t> slot = prefixes->id_of(prefix);
+  if (!slot || *slot >= m.entries.size()) return;
+  RouteEntry& e = m.entries[*slot];
+  if (e.present) {
+    m.sum -= fault::fp_route_term(prefix.address(), prefix.length(),
+                                  e.next_hop, e.attrs_hash);
+  }
+  if (best != nullptr) {
+    e.attrs_hash = best->attrs->content_hash != 0
+                       ? best->attrs->content_hash
+                       : bgp::attrs_content_hash(*best->attrs);
+    e.next_hop = best->attrs->next_hop;
+    e.learned_from = best->learned_from;
+    e.path_id = best->path_id;
+    e.present = 1;
+    m.sum += fault::fp_route_term(prefix.address(), prefix.length(),
+                                  e.next_hop, e.attrs_hash);
+  } else {
+    e = RouteEntry{};
+  }
+  m.dirty = true;
+  any_dirty = true;
+}
+
+void RibMirror::on_cleared(bgp::RouterId id) {
+  Router& m = routers[pos[id] - 1];
+  std::fill(m.entries.begin(), m.entries.end(), RouteEntry{});
+  m.sum = 0;
+  m.dirty = true;
+  any_dirty = true;
+}
+
+std::uint64_t RibMirror::fingerprint() const {
+  std::uint64_t fp = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    fp = fault::fp_chain(fp, ids[i], routers[i].sum);
+  }
+  return fp;
+}
+
+/// Everything thread-confined to the writer: the RIB mirror and the
+/// registry handles of the bed it mirrors.
+struct RouteService::WriterState {
+  RibMirror rib;
   std::uint64_t next_version = 0;
-  bool any_dirty = false;
 
   // Registry handles (the bed's writer-confined MetricsRegistry).
   obs::Gauge* g_version = nullptr;
@@ -133,60 +180,6 @@ struct RouteService::WriterState {
   obs::Counter* c_publishes = nullptr;
   obs::Counter* c_deferred = nullptr;
   obs::Counter* c_reclaimed = nullptr;
-
-  void init(harness::Testbed& bed) {
-    pidx = bed.prefix_index();
-    if (pidx == nullptr) {
-      throw std::runtime_error{
-          "serve: testbed has no PrefixIndex (use_prefix_index off)"};
-    }
-    index = std::make_shared<const bgp::LpmIndex>(pidx->prefixes());
-    ids = bed.all_ids();
-    std::sort(ids.begin(), ids.end());
-    bgp::RouterId max_id = 0;
-    for (const bgp::RouterId id : ids) max_id = std::max(max_id, id);
-    pos.assign(static_cast<std::size_t>(max_id) + 1, 0);
-    mirrors.resize(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      pos[ids[i]] = static_cast<std::uint32_t>(i) + 1;
-      mirrors[i].entries.assign(pidx->size(), RouteEntry{});
-    }
-  }
-
-  void on_change(bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
-                 const bgp::Route* best) {
-    Mirror& m = mirrors[pos[id] - 1];
-    const auto slot = pidx->id_of(prefix);
-    if (!slot) return;  // outside the served universe
-    RouteEntry& e = m.entries[*slot];
-    if (e.present) {
-      m.sum -= fault::fp_route_term(prefix.address(), prefix.length(),
-                                    e.next_hop, e.attrs_hash);
-    }
-    if (best != nullptr) {
-      e.attrs_hash = best->attrs->content_hash != 0
-                         ? best->attrs->content_hash
-                         : bgp::attrs_content_hash(*best->attrs);
-      e.next_hop = best->attrs->next_hop;
-      e.learned_from = best->learned_from;
-      e.path_id = best->path_id;
-      e.present = 1;
-      m.sum += fault::fp_route_term(prefix.address(), prefix.length(),
-                                    e.next_hop, e.attrs_hash);
-    } else {
-      e = RouteEntry{};
-    }
-    m.dirty = true;
-    any_dirty = true;
-  }
-
-  void on_cleared(bgp::RouterId id) {
-    Mirror& m = mirrors[pos[id] - 1];
-    std::fill(m.entries.begin(), m.entries.end(), RouteEntry{});
-    m.sum = 0;
-    m.dirty = true;
-    any_dirty = true;
-  }
 };
 
 RouteService::RouteService(runner::ScenarioSpec spec, std::uint64_t seed,
@@ -251,18 +244,15 @@ bool RouteService::try_publish(WriterState& ws, sim::Time now) {
 
   const std::uint64_t t_begin = now_ns();
   auto snap = std::make_unique<RibSnapshot>();
-  snap->index = ws.index;
+  snap->index = ws.rib.index;
   snap->virtual_time = now;
   snap->version = ++ws.next_version;
-  std::uint64_t fp = 0;
-  for (std::size_t i = 0; i < ws.ids.size(); ++i) {
-    fp = fault::fp_chain(fp, ws.ids[i], ws.mirrors[i].sum);
-  }
+  const std::uint64_t fp = ws.rib.fingerprint();
   snap->fingerprint = fp;
-  snap->router_ids = ws.ids;
-  snap->router_pos = ws.pos;
-  snap->tables.reserve(ws.mirrors.size());
-  for (WriterState::Mirror& m : ws.mirrors) {
+  snap->router_ids = ws.rib.ids;
+  snap->router_pos = ws.rib.pos;
+  snap->tables.reserve(ws.rib.routers.size());
+  for (RibMirror::Router& m : ws.rib.routers) {
     if (m.dirty || m.published == nullptr) {
       // Delta rebuild: only routers dirtied since the last publish get
       // a fresh table; the rest share the previous snapshot's.
@@ -271,7 +261,7 @@ bool RouteService::try_publish(WriterState& ws, sim::Time now) {
     }
     snap->tables.push_back(m.published);
   }
-  ws.any_dirty = false;
+  ws.rib.any_dirty = false;
 
   const std::uint64_t version = snap->version;
   const RibSnapshot* old =
@@ -316,11 +306,13 @@ void RouteService::writer_main() {
     bgp::AttrsInterner::TrialScope attrs_scope{spec_.expected_attr_blocks()};
     WriterState ws;  // declared before World: speaker hooks point into it
     World w = build_world(spec_, seed_, [&ws](harness::Testbed& bed) {
-      ws.init(bed);
+      ws.rib.init(bed);
       bed.attach_rib_listener(
           [&ws](bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
-                const bgp::Route* best) { ws.on_change(id, prefix, best); },
-          [&ws](bgp::RouterId id) { ws.on_cleared(id); });
+                const bgp::Route* best) {
+            ws.rib.on_change(id, prefix, best);
+          },
+          [&ws](bgp::RouterId id) { ws.rib.on_cleared(id); });
     });
     if (!w.converged) {
       throw std::runtime_error{"serve: initial convergence did not quiesce"};
@@ -348,7 +340,7 @@ void RouteService::writer_main() {
     while (!stop_.load(std::memory_order_acquire) && now < w.t_end) {
       now = std::min<sim::Time>(now + step, w.t_end);
       w.bed->run_until(now);
-      if (ws.any_dirty) try_publish(ws, now);
+      if (ws.rib.any_dirty) try_publish(ws, now);
     }
     // Stamp the horizon state unconditionally (a clean republish is
     // cheap COW sharing): consumers see virtual_time reach the end of

@@ -30,10 +30,16 @@
 #include <string>
 #include <thread>
 
+#include "bgp/prefix_index.h"
+#include "bgp/route.h"
 #include "obs/metrics.h"
 #include "runner/scenario.h"
 #include "serve/epoch.h"
 #include "serve/snapshot.h"
+
+namespace abrr::harness {
+class Testbed;
+}  // namespace abrr::harness
 
 namespace abrr::serve {
 
@@ -94,6 +100,42 @@ struct ServiceStats {
   std::uint64_t fingerprint = 0;   // ...and its RIB fingerprint
   sim::Time virtual_time = 0;      // ...and its simulation clock
   bool done = false;               // writer finished the churn horizon
+};
+
+// --- the writer's RIB mirror -------------------------------------------
+
+/// The writer's live copy of every router's Loc-RIB, kept current by the
+/// bed's RIB listener (Testbed::attach_rib_listener): one RouteEntry per
+/// LPM slot per router, the commutative per-router fingerprint sums, and
+/// each router's last published (COW-shared) table. The slots are the
+/// bed's prefix ids at init(); a prefix the bed first sees later has no
+/// slot and is not served. Writer-thread only.
+struct RibMirror {
+  struct Router {
+    RibSnapshot::Table entries;  // dense by LPM/prefix slot
+    std::uint64_t sum = 0;       // commutative fingerprint sum
+    std::shared_ptr<const RibSnapshot::Table> published;
+    bool dirty = false;
+  };
+
+  std::vector<bgp::RouterId> ids;  // ascending
+  std::vector<std::uint32_t> pos;  // RouterId -> index+1
+  std::vector<Router> routers;     // parallel to ids
+  std::shared_ptr<const bgp::LpmIndex> index;
+  const bgp::PrefixIndex* prefixes = nullptr;
+  bool any_dirty = false;
+
+  /// Sizes the mirror for `bed`'s routers and its current prefix ids.
+  void init(const harness::Testbed& bed);
+  /// Listener callbacks: one router's best for `prefix` changed
+  /// (nullptr = withdrawn), or its whole Loc-RIB was wiped.
+  void on_change(bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
+                 const bgp::Route* best);
+  void on_cleared(bgp::RouterId id);
+  /// The routers' sums chained in id order; equals
+  /// fault::rib_fingerprint() of the bed while every best route it holds
+  /// has a slot.
+  std::uint64_t fingerprint() const;
 };
 
 class RouteService {

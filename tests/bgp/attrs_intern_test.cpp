@@ -115,17 +115,6 @@ TEST(AttrsInterner, HitAndMissAccounting) {
   EXPECT_EQ(a, b);
 }
 
-TEST(AttrsInterner, DisabledProducesFreshBlocksWithHashes) {
-  ScopedInterningDisabled guard;
-  const AttrsPtr a = make_attrs(sample_attrs());
-  const AttrsPtr b = make_attrs(sample_attrs());
-  EXPECT_NE(a, b);    // no canonicalization
-  EXPECT_EQ(*a, *b);  // ...but identical content
-  // Hashes are still computed so same_announcement stays O(1).
-  EXPECT_EQ(a->content_hash, b->content_hash);
-  EXPECT_NE(a->content_hash, 0u);
-}
-
 TEST(SameAnnouncement, HashFastPathAgreesWithDeepCompare) {
   const Ipv4Prefix pfx = Ipv4Prefix::parse("10.0.0.0/8");
   const Route a = RouteBuilder{pfx}.path_id(1).as_path({1, 2}).build();
@@ -134,10 +123,12 @@ TEST(SameAnnouncement, HashFastPathAgreesWithDeepCompare) {
   EXPECT_TRUE(a.same_announcement(b));
   EXPECT_FALSE(a.same_announcement(c));
 
-  // Same content through the non-interned path (distinct blocks, equal
-  // hashes) must still compare equal.
-  ScopedInterningDisabled guard;
+  // Same content from another interner (a trial pool: distinct block,
+  // equal hash) must still compare equal. Blocks from two interners meet
+  // whenever routes outlive the scope that built them.
+  AttrsInterner::TrialScope trial{0};
   const Route d = RouteBuilder{pfx}.path_id(1).as_path({1, 2}).build();
+  EXPECT_NE(a.attrs, d.attrs);
   EXPECT_TRUE(a.same_announcement(d));
 }
 

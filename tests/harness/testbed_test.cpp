@@ -164,5 +164,50 @@ TEST_F(TestbedIntegration, DeterministicAcrossRuns) {
   EXPECT_EQ(a->rr_counters().transmitted, b->rr_counters().transmitted);
 }
 
+TEST_F(TestbedIntegration, PrefixOutsideTheUniverseReachesClientsAndWithdraws) {
+  auto bed = build_and_load(options(ibgp::IbgpMode::kAbrr));
+  ASSERT_NE(bed, nullptr);
+  const bgp::Ipv4Prefix fresh = bgp::Ipv4Prefix::parse("198.18.0.0/24");
+  ASSERT_FALSE(bed->prefix_index().id_of(fresh).has_value());
+  const std::size_t universe = bed->prefix_index().size();
+
+  struct Sizes {
+    std::size_t loc, in, out;
+    bool operator==(const Sizes&) const = default;
+  };
+  const auto sizes = [&] {
+    std::vector<Sizes> out;
+    for (const bgp::RouterId id : bed->all_ids()) {
+      const ibgp::Speaker& s = bed->speaker(id);
+      out.push_back({s.loc_rib().size(), s.rib_in_size(), s.rib_out_size()});
+    }
+    return out;
+  };
+  const std::vector<Sizes> before = sizes();
+
+  // The new prefix takes the next id; the ARRs find its AP through the
+  // partition mapping rather than the bed's precomputed AP table.
+  const topo::PeeringPoint& point = topology.peering_points.front();
+  const bgp::Route route =
+      bgp::RouteBuilder{fresh}.as_path({point.peer_as, 64999}).build();
+  bed->inject_fn()(point.router, point.neighbor_id, fresh, route);
+  ASSERT_TRUE(bed->run_to_quiescence());
+  EXPECT_EQ(bed->prefix_index().id_of(fresh), universe);
+  for (const bgp::RouterId id : bed->client_ids()) {
+    const bgp::Route* best = bed->speaker(id).loc_rib().best(fresh);
+    ASSERT_NE(best, nullptr) << "client " << id;
+    EXPECT_EQ(best->egress(), point.router);
+  }
+
+  bed->inject_fn()(point.router, point.neighbor_id, fresh, std::nullopt);
+  ASSERT_TRUE(bed->run_to_quiescence());
+  for (const bgp::RouterId id : bed->all_ids()) {
+    EXPECT_EQ(bed->speaker(id).loc_rib().best(fresh), nullptr);
+    EXPECT_TRUE(bed->speaker(id).adj_rib_in().routes_for(fresh).empty());
+  }
+  EXPECT_TRUE(sizes() == before);
+  EXPECT_EQ(bed->prefix_index().size(), universe + 1);  // ids are kept
+}
+
 }  // namespace
 }  // namespace abrr::harness

@@ -38,11 +38,10 @@ class MraiTest : public ::testing::Test {
     cfg.mode = IbgpMode::kFullMesh;
     cfg.mrai = sim::sec(5);
     cfg.proc_delay = sim::msec(1);
-    speaker = std::make_unique<Speaker>(cfg, sched, net);
     // Dense ids in prefix order, so a resync walks P1 before P2.
     auto index = std::make_shared<bgp::PrefixIndex>();
     for (const Ipv4Prefix& p : {kP1, kP2, kP3}) index->add(p);
-    speaker->set_prefix_index(index);
+    speaker = std::make_unique<Speaker>(cfg, sched, net, nullptr, index);
     net.connect(kSpeaker, kTap, sim::msec(1));
     speaker->add_peer(PeerInfo{.id = kTap});
     speaker->start();

@@ -315,6 +315,74 @@ TEST_F(AbrrTest, MedOnlySetChangesArePropagated) {
   EXPECT_EQ(*routes.front().attrs->med, 30u);
 }
 
+// A peer in two groups has one sent-hash stripe per group. Growing the
+// prefix index must neither move an existing prefix's hash nor let a
+// new prefix's hash land on it.
+TEST(AbrrSentHash, StripesStaySeparateWhenTheIndexGrows) {
+  constexpr RouterId kArr = 1;
+  constexpr RouterId kTap = 2;  // raw endpoint: counts what the ARR sends
+  const Ipv4Prefix kFresh = Ipv4Prefix::parse("201.0.0.0/8");  // AP 1
+  const core::PartitionScheme scheme = core::PartitionScheme::uniform(2);
+  sim::Scheduler sched;
+  sim::Rng rng{1};
+  net::Network net{sched, rng};
+
+  auto index = std::make_shared<bgp::PrefixIndex>();
+  index->add(kLow);
+  index->add(kHigh);
+  SpeakerConfig cfg;
+  cfg.id = kArr;
+  cfg.asn = 65000;
+  cfg.mode = IbgpMode::kAbrr;
+  cfg.ap_of = scheme.mapper();
+  cfg.managed_aps = {0};
+  cfg.mrai = 0;
+  cfg.proc_delay = sim::msec(1);
+  Speaker arr{cfg, sched, net, nullptr, index};
+  net.connect(kArr, kTap, sim::msec(1));
+  // The tap is the ARR's reflector for AP 1 (stripe 0) and its client
+  // for AP 0 (stripe 1).
+  arr.add_peer(PeerInfo{.id = kTap, .reflector_for = {1}});
+  arr.add_peer(PeerInfo{.id = kTap, .rr_client = true});
+  arr.start();
+  std::map<Ipv4Prefix, int> sent;
+  net.register_endpoint(kTap, [&](RouterId, const bgp::UpdateMessage& m) {
+    ++sent[m.prefix];
+  });
+  const auto route = [](const Ipv4Prefix& pfx, bgp::Asn first) {
+    return RouteBuilder{pfx}.local_pref(100).as_path({first}).build();
+  };
+
+  // kLow (id 0) is reflected to the tap on stripe 1.
+  arr.inject_ebgp(kNbr, route(kLow, 65001));
+  ASSERT_TRUE(sched.run_to_quiescence(100000));
+  EXPECT_EQ(sent[kLow], 1);
+
+  // kFresh takes id 2 and goes to the tap on stripe 0.
+  arr.inject_ebgp(kNbr, route(kFresh, 65001));
+  ASSERT_TRUE(sched.run_to_quiescence(100000));
+  EXPECT_EQ(index->id_of(kFresh), 2u);
+  EXPECT_EQ(sent[kFresh], 1);
+
+  // The tap adds its own kLow route: the reflected set changes, but the
+  // tap's view of it (its own route filtered out) does not, so the hash
+  // recorded before the growth must suppress a resend.
+  bgp::UpdateMessage from_tap;
+  from_tap.prefix = kLow;
+  from_tap.full_set = true;
+  from_tap.announce.push_back(RouteBuilder{kLow}
+                                  .path_id(kTap)
+                                  .local_pref(100)
+                                  .as_path({65002})
+                                  .next_hop(kTap)
+                                  .build());
+  net.send(kTap, kArr, std::move(from_tap));
+  ASSERT_TRUE(sched.run_to_quiescence(100000));
+  EXPECT_EQ(arr.out_group(Speaker::arr_group(0))->get(kLow)->size(), 2u);
+  EXPECT_EQ(sent[kLow], 1);
+  EXPECT_EQ(sent[kFresh], 1);
+}
+
 TEST_F(AbrrTest, WithdrawEmptiesReflectedState) {
   Build();
   at(1).inject_ebgp(kNbr, route(kLow, {65001}));

@@ -93,13 +93,15 @@ const Golden kGolden[] = {
     {"golden/tbrr", 4, 0xeb9b3fba06ea3a74ULL, 19768, 16595, 16595, 1274394, 1196646},
     {"golden/fullmesh", 3, 0x33679af22bd83a1dULL, 18280, 15400, 15400, 905652, 804012},
     {"golden/fullmesh", 4, 0xef79e85c0244d671ULL, 11159, 8217, 8217, 507826, 460999},
+    {"golden/dual", 3, 0x838386e11fac7d5eULL, 35949, 29951, 29951, 2759534, 2505696},
+    {"golden/dual", 4, 0xe2fa0c5e38dd9f70ULL, 34628, 28579, 28579, 2899440, 2629474},
 };
 // clang-format on
 
 TEST(GoldenOutputs, SmallPaperTrialsMatchRecordedValues) {
   std::vector<ScenarioSpec> specs;
   for (const auto mode : {ibgp::IbgpMode::kAbrr, ibgp::IbgpMode::kTbrr,
-                          ibgp::IbgpMode::kFullMesh}) {
+                          ibgp::IbgpMode::kFullMesh, ibgp::IbgpMode::kDual}) {
     specs.push_back(small_paper(mode));
   }
   const std::vector<TrialResult> results =

@@ -14,7 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "fault/recovery.h"
+#include "harness/testbed.h"
 #include "runner/scenario.h"
+#include "runner/trial.h"
+#include "trace/regenerator.h"
 
 namespace abrr::serve {
 namespace {
@@ -246,11 +250,41 @@ TEST(RouteService, RejectsInvalidServeSpecs) {
     spec.serve.max_resident_snapshots = 1;
     EXPECT_THROW((RouteService{spec, 1}), std::invalid_argument);
   }
-  {
-    runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kAbrr);
-    spec.use_prefix_index = false;
-    EXPECT_THROW((RouteService{spec, 1}), std::invalid_argument);
-  }
+}
+
+// The mirror's slots are the bed's prefix ids at init: a prefix the bed
+// first sees later changes the bed's Loc-RIBs but not what is served.
+TEST(RibMirror, PrefixFirstSeenAfterInitLeavesFingerprintUnchanged) {
+  const runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kAbrr);
+  sim::Rng rng{5};
+  topo::Topology topology = runner::make_trial_topology(spec.topology, rng);
+  const trace::Workload workload =
+      runner::make_trial_workload(spec.workload, topology, rng);
+  const topo::PeeringPoint point = topology.peering_points.front();
+  harness::Testbed bed{std::move(topology), spec.testbed_config(5),
+                       workload.prefixes()};
+  RibMirror mirror;
+  mirror.init(bed);
+  bed.attach_rib_listener(
+      [&](bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
+          const bgp::Route* best) { mirror.on_change(id, prefix, best); },
+      [&](bgp::RouterId id) { mirror.on_cleared(id); });
+  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
+  regen.load_snapshot(0, sim::sec(5));
+  ASSERT_TRUE(bed.run_to_quiescence());
+  const std::uint64_t served = mirror.fingerprint();
+  EXPECT_EQ(served, fault::rib_fingerprint(bed));
+
+  const bgp::Ipv4Prefix fresh = bgp::Ipv4Prefix::parse("198.18.0.0/24");
+  ASSERT_FALSE(bed.prefix_index().id_of(fresh).has_value());
+  bed.inject_fn()(point.router, point.neighbor_id, fresh,
+                  bgp::RouteBuilder{fresh}.as_path({point.peer_as}).build());
+  mirror.any_dirty = false;
+  ASSERT_TRUE(bed.run_to_quiescence());
+  ASSERT_NE(bed.speaker(point.router).loc_rib().best(fresh), nullptr);
+  EXPECT_NE(fault::rib_fingerprint(bed), served);
+  EXPECT_EQ(mirror.fingerprint(), served);
+  EXPECT_FALSE(mirror.any_dirty);
 }
 
 }  // namespace
