@@ -5,16 +5,17 @@
 // blocks; the paper notes ISPs can control this by choosing ranges with
 // equal prefix shares. This bench quantifies the spread both ways.
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_ap_balancing");
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
   std::printf("# Ablation: AP balancing (%zu prefixes, 8 APs, 2 ARRs each)\n\n",
@@ -25,17 +26,16 @@ int main(int argc, char** argv) {
 
   bench::MetricsSink sink{"ablation_ap_balancing", cfg.metrics_out};
   const auto run = [&](bool balanced) {
-    auto options = bench::paper_options(ibgp::IbgpMode::kAbrr, 8, cfg.seed);
-    options.balanced_aps = balanced;
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    if (!bench::load_snapshot(*bed, workload, 30.0)) {
+    auto spec = paper;
+    spec.abrr.balanced_aps = balanced;
+    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
+    if (!bench::load_snapshot(bed, workload, 30.0)) {
       std::printf("%-10s DID NOT CONVERGE\n", balanced ? "balanced" : "uniform");
       return;
     }
-    sink.capture(balanced ? "balanced" : "uniform", *bed);
-    const auto in = bed->rr_rib_in();
-    const auto out = bed->rr_rib_out();
+    sink.capture(balanced ? "balanced" : "uniform", bed);
+    const auto in = bed.rr_rib_in();
+    const auto out = bed.rr_rib_out();
     const auto spread = [](const harness::Aggregate& a) {
       return a.avg > 0 ? 100.0 * (a.max - a.min) / a.avg : 0.0;
     };

@@ -20,22 +20,23 @@ int main(int argc, char** argv) {
   if (cfg.prefixes == 4000) cfg.prefixes = 1200;
   cfg.pops = 7;  // keep the full-mesh reference affordable
   cfg.clients_per_pop = 6;
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
   // Diverse per-point MEDs: the regime where a reflected low-MED route
   // is the witness that suppresses a client's own higher-MED route.
   // (With the default uniform-MED policy the reduction is lossless.)
   trace::WorkloadParams wp;
-  wp.prefixes = cfg.prefixes;
+  wp.prefixes = paper.workload.prefixes;
   wp.per_point_meds = true;
   const auto workload = trace::Workload::generate(wp, topology, rng);
   const auto prefixes = workload.prefixes();
 
   const auto build = [&](bool force_reduction) {
-    auto options = bench::paper_options(ibgp::IbgpMode::kAbrr, 8, cfg.seed);
-    options.abrr_force_client_reduction = force_reduction;
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
+    auto spec = paper;
+    spec.abrr.force_client_reduction = force_reduction;
+    auto bed = std::make_unique<harness::Testbed>(
+        topology, spec.testbed_config(cfg.seed), prefixes);
     bench::load_snapshot(*bed, workload, 30.0);
     return bed;
   };
@@ -49,10 +50,10 @@ int main(int argc, char** argv) {
 
   auto full = build(false);
   auto reduced = build(true);
-  auto mesh_options =
-      bench::paper_options(ibgp::IbgpMode::kFullMesh, 8, cfg.seed);
-  auto mesh =
-      std::make_unique<harness::Testbed>(topology, mesh_options, prefixes);
+  auto mesh_spec = paper;
+  mesh_spec.mode = ibgp::IbgpMode::kFullMesh;
+  auto mesh = std::make_unique<harness::Testbed>(
+      topology, mesh_spec.testbed_config(cfg.seed), prefixes);
   bench::load_snapshot(*mesh, workload, 30.0);
 
   const auto eq_full = verify::compare_loc_ribs(*full, *mesh, prefixes);

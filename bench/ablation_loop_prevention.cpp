@@ -9,7 +9,6 @@
 // the §2.3.2 misconfiguration loop (three routers all believing they
 // are the ARR).
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 
@@ -17,9 +16,11 @@ int main(int argc, char** argv) {
   using namespace abrr;
   auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_loop_prevention");
   if (cfg.prefixes == 4000) cfg.prefixes = 800;
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
   std::printf("# Ablation: loop-prevention attribute overhead\n\n");
@@ -33,13 +34,13 @@ int main(int argc, char** argv) {
   };
   bench::MetricsSink sink{"ablation_loop_prevention", cfg.metrics_out};
   const auto measure = [&](ibgp::IbgpMode mode) {
-    auto options = bench::paper_options(mode, 8, cfg.seed);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    bench::load_snapshot(*bed, workload, 20.0);
+    auto spec = paper;
+    spec.mode = mode;
+    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
+    bench::load_snapshot(bed, workload, 20.0);
     Stats s;
-    for (const auto id : bed->client_ids()) {
-      bed->speaker(id).adj_rib_in().for_each([&](const bgp::Route& r) {
+    for (const auto id : bed.client_ids()) {
+      bed.speaker(id).adj_rib_in().for_each([&](const bgp::Route& r) {
         if (r.via != bgp::LearnedVia::kIbgp) return;
         s.routes += 1;
         // Attribute bytes attributable to loop prevention.
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
                         : 0.0);
       });
     }
-    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", *bed);
+    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", bed);
     return s;
   };
 

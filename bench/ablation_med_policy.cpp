@@ -7,7 +7,6 @@
 // always-compare-med — restore convergence. ABRR converges under every
 // policy: for any prefix it is logically centralized (§2.3.1).
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 #include "verify/oscillation.h"
@@ -26,27 +25,25 @@ int main(int argc, char** argv) {
   bench::MetricsSink sink{"ablation_med_policy", cfg.metrics_out};
   const auto run = [&](ibgp::IbgpMode mode, bool diverse_meds,
                        bool always_compare, const char* label) {
+    auto spec = bench::paper_spec(mode, 8, cfg);
     sim::Rng rng{cfg.seed};
-    const auto topology = bench::make_paper_topology(cfg, rng);
+    const auto topology = runner::make_trial_topology(spec.topology, rng);
     trace::WorkloadParams wp;
-    wp.prefixes = cfg.prefixes;
+    wp.prefixes = spec.workload.prefixes;
     wp.per_point_meds = diverse_meds;
     const auto workload = trace::Workload::generate(wp, topology, rng);
     const auto prefixes = workload.prefixes();
 
-    auto options = bench::paper_options(mode, 8, cfg.seed);
-    options.mrai = 0;  // oscillate fast rather than slowly
-    options.proc_delay = sim::msec(2);
-    options.decision.always_compare_med = always_compare;
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
+    spec.timing.mrai = 0;  // oscillate fast rather than slowly
+    spec.timing.proc_delay = sim::msec(2);
+    spec.decision.always_compare_med = always_compare;
+    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
     verify::OscillationMonitor monitor{30};
-    for (const auto id : bed->all_ids()) monitor.attach(bed->speaker(id));
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
+    for (const auto id : bed.all_ids()) monitor.attach(bed.speaker(id));
+    trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
     regen.load_snapshot(0, sim::sec(10));
-    const bool converged = bed->run_to_quiescence(4'000'000);
-    sink.capture(label, *bed);
+    const bool converged = bed.run_to_quiescence(4'000'000);
+    sink.capture(label, bed);
     std::printf("%-9s %-26s %-12s %10zu\n",
                 mode == ibgp::IbgpMode::kTbrr ? "TBRR" : "ABRR", label,
                 converged ? "yes" : "NO (capped)", monitor.max_flips());

@@ -212,13 +212,14 @@ struct DataPlaneResult {
 };
 
 DataPlaneResult data_plane_gadget(IbgpMode mode) {
-  harness::TestbedOptions o;
-  o.mode = mode;
-  o.num_aps = 1;
-  o.mrai = 0;
-  o.proc_delay = sim::msec(1);
-  o.latency_jitter = 0;
-  harness::Testbed bed{loop_topology(), o, std::vector<bgp::Ipv4Prefix>{kPfx}};
+  harness::TestbedConfig config;
+  config.mode = mode;
+  config.abrr.num_aps = 1;
+  config.timing.mrai = 0;
+  config.timing.proc_delay = sim::msec(1);
+  config.timing.latency_jitter = 0;
+  harness::Testbed bed{loop_topology(), config,
+                       std::vector<bgp::Ipv4Prefix>{kPfx}};
   bed.speaker(1).inject_ebgp(0x80000001, route(65001));
   bed.speaker(4).inject_ebgp(0x80000002, route(65002));
 

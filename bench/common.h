@@ -10,8 +10,9 @@
 // Flag parsing is runner::ArgParser: flags are declared once below,
 // unknown flags fail loudly, and every bench shares the same spelling
 // (--prefixes, --seed/--seeds, --jobs, --metrics-out, --out-dir, ...).
-// Experiments themselves are declared as runner::ScenarioSpec values
-// (see paper_spec) and executed by runner::ExperimentRunner.
+// Experiments are runner::ScenarioSpec values (paper_spec): run by
+// runner::ExperimentRunner, or built into a hand-driven Testbed via
+// runner::make_trial_topology/make_trial_workload and testbed_config().
 #pragma once
 
 #include <chrono>
@@ -29,6 +30,7 @@
 #include "runner/arg_parser.h"
 #include "runner/runner.h"
 #include "runner/scenario.h"
+#include "runner/trial.h"
 #include "serve/service.h"
 #include "topo/topology.h"
 #include "trace/regenerator.h"
@@ -36,6 +38,9 @@
 #include "trace/workload.h"
 
 namespace abrr::bench {
+
+/// How many of the --seeds values a bench runs.
+enum class Seeds { kOne, kMany };
 
 struct ExperimentConfig {
   std::size_t prefixes = 4000;
@@ -75,9 +80,15 @@ struct ExperimentConfig {
     p.add("out-dir", "directory for bench artifacts", &out_dir);
   }
 
-  /// Reconciles --seed/--seeds and validates --mode. Exits loudly on a
-  /// bad mode name (parse() already exited on unknown flags).
-  void finish() {
+  /// Reconciles --seed/--seeds and validates --mode. Exits 2 on a bad
+  /// mode name, and when a bench that runs one seed is given several
+  /// --seeds values (parse() already exited on unknown flags).
+  void finish(Seeds accepts = Seeds::kOne) {
+    if (accepts == Seeds::kOne && seeds.size() > 1) {
+      std::fprintf(stderr, "error: this bench runs one seed, but --seeds "
+                   "lists %zu (use --seed=N)\n", seeds.size());
+      std::exit(2);
+    }
     if (seeds.empty()) {
       seeds = {seed};
     } else {
@@ -91,12 +102,13 @@ struct ExperimentConfig {
   }
 
   static ExperimentConfig from_args(int argc, char** argv,
-                                    const char* program) {
+                                    const char* program,
+                                    Seeds accepts = Seeds::kOne) {
     ExperimentConfig cfg;
     runner::ArgParser parser{program};
     cfg.register_flags(parser);
     parser.parse(argc, argv);
-    cfg.finish();
+    cfg.finish(accepts);
     return cfg;
   }
 };
@@ -391,41 +403,6 @@ class JsonWriter {
   std::vector<char> closers_;
 };
 
-inline topo::Topology make_paper_topology(const ExperimentConfig& cfg,
-                                          sim::Rng& rng) {
-  topo::TopologyParams tp;
-  tp.pops = cfg.pops;
-  tp.clients_per_pop = cfg.clients_per_pop;
-  tp.peering_router_fraction = 1.0;  // §4: peering routers only
-  tp.peer_ases = cfg.peer_ases;
-  tp.peering_points_per_as = cfg.points_per_as;
-  tp.peering_skew = 0.8;  // gateway-PoP concentration (§4.1 variance)
-  return topo::make_tier1(tp, rng);
-}
-
-inline trace::Workload make_paper_workload(const ExperimentConfig& cfg,
-                                           const topo::Topology& topology,
-                                           sim::Rng& rng) {
-  trace::WorkloadParams wp;
-  wp.prefixes = cfg.prefixes;
-  return trace::Workload::generate(wp, topology, rng);
-}
-
-inline harness::TestbedOptions paper_options(ibgp::IbgpMode mode,
-                                             std::size_t num_aps,
-                                             std::uint64_t seed) {
-  harness::TestbedOptions o;
-  o.mode = mode;
-  o.num_aps = num_aps;
-  o.arrs_per_ap = 2;  // paper: 2 ARRs per AP, 2 TRRs per cluster
-  o.mrai = sim::sec(5);
-  o.proc_delay = sim::msec(50);
-  o.proc_per_update = sim::usec(20);
-  o.latency_jitter = sim::msec(20);
-  o.seed = seed;
-  return o;
-}
-
 /// Loads the snapshot paced over `seconds` of simulated time and runs to
 /// quiescence. Returns false on non-convergence.
 inline bool load_snapshot(harness::Testbed& bed,
@@ -433,15 +410,6 @@ inline bool load_snapshot(harness::Testbed& bed,
   trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
   regen.load_snapshot(0, sim::sec_f(seconds));
   return bed.run_to_quiescence(500'000'000);
-}
-
-/// Measured average best-AS-level routes per prefix over all sources,
-/// for the Appendix A overlay.
-inline double measured_bal(const trace::Workload& workload,
-                           const topo::Topology& topology, sim::Rng& rng) {
-  return workload
-      .average_bal(topology, topology.peer_as_list.size(), rng)
-      .all_sources;
 }
 
 }  // namespace abrr::bench

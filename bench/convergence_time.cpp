@@ -36,9 +36,11 @@ int main(int argc, char** argv) {
   auto cfg = bench::ExperimentConfig::from_args(argc, argv, "convergence_time");
   cfg.pops = 6;
   if (cfg.prefixes == 4000) cfg.prefixes = 400;
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
   std::printf("# §3.5: event-to-convergence time (MRAI = 5s on iBGP)\n");
@@ -49,9 +51,10 @@ int main(int argc, char** argv) {
 
   bench::MetricsSink sink{"convergence_time", cfg.metrics_out};
   const auto measure = [&](ibgp::IbgpMode mode, const char* label) {
-    auto options = bench::paper_options(mode, 8, cfg.seed);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
+    auto spec = paper;
+    spec.mode = mode;
+    auto bed = std::make_unique<harness::Testbed>(
+        topology, spec.testbed_config(cfg.seed), prefixes);
     if (!bench::load_snapshot(*bed, workload, 20.0)) {
       std::printf("%-10s DID NOT CONVERGE\n", label);
       return;

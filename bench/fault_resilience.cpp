@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   cfg.register_flags(parser);
   parser.add("json_out", "write the case table as JSON here", &json_out);
   parser.parse(argc, argv);
-  cfg.finish();
+  cfg.finish(Seeds::kMany);
 
   std::vector<runner::ScenarioSpec> specs;
   for (const auto mode : {ibgp::IbgpMode::kAbrr, ibgp::IbgpMode::kTbrr}) {

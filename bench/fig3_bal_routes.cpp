@@ -15,9 +15,11 @@
 int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(argc, argv, "fig3_bal_routes");
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
 
   std::printf("# Figure 3: best AS-level routes per prefix\n");
   std::printf("# prefixes=%zu peer_ases=%u points/AS=%u seed=%llu\n",

@@ -21,15 +21,8 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  const auto cfg =
-      bench::ExperimentConfig::from_args(argc, argv, "fig6_rib_sizes");
-
-  // The analysis overlay needs the measured #BAL of the workload the
-  // trials will regenerate from cfg.seed.
-  sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
-  const double bal = bench::measured_bal(workload, topology, rng);
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "fig6_rib_sizes", bench::Seeds::kMany);
 
   std::vector<runner::ScenarioSpec> specs;
   for (const std::size_t aps : {1u, 2u, 4u, 8u, 16u, 32u}) {
@@ -42,6 +35,17 @@ int main(int argc, char** argv) {
     spec.name = "TBRR/" + std::to_string(cfg.pops) + "cl";
     specs.push_back(std::move(spec));
   }
+
+  // The analysis overlay needs the measured #BAL (best AS-level routes
+  // per prefix, all sources) of the workload the trials regenerate.
+  sim::Rng rng{cfg.seed};
+  const runner::ScenarioSpec& paper = specs.front();
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
+  const double bal =
+      workload.average_bal(topology, topology.peer_as_list.size(), rng)
+          .all_sources;
 
   runner::ExperimentRunner run{{.jobs = cfg.jobs}};
   const auto results = run.run(specs);

@@ -18,8 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg =
-      bench::ExperimentConfig::from_args(argc, argv, "fig7_update_counts");
+  auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "fig7_update_counts", bench::Seeds::kMany);
   // The paper replayed a two-week realtime feed: per-session update
   // streams are SPARSE relative to the 5s MRAI. Mirror that by default
   // (a dense feed saturates MRAI coalescing on every session and hides

@@ -338,6 +338,7 @@ struct ConvergenceScenario {
   topo::Topology topology;
   trace::Workload workload;
   std::vector<Ipv4Prefix> prefixes;
+  harness::TestbedConfig config;
 };
 
 const ConvergenceScenario& convergence_scenario() {
@@ -349,12 +350,13 @@ const ConvergenceScenario& convergence_scenario() {
     cfg.peer_ases = 8;
     cfg.points_per_as = 4;
     cfg.seed = 42;
+    const auto spec = bench::paper_spec(ibgp::IbgpMode::kTbrr, 4, cfg);
     sim::Rng rng{cfg.seed};
-    auto topology = bench::make_paper_topology(cfg, rng);
-    auto workload = bench::make_paper_workload(cfg, topology, rng);
+    auto topology = runner::make_trial_topology(spec.topology, rng);
+    auto workload = runner::make_trial_workload(spec.workload, topology, rng);
     auto* s = new ConvergenceScenario{std::move(topology),
-                                      std::move(workload),
-                                      {}};
+                                      std::move(workload), {},
+                                      spec.testbed_config(cfg.seed)};
     s->prefixes = s->workload.prefixes();
     return s;
   }();
@@ -363,9 +365,8 @@ const ConvergenceScenario& convergence_scenario() {
 
 void BM_TestbedConvergence(benchmark::State& state) {
   const ConvergenceScenario& s = convergence_scenario();
-  const auto options = bench::paper_options(ibgp::IbgpMode::kTbrr, 4, 42);
   for (auto _ : state) {
-    harness::Testbed bed{s.topology, options, s.prefixes};
+    harness::Testbed bed{s.topology, s.config, s.prefixes};
     const bool converged = bench::load_snapshot(bed, s.workload, 5.0);
     if (!converged) state.SkipWithError("did not converge");
     benchmark::DoNotOptimize(bed.rr_rib_in());

@@ -1,6 +1,6 @@
 // Seeded observability fault drill: one deterministic chaos run with
 // the full observability stack enabled, exporting every src/obs
-// artifact for offline inspection:
+// artifact for offline inspection (--out-dir is created if missing):
 //
 //   <out-dir>/metrics.json  aggregated registry dump (counters, gauges,
 //                           histograms with p50/p95/p99)
@@ -16,7 +16,9 @@
 // The run is pure virtual time: two invocations with the same --seed
 // produce bit-identical files. bench/export_trace.sh wraps this binary.
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "common.h"
 #include "fault/injector.h"
@@ -30,18 +32,26 @@ int main(int argc, char** argv) {
   if (cfg.prefixes == 4000) cfg.prefixes = 200;
   if (cfg.pops == 13) cfg.pops = 3;
   const std::string& out_dir = cfg.out_dir;
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "error: cannot create --out-dir %s: %s\n",
+                 out_dir.c_str(), ec.message().c_str());
+    return 1;
+  }
 
+  auto spec = bench::paper_spec(ibgp::IbgpMode::kAbrr, 2, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(spec.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(spec.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
-  auto options = bench::paper_options(ibgp::IbgpMode::kAbrr, 2, cfg.seed);
-  options.hold_time = sim::sec(3);  // arm failure detection
-  options.obs.enabled = true;
-  options.obs.sample_period = sim::msec(500);
-  options.obs.pcap_frames = std::size_t{1} << 18;  // keep the whole drill
-  harness::Testbed bed{topology, options, prefixes};
+  spec.timing.hold_time = sim::sec(3);  // arm failure detection
+  spec.obs.enabled = true;
+  spec.obs.sample_period = sim::msec(500);
+  spec.obs.pcap_frames = std::size_t{1} << 18;  // keep the whole drill
+  harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
 
   trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
   regen.load_snapshot(0, sim::sec(10));

@@ -1,11 +1,12 @@
 // Parallel sweep bench: the ExperimentRunner's showcase and its
 // determinism proof.
 //
-// Expands a 16-trial cross-product (2 modes x 2 AP counts x 4 seeds by
-// default), runs it twice — once with --jobs=1 and once with --jobs=N —
-// verifies every trial's canonical serialization is BYTE-IDENTICAL
-// between the two runs, and writes BENCH_sweep.json with per-trial
-// wall, CPU and allocation columns and the observed speedup.
+// Expands a 12-trial cross-product by default (ABRR x 2 AP counts x 4
+// seeds, plus TBRR x 4 seeds: TBRR ignores the AP count), runs it
+// twice — once with --jobs=1 and once with --jobs=N — verifies every
+// trial's canonical serialization is BYTE-IDENTICAL between the two
+// runs, and writes BENCH_sweep.json with per-trial wall, CPU and
+// allocation columns and the observed speedup.
 //
 // Reading the numbers: wall-clock speedup is bounded by the host's core
 // count (reported as host_cpus); with --jobs > cores, per-trial wall_ms
@@ -27,12 +28,13 @@ int main(int argc, char** argv) {
   using namespace abrr::bench;
 
   ExperimentConfig cfg;
-  cfg.prefixes = 1000;  // 16 trials; keep each one modest by default
+  cfg.prefixes = 1000;  // 12 trials; keep each one modest by default
   cfg.jobs = 4;
   runner::ArgParser parser{"sweep"};
   cfg.register_flags(parser);
   parser.parse(argc, argv);
-  cfg.finish();
+  const bool seeds_given = !cfg.seeds.empty();  // before finish() fills it
+  cfg.finish(Seeds::kMany);
   const std::size_t jobs = cfg.jobs == 0 ? 1 : cfg.jobs;
 
   runner::ScenarioSpec base = paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
@@ -41,7 +43,9 @@ int main(int argc, char** argv) {
   axes.modes = {ibgp::IbgpMode::kAbrr, ibgp::IbgpMode::kTbrr};
   if (!cfg.mode.empty()) axes.modes = {*runner::parse_mode(cfg.mode)};
   axes.num_aps = {4, 8};
+  // Four consecutive seeds from --seed unless --seeds lists them.
   axes.seeds = {cfg.seed, cfg.seed + 1, cfg.seed + 2, cfg.seed + 3};
+  if (seeds_given) axes.seeds = cfg.seeds;
   const auto specs = base.sweep(axes);
 
   std::printf("sweep: %zu trials (%zu prefixes each), --jobs=1 then "

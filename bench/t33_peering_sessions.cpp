@@ -43,9 +43,11 @@ int main(int argc, char** argv) {
   }
 
   // Measured on the scaled testbed.
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
   std::printf("\n# measured on the %zu-router testbed (8 APs / %u"
@@ -54,8 +56,8 @@ int main(int argc, char** argv) {
   bench::MetricsSink sink{"t33_peering_sessions", cfg.metrics_out};
   const auto measure = [&](ibgp::IbgpMode mode, std::size_t aps,
                            const char* label) {
-    auto options = bench::paper_options(mode, aps, cfg.seed);
-    harness::Testbed bed{topology, options, prefixes};
+    const auto spec = bench::paper_spec(mode, aps, cfg);
+    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
     std::size_t rr_max = 0;
     double rr_sum = 0;
     for (const auto id : bed.rr_ids()) {

@@ -6,16 +6,17 @@
 // while an ARR has usually collected the event's client updates by the
 // time it runs its decision and sends one combined update.
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(argc, argv, "t42_client_updates");
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, cfg.pops, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
   trace::TraceParams tparams;
@@ -36,26 +37,24 @@ int main(int argc, char** argv) {
 
   bench::MetricsSink sink{"t42_client_updates", cfg.metrics_out};
   const auto run = [&](ibgp::IbgpMode mode, std::size_t aps) -> double {
-    auto options = bench::paper_options(mode, aps, cfg.seed);
+    auto spec = bench::paper_spec(mode, aps, cfg);
     // §4.2's regime: an RR's input batch window exceeds the spread of
     // an event's DIRECT client updates (one latency hop), so an ARR
     // coalesces them into one combined update; updates relayed through
     // other TRRs arrive staggered by a further hop and separate
     // processing phases, so a TRR re-advertises several times.
-    options.mrai = 0;
-    options.proc_delay = sim::msec(400);
-    options.latency_jitter = sim::msec(150);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
+    spec.timing.mrai = 0;
+    spec.timing.proc_delay = sim::msec(400);
+    spec.timing.latency_jitter = sim::msec(150);
+    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
+    trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
     regen.load_snapshot(0, sim::sec(30));
-    bed->run_to_quiescence(500'000'000);
-    bed->reset_counters();
-    regen.play(trace, bed->scheduler().now());
-    bed->run_to_quiescence(500'000'000);
-    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", *bed);
-    return bed->client_counters().avg_received();
+    bed.run_to_quiescence(500'000'000);
+    bed.reset_counters();
+    regen.play(trace, bed.scheduler().now());
+    bed.run_to_quiescence(500'000'000);
+    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", bed);
+    return bed.client_counters().avg_received();
   };
 
   const double abrr = run(ibgp::IbgpMode::kAbrr, cfg.pops);

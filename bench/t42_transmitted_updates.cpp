@@ -14,9 +14,11 @@ int main(int argc, char** argv) {
   auto cfg = bench::ExperimentConfig::from_args(argc, argv, "t42_transmitted_updates");
   cfg.pops = 27;  // the full 27-cluster AS of §4.2
   if (cfg.prefixes == 4000) cfg.prefixes = 2000;  // 27 PoPs cost more
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 27, cfg);
   sim::Rng rng{cfg.seed};
-  const auto topology = bench::make_paper_topology(cfg, rng);
-  const auto workload = bench::make_paper_workload(cfg, topology, rng);
+  const auto topology = runner::make_trial_topology(paper.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(paper.workload, topology, rng);
   const auto prefixes = workload.prefixes();
 
   trace::TraceParams tparams;
@@ -42,17 +44,18 @@ int main(int argc, char** argv) {
   };
   bench::MetricsSink sink{"t42_transmitted_updates", cfg.metrics_out};
   const auto run = [&](ibgp::IbgpMode mode) -> Result {
-    auto options = bench::paper_options(mode, 27, cfg.seed);
+    auto spec = paper;
+    spec.mode = mode;
     // §4: the paper's feed ran up to 20x realtime with <3% change in
     // update counts, so MRAI pacing was not the bottleneck there; what
     // separates the schemes is input-batch coalescing (ARRs absorb a
     // routing event's client updates in one processing pass) versus
     // TBRR's staggered inter-TRR races. Model that regime directly.
-    options.mrai = 0;
-    options.proc_delay = sim::msec(100);
-    options.latency_jitter = sim::msec(150);
-    auto bed =
-        std::make_unique<harness::Testbed>(topology, options, prefixes);
+    spec.timing.mrai = 0;
+    spec.timing.proc_delay = sim::msec(100);
+    spec.timing.latency_jitter = sim::msec(150);
+    auto bed = std::make_unique<harness::Testbed>(
+        topology, spec.testbed_config(cfg.seed), prefixes);
     trace::RouteRegenerator regen{bed->scheduler(), workload,
                                   bed->inject_fn()};
     regen.load_snapshot(0, sim::sec(30));

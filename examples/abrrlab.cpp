@@ -137,12 +137,12 @@ RunResult run_file(const trace::MrtFile& file, const Args& args,
   const std::uint64_t seed = args.num("seed", 42);
   const auto topology =
       make_topology(seed, static_cast<std::uint32_t>(args.num("pops", 13)));
-  harness::TestbedOptions options;
-  options.mode = mode;
-  options.num_aps = args.num("aps", 8);
-  options.balanced_aps = args.kv.count("balanced") != 0;
-  options.seed = seed;
-  auto bed = std::make_unique<harness::Testbed>(topology, options,
+  harness::TestbedConfig config;
+  config.mode = mode;
+  config.abrr.num_aps = args.num("aps", 8);
+  config.abrr.balanced_aps = args.kv.count("balanced") != 0;
+  config.seed = seed;
+  auto bed = std::make_unique<harness::Testbed>(topology, config,
                                                 file.workload.prefixes());
   trace::RouteRegenerator regen{bed->scheduler(), file.workload,
                                 bed->inject_fn()};

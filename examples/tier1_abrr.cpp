@@ -49,11 +49,11 @@ int main(int argc, char** argv) {
               n_prefixes);
 
   const auto build = [&](ibgp::IbgpMode mode) {
-    harness::TestbedOptions o;
-    o.mode = mode;
-    o.num_aps = 8;
-    o.mrai = sim::sec(5);
-    auto bed = std::make_unique<harness::Testbed>(topology, o, prefixes);
+    harness::TestbedConfig config;
+    config.mode = mode;
+    config.abrr.num_aps = 8;
+    config.timing.mrai = sim::sec(5);
+    auto bed = std::make_unique<harness::Testbed>(topology, config, prefixes);
     trace::RouteRegenerator regen{bed->scheduler(), workload,
                                   bed->inject_fn()};
     regen.load_snapshot(0, sim::sec(20));

@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
               sim::to_seconds(file.trace.duration()));
 
   // 3. Replay against an ABRR testbed.
-  harness::TestbedOptions options;
-  options.mode = ibgp::IbgpMode::kAbrr;
-  options.num_aps = 8;
-  harness::Testbed bed{topology, options, file.workload.prefixes()};
+  harness::TestbedConfig config;
+  config.mode = ibgp::IbgpMode::kAbrr;
+  config.abrr.num_aps = 8;
+  harness::Testbed bed{topology, config, file.workload.prefixes()};
   trace::RouteRegenerator regen{bed.scheduler(), file.workload,
                                 bed.inject_fn()};
 

@@ -30,12 +30,12 @@ int main() {
   const auto prefixes = workload.prefixes();
 
   constexpr std::size_t kAps = 4;
-  harness::TestbedOptions options;
-  options.mode = ibgp::IbgpMode::kDual;  // both planes wired
-  options.num_aps = kAps;
-  options.mrai = sim::sec(5);
+  harness::TestbedConfig config;
+  config.mode = ibgp::IbgpMode::kDual;  // both planes wired
+  config.abrr.num_aps = kAps;
+  config.timing.mrai = sim::sec(5);
 
-  harness::Testbed bed{topology, options, prefixes};
+  harness::Testbed bed{topology, config, prefixes};
   core::TransitionController controller{*bed.partition()};
   for (const auto id : bed.all_ids()) controller.attach(bed.speaker(id));
 
@@ -71,7 +71,7 @@ int main() {
               controller.complete() ? "all APs on ABRR" : "INCOMPLETE");
 
   // Cross-check against a from-scratch pure ABRR deployment.
-  harness::TestbedOptions pure = options;
+  harness::TestbedConfig pure = config;
   pure.mode = ibgp::IbgpMode::kAbrr;
   harness::Testbed abrr{topology, pure, prefixes};
   trace::RouteRegenerator regen2{abrr.scheduler(), workload,

@@ -1,7 +1,9 @@
-// Nested testbed configuration: the grouped form of the historical flat
-// TestbedOptions. ScenarioSpec (src/runner) embeds these sub-structs
-// directly; TestbedOptions (harness/testbed.h) remains as a thin flat
-// adapter over TestbedConfig so existing call sites compile unchanged.
+// Testbed configuration, the one vocabulary every experiment speaks:
+// runner::ScenarioSpec embeds these sub-structs and derives a
+// TestbedConfig per trial (ScenarioSpec::testbed_config), and
+// harness::Testbed is built from that TestbedConfig. Hand-built beds
+// (tests, gadgets with their own topologies) fill a TestbedConfig
+// directly; the §4 paper defaults live in ScenarioSpec::paper.
 #pragma once
 
 #include <cstddef>

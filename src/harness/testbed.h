@@ -7,7 +7,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/address_partition.h"
@@ -25,61 +24,6 @@ namespace abrr::harness {
 
 using bgp::Ipv4Prefix;
 using bgp::RouterId;
-
-/// Thin FLAT adapter over the grouped TestbedConfig (harness/options.h):
-/// the historical field-per-knob options struct, kept so existing tests
-/// and benches compile unchanged. New code — and everything reached via
-/// runner::ScenarioSpec — should use the nested form directly.
-struct TestbedOptions {
-  ibgp::IbgpMode mode = ibgp::IbgpMode::kFullMesh;
-  /// TBRR-multi (Appendix A.3) when mode covers TBRR.
-  bool multipath = false;
-  /// ABRR partitioning.
-  std::size_t num_aps = 8;
-  std::size_t arrs_per_ap = 2;
-  /// Balance APs on the given prefix set instead of uniform ranges.
-  bool balanced_aps = false;
-  /// §3.4 ablation: force client-side reduction on data-plane routers.
-  bool abrr_force_client_reduction = false;
-  bgp::DecisionConfig decision{};
-  sim::Time mrai = sim::sec(5);
-  sim::Time proc_delay = sim::msec(50);
-  sim::Time proc_per_update = sim::usec(50);
-  /// Session latency = 1ms + IGP distance x this (+ uniform jitter).
-  sim::Time latency_per_metric = sim::usec(100);
-  sim::Time latency_jitter = sim::msec(10);
-  std::uint64_t seed = 7;
-  /// iBGP hold time for failure detection (RFC 4271 §6.5 semantics);
-  /// 0 disables timers entirely — peers only go down via explicit
-  /// session_down — preserving the fault-free behavior bit for bit.
-  sim::Time hold_time = 0;
-  /// Observability. The metrics registry always exists (counters are the
-  /// single source of truth either way); `obs.enabled` additionally
-  /// attaches the event tracer and starts the virtual-time RIB sampler.
-  /// Disabled runs are bit-identical to pre-observability runs.
-  obs::ObsOptions obs{};
-
-  /// The grouped equivalent; Testbed construction goes through this.
-  TestbedConfig config() const {
-    TestbedConfig c;
-    c.mode = mode;
-    c.multipath = multipath;
-    c.abrr.num_aps = num_aps;
-    c.abrr.arrs_per_ap = arrs_per_ap;
-    c.abrr.balanced_aps = balanced_aps;
-    c.abrr.force_client_reduction = abrr_force_client_reduction;
-    c.timing.mrai = mrai;
-    c.timing.proc_delay = proc_delay;
-    c.timing.proc_per_update = proc_per_update;
-    c.timing.latency_per_metric = latency_per_metric;
-    c.timing.latency_jitter = latency_jitter;
-    c.timing.hold_time = hold_time;
-    c.decision = decision;
-    c.seed = seed;
-    c.obs = obs;
-    return c;
-  }
-};
 
 /// Aggregate over a set of speakers (Figure 6's min/avg/max bars).
 struct Aggregate {
@@ -127,18 +71,13 @@ class Testbed {
   Testbed(topo::Topology topology, const TestbedConfig& config,
           std::span<const Ipv4Prefix> prefixes);
 
-  /// Legacy flat-options form (delegates through TestbedOptions::config).
-  Testbed(topo::Topology topology, const TestbedOptions& options,
-          std::span<const Ipv4Prefix> prefixes)
-      : Testbed(std::move(topology), options.config(), prefixes) {}
-
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
   sim::Scheduler& scheduler() { return scheduler_; }
   net::Network& network() { return network_; }
   /// The observability bundle (registry always live; tracer/sampler only
-  /// when TestbedOptions::obs.enabled).
+  /// when TestbedConfig::obs.enabled).
   obs::Obs& obs() { return *obs_; }
   const obs::Obs& obs() const { return *obs_; }
   obs::MetricsRegistry& metrics() { return obs_->metrics(); }

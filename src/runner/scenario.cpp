@@ -183,16 +183,20 @@ std::vector<ScenarioSpec> ScenarioSpec::sweep(const SweepAxes& axes) const {
   out.reserve(modes.size() * aps.size() * prefix_counts.size() *
               seed_list.size());
   for (const ibgp::IbgpMode m : modes) {
-    for (const std::size_t ap : aps) {
+    // A mode without ABRR never reads abrr.*: one pass, no /apN segment.
+    const std::size_t ap_passes = uses_abrr(m) ? aps.size() : 1;
+    for (std::size_t a = 0; a < ap_passes; ++a) {
       for (const std::size_t pfx : prefix_counts) {
         for (const std::uint64_t seed : seed_list) {
           ScenarioSpec child = *this;
           child.mode = m;
-          child.abrr.num_aps = ap;
           child.workload.prefixes = pfx;
           child.seeds = {seed};
-          child.name = name + "/" + mode_name(m) + "/ap" +
-                       std::to_string(ap);
+          child.name = name + "/" + mode_name(m);
+          if (uses_abrr(m)) {
+            child.abrr.num_aps = aps[a];
+            child.name += "/ap" + std::to_string(aps[a]);
+          }
           if (prefix_counts.size() > 1) {
             child.name += "/pfx" + std::to_string(pfx);
           }

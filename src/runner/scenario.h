@@ -126,7 +126,10 @@ struct ScenarioSpec {
   /// carries exactly ONE seed and a derived name
   /// (`base/mode/apN[/pfxN]/seedS`), in deterministic declared-axis
   /// order: modes outermost, then num_aps, then prefix_counts, then
-  /// seeds innermost. Empty axes reuse the base spec's value(s).
+  /// seeds innermost. Empty axes reuse the base spec's value(s). Modes
+  /// without ABRR (full mesh, TBRR) never read `abrr.*`, so they skip
+  /// the num_aps axis: one child per (prefix count, seed), named
+  /// without the `/apN` segment and keeping the base spec's abrr group.
   std::vector<ScenarioSpec> sweep(const SweepAxes& axes) const;
 
   /// The testbed configuration for one trial of this spec. Applies the
@@ -143,8 +146,10 @@ struct ScenarioSpec {
     return workload.prefixes * 12 + 1024;
   }
 
-  /// Paper defaults (§4 timing: 20us/update processing, 20ms jitter),
-  /// matching the historical bench::paper_options().
+  /// The §4 testbed recipe: 2 ARRs per AP, 5 s MRAI, 50 ms + 20 us per
+  /// update processing, 20 ms latency jitter. The one place the paper's
+  /// defaults are spelled; every bench modelling the §4 testbed starts
+  /// from it (bench::paper_spec) and tweaks the returned groups.
   static ScenarioSpec paper(ibgp::IbgpMode mode, std::size_t num_aps,
                             std::uint64_t seed);
 };

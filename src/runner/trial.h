@@ -91,8 +91,9 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                       std::size_t index);
 
 /// The spec's deterministic world pieces, exported so the serving mode
-/// (src/serve) regenerates bit-identical worlds from the same
-/// (spec, seed) — its snapshot fingerprints must match batch trials.
+/// (src/serve) and the benches that drive their own testbeds regenerate
+/// bit-identical worlds from the same (spec, seed) — serve's snapshot
+/// fingerprints must match batch trials.
 topo::Topology make_trial_topology(const TopologyOptions& t, sim::Rng& rng);
 trace::Workload make_trial_workload(const WorkloadOptions& w,
                                     const topo::Topology& topology,

@@ -11,7 +11,7 @@ namespace abrr::core {
 namespace {
 
 using harness::Testbed;
-using harness::TestbedOptions;
+using harness::TestbedConfig;
 
 class TransitionTest : public ::testing::Test {
  protected:
@@ -29,13 +29,13 @@ class TransitionTest : public ::testing::Test {
     prefixes = workload.prefixes();
   }
 
-  TestbedOptions options(ibgp::IbgpMode mode) const {
-    TestbedOptions o;
+  TestbedConfig options(ibgp::IbgpMode mode) const {
+    TestbedConfig o;
     o.mode = mode;
-    o.num_aps = 4;
-    o.mrai = 0;
-    o.proc_delay = sim::msec(1);
-    o.latency_jitter = sim::msec(2);
+    o.abrr.num_aps = 4;
+    o.timing.mrai = 0;
+    o.timing.proc_delay = sim::msec(1);
+    o.timing.latency_jitter = sim::msec(2);
     return o;
   }
 

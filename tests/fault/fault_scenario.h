@@ -54,13 +54,13 @@ struct Bed {
 
 inline Bed make_bed(ibgp::IbgpMode mode, sim::Time hold_time) {
   const Scenario& s = scenario();
-  harness::TestbedOptions o;
+  harness::TestbedConfig o;
   o.mode = mode;
-  o.num_aps = 2;
-  o.arrs_per_ap = 2;
-  o.mrai = sim::msec(500);
+  o.abrr.num_aps = 2;
+  o.abrr.arrs_per_ap = 2;
+  o.timing.mrai = sim::msec(500);
   o.seed = 5;
-  o.hold_time = hold_time;
+  o.timing.hold_time = hold_time;
 
   Bed out;
   out.bed = std::make_unique<harness::Testbed>(s.topology, o, s.prefixes);

@@ -31,13 +31,13 @@ topo::Topology line_topology() {
   return t;
 }
 
-TestbedOptions options(ibgp::IbgpMode mode) {
-  TestbedOptions o;
+TestbedConfig options(ibgp::IbgpMode mode) {
+  TestbedConfig o;
   o.mode = mode;
-  o.num_aps = 1;
-  o.mrai = 0;
-  o.proc_delay = sim::msec(1);
-  o.latency_jitter = 0;
+  o.abrr.num_aps = 1;
+  o.timing.mrai = 0;
+  o.timing.proc_delay = sim::msec(1);
+  o.timing.latency_jitter = 0;
   return o;
 }
 

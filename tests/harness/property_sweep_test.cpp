@@ -45,13 +45,13 @@ class PropertySweep : public ::testing::TestWithParam<SweepCase> {
 
   std::unique_ptr<Testbed> build(ibgp::IbgpMode mode) {
     const auto param = GetParam();
-    TestbedOptions o;
+    TestbedConfig o;
     o.mode = mode;
-    o.num_aps = param.num_aps;
-    o.balanced_aps = param.balanced;
-    o.mrai = 0;
-    o.proc_delay = sim::msec(1);
-    o.latency_jitter = sim::msec(3);
+    o.abrr.num_aps = param.num_aps;
+    o.abrr.balanced_aps = param.balanced;
+    o.timing.mrai = 0;
+    o.timing.proc_delay = sim::msec(1);
+    o.timing.latency_jitter = sim::msec(3);
     o.seed = param.seed;
     auto bed = std::make_unique<Testbed>(topology, o, prefixes);
     trace::RouteRegenerator regen{bed->scheduler(), workload,

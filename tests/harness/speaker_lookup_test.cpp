@@ -32,9 +32,9 @@ class SpeakerLookup : public ::testing::Test {
 };
 
 TEST_F(SpeakerLookup, UnknownIdThrowsDescriptively) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 2;
+  o.abrr.num_aps = 2;
   Testbed bed{topology, o, prefixes};
   constexpr RouterId kBogus = 9999;
   ASSERT_FALSE(bed.has_speaker(kBogus));
@@ -58,7 +58,7 @@ TEST_F(SpeakerLookup, UnknownIdThrowsDescriptively) {
 }
 
 TEST_F(SpeakerLookup, ResetCountersTwiceIsIdempotent) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kTbrr;
   Testbed bed{topology, o, prefixes};
   trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};

@@ -27,9 +27,9 @@ class TestbedOptionsTest : public ::testing::Test {
 };
 
 TEST_F(TestbedOptionsTest, AbrrCreatesExtraArrNodesWhenPoolIsShort) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 8;  // needs 16 ARRs; the topology has only 6 boxes
+  o.abrr.num_aps = 8;  // needs 16 ARRs; the topology has only 6 boxes
   Testbed bed{topology, o, prefixes};
   EXPECT_EQ(bed.rr_ids().size(), 16u);
   // Every ARR id resolves to a speaker managing exactly one AP.
@@ -44,7 +44,7 @@ TEST_F(TestbedOptionsTest, AbrrCreatesExtraArrNodesWhenPoolIsShort) {
 }
 
 TEST_F(TestbedOptionsTest, TbrrUsesTopologyReflectorBoxes) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kTbrr;
   Testbed bed{topology, o, prefixes};
   EXPECT_EQ(bed.rr_ids().size(), topology.reflectors.size());
@@ -55,7 +55,7 @@ TEST_F(TestbedOptionsTest, TbrrUsesTopologyReflectorBoxes) {
 }
 
 TEST_F(TestbedOptionsTest, FullMeshHasNoRrsAndAllPairs) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kFullMesh;
   Testbed bed{topology, o, prefixes};
   EXPECT_TRUE(bed.rr_ids().empty());
@@ -64,10 +64,10 @@ TEST_F(TestbedOptionsTest, FullMeshHasNoRrsAndAllPairs) {
 }
 
 TEST_F(TestbedOptionsTest, BalancedPartitionIsUsed) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 4;
-  o.balanced_aps = true;
+  o.abrr.num_aps = 4;
+  o.abrr.balanced_aps = true;
   Testbed bed{topology, o, prefixes};
   const auto* partition = bed.partition();
   ASSERT_NE(partition, nullptr);
@@ -79,9 +79,9 @@ TEST_F(TestbedOptionsTest, BalancedPartitionIsUsed) {
 }
 
 TEST_F(TestbedOptionsTest, DualWiresBothPlanes) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kDual;
-  o.num_aps = 2;
+  o.abrr.num_aps = 2;
   Testbed bed{topology, o, prefixes};
   // Clients peer with 2 TRRs + 4 ARRs.
   for (const auto id : bed.client_ids()) {
@@ -92,10 +92,10 @@ TEST_F(TestbedOptionsTest, DualWiresBothPlanes) {
 }
 
 TEST_F(TestbedOptionsTest, InjectFnRoutesToTheRightSpeaker) {
-  TestbedOptions o;
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kFullMesh;
-  o.mrai = 0;
-  o.proc_delay = sim::msec(1);
+  o.timing.mrai = 0;
+  o.timing.proc_delay = sim::msec(1);
   Testbed bed{topology, o, prefixes};
   const auto inject = bed.inject_fn();
   const auto client = bed.client_ids().front();

@@ -29,17 +29,17 @@ class TestbedIntegration : public ::testing::Test {
     prefixes = workload.prefixes();
   }
 
-  TestbedOptions options(ibgp::IbgpMode mode, std::size_t aps = 4) const {
-    TestbedOptions o;
+  TestbedConfig options(ibgp::IbgpMode mode, std::size_t aps = 4) const {
+    TestbedConfig o;
     o.mode = mode;
-    o.num_aps = aps;
-    o.mrai = 0;
-    o.proc_delay = sim::msec(1);
-    o.latency_jitter = sim::msec(2);
+    o.abrr.num_aps = aps;
+    o.timing.mrai = 0;
+    o.timing.proc_delay = sim::msec(1);
+    o.timing.latency_jitter = sim::msec(2);
     return o;
   }
 
-  std::unique_ptr<Testbed> build_and_load(const TestbedOptions& o) {
+  std::unique_ptr<Testbed> build_and_load(const TestbedConfig& o) {
     auto bed = std::make_unique<Testbed>(topology, o, prefixes);
     trace::RouteRegenerator regen{bed->scheduler(), workload,
                                   bed->inject_fn()};

@@ -78,11 +78,11 @@ void expect_equal(const harness::RoleTotals& a, const harness::RoleTotals& b) {
 
 harness::Testbed make_bed(ibgp::IbgpMode mode) {
   const Scenario& s = scenario();
-  harness::TestbedOptions o;
+  harness::TestbedConfig o;
   o.mode = mode;
-  o.num_aps = 2;
-  o.arrs_per_ap = 2;
-  o.mrai = sim::msec(500);
+  o.abrr.num_aps = 2;
+  o.abrr.arrs_per_ap = 2;
+  o.timing.mrai = sim::msec(500);
   o.seed = 5;
   return harness::Testbed{s.topology, o, s.prefixes};
 }

@@ -39,13 +39,13 @@ Drill run_drill(bool obs_enabled) {
   const auto workload = trace::Workload::generate(wp, topology, rng);
   const auto prefixes = workload.prefixes();
 
-  harness::TestbedOptions o;
+  harness::TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 2;
-  o.arrs_per_ap = 2;
-  o.mrai = sim::msec(500);
+  o.abrr.num_aps = 2;
+  o.abrr.arrs_per_ap = 2;
+  o.timing.mrai = sim::msec(500);
   o.seed = 5;
-  o.hold_time = sim::sec(2);
+  o.timing.hold_time = sim::sec(2);
   o.obs.enabled = obs_enabled;
   o.obs.sample_period = sim::msec(250);
 

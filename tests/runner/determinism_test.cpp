@@ -150,7 +150,7 @@ TEST(Runner, SweepRunsCrossProduct) {
   const auto results = ExperimentRunner{{.jobs = 2}}.run_sweep(base, axes);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].scenario, "mini/abrr/ap2/seed11");
-  EXPECT_EQ(results[3].scenario, "mini/tbrr/ap2/seed12");
+  EXPECT_EQ(results[3].scenario, "mini/tbrr/seed12");
   for (const auto& r : results) {
     EXPECT_TRUE(r.error.empty()) << r.error;
     EXPECT_TRUE(r.converged) << r.scenario;

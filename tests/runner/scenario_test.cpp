@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 namespace abrr::runner {
 namespace {
@@ -112,16 +114,24 @@ TEST(ScenarioSweep, CrossProductInDeclaredOrder) {
   axes.num_aps = {4, 8};
   axes.seeds = {1, 2};
   const auto specs = base.sweep(axes);
-  ASSERT_EQ(specs.size(), 8u);
+  // TBRR never reads abrr.*, so it skips the AP axis: 2x2 + 2.
+  ASSERT_EQ(specs.size(), 6u);
   // modes outermost, seeds innermost
   EXPECT_EQ(specs[0].name, "base/abrr/ap4/seed1");
   EXPECT_EQ(specs[1].name, "base/abrr/ap4/seed2");
   EXPECT_EQ(specs[2].name, "base/abrr/ap8/seed1");
-  EXPECT_EQ(specs[7].name, "base/tbrr/ap8/seed2");
+  EXPECT_EQ(specs[4].name, "base/tbrr/seed1");
+  EXPECT_EQ(specs[5].name, "base/tbrr/seed2");
+  std::set<std::pair<ibgp::IbgpMode, std::uint64_t>> non_abrr;
   for (const auto& s : specs) {
     ASSERT_EQ(s.seeds.size(), 1u);
     EXPECT_TRUE(s.validate().empty());
+    if (s.mode != ibgp::IbgpMode::kAbrr) {
+      EXPECT_TRUE(non_abrr.emplace(s.mode, s.seeds.front()).second)
+          << "duplicated non-ABRR child " << s.name;
+    }
   }
+  EXPECT_EQ(non_abrr.size(), 2u);
 }
 
 TEST(ScenarioSweep, EmptyAxesKeepBaseValues) {

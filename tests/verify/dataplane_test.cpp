@@ -25,7 +25,7 @@ using bgp::Ipv4Prefix;
 using bgp::Route;
 using bgp::RouteBuilder;
 using harness::Testbed;
-using harness::TestbedOptions;
+using harness::TestbedConfig;
 
 const Ipv4Prefix kPfx = Ipv4Prefix::parse("10.0.0.0/8");
 constexpr bgp::RouterId kE1 = 1, kR1 = 2, kR2 = 3, kE2 = 4;
@@ -64,13 +64,13 @@ void inject_exits(Testbed& bed) {
   bed.speaker(kE2).inject_ebgp(0x80000002, exit_route(65002));
 }
 
-TestbedOptions options(ibgp::IbgpMode mode) {
-  TestbedOptions o;
+TestbedConfig options(ibgp::IbgpMode mode) {
+  TestbedConfig o;
   o.mode = mode;
-  o.num_aps = 1;
-  o.mrai = 0;
-  o.proc_delay = sim::msec(1);
-  o.latency_jitter = 0;
+  o.abrr.num_aps = 1;
+  o.timing.mrai = 0;
+  o.timing.proc_delay = sim::msec(1);
+  o.timing.latency_jitter = 0;
   return o;
 }
 

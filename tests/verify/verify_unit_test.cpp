@@ -14,7 +14,7 @@ namespace {
 using bgp::Ipv4Prefix;
 using bgp::RouteBuilder;
 using harness::Testbed;
-using harness::TestbedOptions;
+using harness::TestbedConfig;
 
 const Ipv4Prefix kPfx = Ipv4Prefix::parse("10.0.0.0/8");
 const Ipv4Prefix kOther = Ipv4Prefix::parse("99.0.0.0/8");
@@ -33,13 +33,13 @@ topo::Topology tiny() {
   return t;
 }
 
-TestbedOptions abrr_options() {
-  TestbedOptions o;
+TestbedConfig abrr_options() {
+  TestbedConfig o;
   o.mode = ibgp::IbgpMode::kAbrr;
-  o.num_aps = 1;
-  o.mrai = 0;
-  o.proc_delay = sim::msec(1);
-  o.latency_jitter = 0;
+  o.abrr.num_aps = 1;
+  o.timing.mrai = 0;
+  o.timing.proc_delay = sim::msec(1);
+  o.timing.latency_jitter = 0;
   return o;
 }
 

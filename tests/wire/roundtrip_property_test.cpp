@@ -203,11 +203,11 @@ class AllModesWire : public ::testing::TestWithParam<ibgp::IbgpMode> {};
 
 TEST_P(AllModesWire, CapturedAdvertisementsRoundTrip) {
   const Scenario& s = scenario();
-  harness::TestbedOptions o;
+  harness::TestbedConfig o;
   o.mode = GetParam();
-  o.num_aps = 2;
-  o.arrs_per_ap = 2;
-  o.mrai = sim::msec(500);
+  o.abrr.num_aps = 2;
+  o.abrr.arrs_per_ap = 2;
+  o.timing.mrai = sim::msec(500);
   o.seed = 11;
   o.obs.enabled = true;
   o.obs.pcap_frames = std::size_t{1} << 16;  // ample: nothing drops below
