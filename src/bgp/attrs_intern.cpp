@@ -1,5 +1,7 @@
 #include "bgp/attrs_intern.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -67,27 +69,49 @@ AttrsInterner& AttrsInterner::global() {
 
 AttrsPtr AttrsInterner::intern(PathAttrs&& attrs) {
   if (attrs.content_hash == 0) attrs.content_hash = attrs_content_hash(attrs);
-  const auto [begin, end] = table_.equal_range(attrs.content_hash);
-  for (auto it = begin; it != end; ++it) {
-    if (*it->second == attrs) {
+  const std::uint64_t hash = attrs.content_hash;
+  if (2 * (live_ + 1) > slots_.size()) {
+    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(hash);
+  for (; slots_[i].block != nullptr; i = (i + 1) & mask) {
+    if (slots_[i].hash == hash && *slots_[i].block == attrs) {
       ++hits_;
-      return it->second;
+      return slots_[i].block;
     }
   }
   ++misses_;
   store_encoded_size(attrs);
   const PathAttrs* block = arena_.create<PathAttrs>(std::move(attrs));
-  table_.emplace(block->content_hash, block);
+  slots_[i] = Slot{hash, block};
+  ++live_;
   return block;
 }
 
+void AttrsInterner::rehash(std::size_t capacity) {
+  std::vector<Slot> previous(capacity);
+  previous.swap(slots_);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  const std::size_t mask = capacity - 1;
+  for (const Slot& slot : previous) {
+    if (slot.block == nullptr) continue;
+    std::size_t i = home(slot.hash);
+    while (slots_[i].block != nullptr) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
 void AttrsInterner::reserve(std::size_t expected_blocks) {
-  table_.reserve(expected_blocks);
+  if (2 * expected_blocks > slots_.size()) {
+    rehash(std::bit_ceil(std::max<std::size_t>(16, 2 * expected_blocks)));
+  }
   arena_.reserve(expected_blocks * sizeof(PathAttrs));
 }
 
 void AttrsInterner::reset() {
-  table_.clear();
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  live_ = 0;
   arena_.reset();
 }
 

@@ -27,7 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "bgp/attributes.h"
 #include "sim/arena.h"
@@ -68,7 +68,7 @@ class AttrsInterner {
   void reset();
 
   /// Distinct canonical blocks currently indexed.
-  std::size_t live_blocks() const { return table_.size(); }
+  std::size_t live_blocks() const { return live_; }
 
   // Telemetry for benches, tests and the runner's allocation columns.
   std::uint64_t hits() const { return hits_; }
@@ -101,8 +101,26 @@ class AttrsInterner {
   };
 
  private:
-  // hash -> canonical blocks with that content hash (almost always one).
-  std::unordered_multimap<std::uint64_t, const PathAttrs*> table_;
+  // Open-addressing (content_hash -> block) table with linear probing:
+  // one flat array, no node per block. Equal hashes with unequal
+  // content simply occupy neighbouring slots. Blocks are never removed
+  // one by one, so there are no tombstones; reset() empties every slot.
+  struct Slot {
+    std::uint64_t hash = 0;
+    const PathAttrs* block = nullptr;  // null = empty
+  };
+
+  /// Index of `hash`'s first probe slot.
+  std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >>
+                                    shift_);
+  }
+  /// Rebuilds the table with `capacity` slots (a power of two).
+  void rehash(std::size_t capacity);
+
+  std::vector<Slot> slots_;  // size 0 or a power of two, at most half full
+  unsigned shift_ = 64;      // 64 - log2(slots_.size())
+  std::size_t live_ = 0;
   sim::Arena arena_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -1,23 +1,42 @@
 #include "bgp/decision.h"
 
 #include <algorithm>
+#include <compare>
 #include <limits>
 #include <utility>
 
 namespace abrr::bgp {
 namespace {
 
-// Generic elimination pass over the pointer scratch buffer: keep the
-// candidates minimising `key`, preserving relative order.
-template <typename Key>
-void keep_min(std::vector<const Route*>& routes, Key key) {
-  if (routes.size() <= 1) return;
-  auto best = key(*routes.front());
-  for (std::size_t i = 1; i < routes.size(); ++i) {
-    best = std::min(best, key(*routes[i]));
-  }
-  std::erase_if(routes, [&](const Route* r) { return key(*r) != best; });
+// Decision steps 1-3 as one lexicographic key: highest LOCAL_PREF,
+// then shortest AS path, then lowest origin.
+struct AsLevelKey {
+  std::uint32_t inverse_local_pref;
+  std::size_t path_length;
+  Origin origin;
+
+  auto operator<=>(const AsLevelKey&) const = default;
+};
+
+AsLevelKey as_level_key(const Route& r) {
+  return AsLevelKey{std::numeric_limits<std::uint32_t>::max() -
+                        r.attrs->local_pref,
+                    r.attrs->as_path.length(), r.attrs->origin};
 }
+
+// Decision steps 5-8 as one lexicographic key. The steps form a total
+// order over distinct (peer, path id) routes, so the winner is the key's
+// minimum; on a full tie the first candidate wins.
+struct TieBreakKey {
+  int ibgp;                  // step 5: eBGP/local before iBGP
+  std::int64_t igp;          // step 6: IGP metric to the NEXT_HOP
+  std::size_t cluster_list;  // RFC 4456 §9 (0 when disabled)
+  RouterId originator;       // step 7: ORIGINATOR_ID / advertising router
+  RouterId learned_from;     // step 8: lowest peer address
+  PathId path_id;            // determinism
+
+  auto operator<=>(const TieBreakKey&) const = default;
+};
 
 // Value-API shim: materializes survivors as Route copies.
 std::vector<Route> copy_out(const std::vector<const Route*>& ptrs) {
@@ -44,18 +63,21 @@ std::uint32_t DecisionConfig::med_of(const Route& r) const {
 
 void filter_as_level_pre_med_into(std::span<const Route* const> candidates,
                                   std::vector<const Route*>& out) {
+  // One pass: a candidate with a smaller key restarts the survivor list,
+  // an equal one joins it, so survivors keep their candidate order.
   out.clear();
+  AsLevelKey best{};
   for (const Route* r : candidates) {
-    if (r != nullptr && r->valid()) out.push_back(r);
+    if (r == nullptr || !r->valid()) continue;
+    const AsLevelKey key = as_level_key(*r);
+    if (out.empty() || key < best) {
+      out.clear();
+      best = key;
+      out.push_back(r);
+    } else if (key == best) {
+      out.push_back(r);
+    }
   }
-  // Step 1: highest LOCAL_PREF (negate for keep_min).
-  keep_min(out, [](const Route& r) {
-    return -static_cast<std::int64_t>(r.attrs->local_pref);
-  });
-  // Step 2: shortest AS path.
-  keep_min(out, [](const Route& r) { return r.attrs->as_path.length(); });
-  // Step 3: lowest origin type.
-  keep_min(out, [](const Route& r) { return static_cast<int>(r.attrs->origin); });
 }
 
 void best_as_level_into(std::span<const Route* const> candidates,
@@ -66,9 +88,20 @@ void best_as_level_into(std::span<const Route* const> candidates,
 
   // Step 4: lowest MED. Default semantics compare only within a
   // neighbor-AS group (deterministic-MED elimination); the survivors of
-  // every group together form the best AS-level set.
+  // every group together form the best AS-level set. Equal MEDs remove
+  // nothing under either rule, so the common case (peer routes carry
+  // no MED) never reads the AS paths.
+  const std::uint32_t first_med = cfg.med_of(*out.front());
+  if (std::all_of(out.begin() + 1, out.end(), [&](const Route* r) {
+        return cfg.med_of(*r) == first_med;
+      })) {
+    return;
+  }
   if (cfg.always_compare_med) {
-    keep_min(out, [&](const Route& r) { return cfg.med_of(r); });
+    std::uint32_t min_med = std::numeric_limits<std::uint32_t>::max();
+    for (const Route* r : out) min_med = std::min(min_med, cfg.med_of(*r));
+    std::erase_if(out,
+                  [&](const Route* r) { return cfg.med_of(*r) != min_med; });
     return;
   }
   // Per-group minima in a flat scratch: candidate sets see a handful of
@@ -170,42 +203,31 @@ const Route* select_best_from(std::span<const Route* const> candidates,
     return select_best_sequential_from(candidates, self, igp_distance, cfg);
   }
   best_as_level_into(candidates, cfg, scratch);
-  if (scratch.empty()) return nullptr;
 
-  // Step 5: prefer eBGP-learned (and locally-originated) over iBGP.
-  keep_min(scratch, [](const Route& r) {
-    return r.via == LearnedVia::kIbgp ? 1 : 0;
-  });
-
-  // Step 6: lowest IGP metric to the NEXT_HOP.
-  const auto igp_cost = [&](const Route& r) -> std::int64_t {
-    const RouterId nh = r.egress();
-    if (nh == self) return 0;
-    return igp_distance ? igp_distance(nh) : 0;
-  };
-  keep_min(scratch, igp_cost);
-  // Routes whose next hop is unreachable are unusable.
-  if (!scratch.empty() && igp_cost(*scratch.front()) == kIgpInfinity) {
-    return nullptr;
+  // Steps 5-8: one lexicographic minimum, one IGP lookup per candidate
+  // that can still win step 5.
+  const Route* best = nullptr;
+  TieBreakKey best_key{};
+  for (const Route* r : scratch) {
+    TieBreakKey key{};
+    key.ibgp = r->via == LearnedVia::kIbgp ? 1 : 0;
+    if (best != nullptr && key.ibgp > best_key.ibgp) continue;
+    const RouterId nh = r->egress();
+    key.igp = nh == self || !igp_distance ? 0 : igp_distance(nh);
+    key.cluster_list =
+        cfg.prefer_shorter_cluster_list ? r->attrs->cluster_list.size() : 0;
+    key.originator = r->attrs->originator_id.value_or(r->learned_from);
+    key.learned_from = r->learned_from;
+    key.path_id = r->path_id;
+    if (best == nullptr || key < best_key) {
+      best = r;
+      best_key = key;
+    }
   }
-
-  // Step 7 (RFC 4456 refinement): prefer the route with the lower
-  // ORIGINATOR_ID / router ID of the advertising router...
-  if (cfg.prefer_shorter_cluster_list) {
-    // ...but first the shorter CLUSTER_LIST (RFC 4456 §9).
-    keep_min(scratch, [](const Route& r) {
-      return r.attrs->cluster_list.size();
-    });
-  }
-  keep_min(scratch, [](const Route& r) {
-    return r.attrs->originator_id ? *r.attrs->originator_id : r.learned_from;
-  });
-
-  // Step 8: lowest peer address; our peer addresses are RouterIds. A
-  // final path-id tie-break guarantees a total order (determinism).
-  keep_min(scratch, [](const Route& r) { return r.learned_from; });
-  keep_min(scratch, [](const Route& r) { return r.path_id; });
-  return scratch.front();
+  // Routes whose next hop is unreachable are unusable; when the best
+  // one is unreachable, every route that survived step 5 is.
+  if (best != nullptr && best_key.igp == kIgpInfinity) return nullptr;
+  return best;
 }
 
 Route select_best_sequential(std::span<const Route> candidates, RouterId self,

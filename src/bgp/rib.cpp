@@ -37,7 +37,9 @@ AdjRibIn::PathList& AdjRibIn::ensure_list(std::uint32_t id) {
 
 AdjRibIn::Change AdjRibIn::announce(const Route& route) {
   if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  return insert(ensure_list(index_->add(route.prefix)), route);
+  const Change change = insert(ensure_list(index_->add(route.prefix)), route);
+  if (change == Change::kAdded) ++per_peer_[route.learned_from];
+  return change;
 }
 
 AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
@@ -47,7 +49,6 @@ AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
   if (it == paths.end() || key_of(*it) != key) {
     paths.insert(it, route);
     ++size_;
-    ++per_peer_[route.learned_from];
     return Change::kAdded;
   }
   if (it->same_announcement(route) && it->via == route.via) {
@@ -79,14 +80,34 @@ void AdjRibIn::replace(RouterId peer, const Ipv4Prefix& prefix,
 
 void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
                        std::span<const Route> routes) {
+  for (const Route& route : routes) {
+    if (!route.valid()) throw std::invalid_argument{"replace: invalid route"};
+    if (route.learned_from != peer || route.prefix != key.prefix) {
+      throw std::invalid_argument{"replace: route not from (peer, prefix)"};
+    }
+  }
   PathList& paths = ensure_list(key.id);
-  const std::size_t before = paths.size();
-  std::erase_if(paths, [&](const Route& entry) {
-    return entry.learned_from == peer;
+  // The list is sorted by (peer, path id), so the peer's paths are one
+  // run. A set of the same size in strictly increasing path-id order
+  // (what a sender's Adj-RIB-Out holds) takes the run's place as is.
+  const auto lo =
+      std::lower_bound(paths.begin(), paths.end(), Key{peer, 0}, KeyLess{});
+  const auto hi = std::find_if(lo, paths.end(), [&](const Route& entry) {
+    return entry.learned_from != peer;
   });
-  std::size_t& from_peer = per_peer_[peer];
-  from_peer -= before - paths.size();
-  size_ -= before - paths.size();
+  const auto removed = static_cast<std::size_t>(hi - lo);
+  const bool ascending =
+      std::adjacent_find(routes.begin(), routes.end(),
+                         [](const Route& a, const Route& b) {
+                           return a.path_id >= b.path_id;
+                         }) == routes.end();
+  if (removed == routes.size() && ascending) {
+    std::copy(routes.begin(), routes.end(), lo);
+    return;
+  }
+  paths.erase(lo, hi);
+  const std::size_t kept = paths.size();  // other peers' paths
+  size_ -= removed;
   // Grow once for the whole set, geometrically and to at least
   // kMinPaths: a client's list holds the reflected set of every ARR
   // session for the prefix, so growing one path at a time from empty
@@ -95,13 +116,10 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
   if (need > paths.capacity()) {
     paths.reserve(std::max({need, 2 * paths.capacity(), kMinPaths}));
   }
-  for (const Route& route : routes) {
-    if (!route.valid()) throw std::invalid_argument{"replace: invalid route"};
-    if (route.learned_from != peer || route.prefix != key.prefix) {
-      throw std::invalid_argument{"replace: route not from (peer, prefix)"};
-    }
-    insert(paths, route);
-  }
+  for (const Route& route : routes) insert(paths, route);
+  // The peer's count moves once per call, not once per stored route.
+  const std::size_t added = paths.size() - kept;
+  if (added != removed) per_peer_[peer] += added - removed;  // mod 2^64
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {

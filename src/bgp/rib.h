@@ -97,7 +97,8 @@ class AdjRibIn {
   const PathList* find_list(std::optional<std::uint32_t> id) const;
   /// The prefix's path list, growing the storage to cover `id`.
   PathList& ensure_list(std::uint32_t id);
-  /// announce() into an already-resolved list.
+  /// announce() into an already-resolved list. Leaves the per-peer
+  /// count to the caller.
   Change insert(PathList& paths, const Route& route);
 
   std::shared_ptr<PrefixIndex> index_;

@@ -165,9 +165,9 @@ void Speaker::add_peer(const PeerInfo& peer) {
 
   const auto join = [&](int key) {
     auto& g = group(key);
-    if (std::find(g.members.begin(), g.members.end(), merged.id) ==
+    if (std::find(g.members.begin(), g.members.end(), &ps) ==
         g.members.end()) {
-      g.members.push_back(merged.id);
+      g.members.push_back(&ps);
       ps.groups.push_back(key);
     }
   };
@@ -237,11 +237,12 @@ void Speaker::keepalive_tick() {
 void Speaker::receive(RouterId from, bgp::UpdateMessage&& msg) {
   if (!alive_) return;  // a crashed process hears nothing
   const auto pit = peers_.find(from);
-  if (pit != peers_.end()) {
-    pit->second.last_heard = scheduler_->now();
+  PeerState* sender = pit != peers_.end() ? &pit->second : nullptr;
+  if (sender != nullptr) {
+    sender->last_heard = scheduler_->now();
     // Traffic from a peer we consider down proves the transport works:
     // treat it as session (re-)establishment and resync toward it.
-    if (!pit->second.up) {
+    if (!sender->up) {
       c_.sessions_reestablished->inc();
       session_up(from);
     }
@@ -257,7 +258,7 @@ void Speaker::receive(RouterId from, bgp::UpdateMessage&& msg) {
     tracer_->record(obs::TraceEventKind::kUpdateRx, config_.id, from,
                     msg.announce.size());
   }
-  enqueue(Incoming{from, std::move(msg)});
+  enqueue(Incoming{from, std::move(msg), /*ebgp=*/false, Route{}, sender});
 }
 
 void Speaker::enqueue(Incoming&& incoming) {
@@ -290,13 +291,16 @@ void Speaker::drain_input() {
   for (Incoming& incoming : drain_batch_) apply(incoming, scratch_dirty_);
   drain_batch_.clear();
 
-  std::sort(scratch_dirty_.begin(), scratch_dirty_.end());
+  std::sort(scratch_dirty_.begin(), scratch_dirty_.end(),
+            [](const bgp::IndexedPrefix& a, const bgp::IndexedPrefix& b) {
+              return a.prefix < b.prefix;
+            });
   c_.drain_batch->record(static_cast<double>(scratch_dirty_.size()));
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kDecision, config_.id, 0,
                     scratch_dirty_.size());
   }
-  for (const Ipv4Prefix& prefix : scratch_dirty_) run_pipeline(prefix);
+  for (const auto& [prefix, pid] : scratch_dirty_) run_pipeline(prefix, pid);
   trim_scratch();
 }
 
@@ -309,11 +313,11 @@ void Speaker::trim_scratch() {
 }
 
 void Speaker::mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
-                         std::vector<Ipv4Prefix>& dirty) {
+                         std::vector<bgp::IndexedPrefix>& dirty) {
   if (dirty_mark_.size() <= pid) dirty_mark_.resize(prefix_index_->size(), 0);
   if (dirty_mark_[pid] == dirty_epoch_) return;
   dirty_mark_[pid] = dirty_epoch_;
-  dirty.push_back(prefix);
+  dirty.push_back({prefix, pid});
 }
 
 bool Speaker::accept_route(const Route& route, const PeerState*) const {
@@ -330,7 +334,8 @@ bool Speaker::accept_route(const Route& route, const PeerState*) const {
   return true;
 }
 
-void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
+void Speaker::apply(Incoming& incoming,
+                    std::vector<bgp::IndexedPrefix>& dirty) {
   const Ipv4Prefix prefix = incoming.msg.prefix;
   const PrefixId pid = prefix_id(prefix);
 
@@ -344,9 +349,13 @@ void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
     return;
   }
 
-  const auto pit = peers_.find(incoming.from);
-  if (pit == peers_.end()) return;  // stale message from a removed peer
-  const PeerState& peer = pit->second;
+  const PeerState* sender = incoming.peer;
+  if (sender == nullptr) {  // unknown on receipt; it may have been added
+    const auto pit = peers_.find(incoming.from);
+    if (pit == peers_.end()) return;  // stale message from a removed peer
+    sender = &pit->second;
+  }
+  const PeerState& peer = *sender;
 
   // Is this message an ABRR reflection towards us (sender is our ARR for
   // one of the prefix's APs)?
@@ -430,11 +439,10 @@ void Speaker::apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty) {
   mark_dirty(prefix, pid, dirty);
 }
 
-void Speaker::run_pipeline(const Ipv4Prefix& prefix) {
+void Speaker::run_pipeline(const Ipv4Prefix& prefix, PrefixId pid) {
   // Candidates are pointers into the Adj-RIB-In, valid across the whole
   // pipeline (decide_local only touches the Loc-RIB; the reflectors only
   // touch Adj-RIB-Outs).
-  const PrefixId pid = prefix_id(prefix);
   adj_rib_in_.routes_for({prefix, pid}, scratch_candidates_);
 
   // Every speaker (including control-plane RRs) maintains a Loc-RIB;
@@ -455,7 +463,9 @@ void Speaker::refresh_all() {
   loc_rib_.for_each([&](const Route& r) { seen.push_back(r.prefix); });
   std::sort(seen.begin(), seen.end());
   seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  for (const Ipv4Prefix& prefix : seen) run_pipeline(prefix);
+  for (const Ipv4Prefix& prefix : seen) {
+    run_pipeline(prefix, prefix_id(prefix));
+  }
 }
 
 void Speaker::decide_local(const Ipv4Prefix& prefix, PrefixId pid,
@@ -546,26 +556,29 @@ void Speaker::session_down(RouterId peer) {
     }
   }
   const std::vector<Ipv4Prefix> affected = adj_rib_in_.withdraw_peer(peer);
-  for (const Ipv4Prefix& prefix : affected) run_pipeline(prefix);
+  for (const Ipv4Prefix& prefix : affected) {
+    run_pipeline(prefix, prefix_id(prefix));
+  }
 }
 
 void Speaker::session_up(RouterId peer) {
   if (!alive_) return;  // a crashed router cannot open sessions
   const auto pit = peers_.find(peer);
   if (pit == peers_.end()) return;
-  pit->second.up = true;
-  pit->second.last_heard = scheduler_->now();
+  PeerState& ps = pit->second;
+  ps.up = true;
+  ps.last_heard = scheduler_->now();
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kSessionUp, config_.id, peer);
   }
   for (const auto& [key, g] : groups_) {
-    if (std::find(g.members.begin(), g.members.end(), peer) ==
+    if (std::find(g.members.begin(), g.members.end(), &ps) ==
         g.members.end()) {
       continue;
     }
     g.rib.for_each(
         [&, k = key](const Ipv4Prefix& prefix, const std::vector<Route>&) {
-          schedule_send(peer, k, prefix);
+          schedule_send(ps, k, prefix, prefix_id(prefix));
         });
   }
 }
@@ -811,29 +824,29 @@ void Speaker::set_group_routes(int key, const Ipv4Prefix& prefix,
   } else if (key == kGroupRrPeers) {
     c_.generated_to_rrs->inc();
   }
-  for (const RouterId member : g.members) {
-    schedule_send(member, key, prefix);
+  for (PeerState* member : g.members) {
+    schedule_send(*member, key, prefix, pid);
   }
 }
 
-void Speaker::schedule_send(RouterId peer, int key, const Ipv4Prefix& prefix) {
-  PeerState& ps = peers_.at(peer);
+void Speaker::schedule_send(PeerState& ps, int key, const Ipv4Prefix& prefix,
+                            PrefixId pid) {
   // Nothing is sent into a torn-down session; session_up replays the
   // whole Adj-RIB-Out when it comes back, so nothing is lost either.
   if (!ps.up) return;
   if (config_.mrai <= 0) {
-    transmit(ps, key, prefix);
+    transmit(ps, key, prefix, pid);
     return;
   }
   if (!ps.mrai_armed) {
-    transmit(ps, key, prefix);
+    transmit(ps, key, prefix, pid);
     ps.mrai_armed = true;
     ps.mrai_timer = scheduler_->schedule_after(
-        config_.mrai, [this, peer] { flush_peer(peer); });
+        config_.mrai, [this, p = &ps] { flush_peer(*p); });
     return;
   }
   if (ps.pending_keys.insert(tx_key(key, prefix))) {
-    ps.pending.emplace_back(key, prefix);
+    ps.pending.push_back({key, prefix, pid});
   }
 }
 
@@ -845,10 +858,7 @@ std::uint64_t Speaker::tx_key(int key, const Ipv4Prefix& prefix) {
          (static_cast<std::uint32_t>(key + 8) & 0xffffffu);
 }
 
-void Speaker::flush_peer(RouterId peer) {
-  const auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  PeerState& ps = it->second;
+void Speaker::flush_peer(PeerState& ps) {
   if (ps.pending.empty()) {
     ps.mrai_armed = false;
     return;
@@ -857,16 +867,18 @@ void Speaker::flush_peer(RouterId peer) {
   // storage, which recycle() keeps bounded.
   flush_batch_.swap(ps.pending);
   ps.pending_keys.clear();
-  for (const auto& [key, prefix] : flush_batch_) transmit(ps, key, prefix);
+  for (const PendingTx& tx : flush_batch_) {
+    transmit(ps, tx.group, tx.prefix, tx.pid);
+  }
   recycle(flush_batch_);
   ps.mrai_timer = scheduler_->schedule_after(
-      config_.mrai, [this, peer] { flush_peer(peer); });
+      config_.mrai, [this, p = &ps] { flush_peer(*p); });
 }
 
-void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix) {
+void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix,
+                       PrefixId pid) {
   if (!ps.up) return;
   const OutGroup& g = group(key);
-  const PrefixId pid = prefix_id(prefix);
   const std::vector<Route>* current = g.rib.get({prefix, pid});
 
   // "Not returned to sender": drop routes this peer itself advertised.

@@ -341,9 +341,23 @@ class Speaker {
   static int client_group(ApId ap) { return 2 * ap + 1; }
 
  private:
+  /// Dense id of a prefix in `prefix_index_`.
+  using PrefixId = std::uint32_t;
+
+  struct PeerState;
+
   struct OutGroup {
     bgp::AdjRibOut rib;
-    std::vector<RouterId> members;
+    /// Member peers, in join order. Entries of `peers_`, which is
+    /// node-based and never erased, so the pointers stay valid.
+    std::vector<PeerState*> members;
+  };
+
+  /// A (group, prefix) transmission waiting for the MRAI flush.
+  struct PendingTx {
+    int group;
+    Ipv4Prefix prefix;
+    PrefixId pid;
   };
 
   struct PeerState {
@@ -359,7 +373,7 @@ class Speaker {
     // Pending (group, prefix) pairs awaiting the MRAI flush, in first-
     // insertion order; `pending_keys` holds their tx_key()s so each pair
     // is queued once per window.
-    std::vector<std::pair<int, Ipv4Prefix>> pending;
+    std::vector<PendingTx> pending;
     sim::KeySet pending_keys;
     // The groups this peer is a member of, in join order.
     std::vector<int> groups;
@@ -377,12 +391,14 @@ class Speaker {
     /// eBGP: the injected or originated route, held inline so a feed
     /// event allocates nothing; an invalid route withdraws.
     Route ebgp_route;
+    /// iBGP: the sender's state, when it was a known peer on receipt.
+    PeerState* peer = nullptr;
   };
 
   /// Dense id of `prefix`, registered on first sight. Resolved once per
-  /// message, pipeline run and transmission, then handed down to the
-  /// speaker's own arrays and, as a bgp::IndexedPrefix, to the RIBs.
-  using PrefixId = std::uint32_t;
+  /// received message, then carried with the prefix through the dirty
+  /// list, the pipeline and the MRAI pending list down to the speaker's
+  /// own arrays and, as a bgp::IndexedPrefix, to the RIBs.
   PrefixId prefix_id(const Ipv4Prefix& prefix) {
     return prefix_index_->add(prefix);
   }
@@ -393,17 +409,17 @@ class Speaker {
   void drain_input();
   /// Applies one message to the Adj-RIB-In; appends dirty prefixes.
   /// Stamps and filters the message's routes in place.
-  void apply(Incoming& incoming, std::vector<Ipv4Prefix>& dirty);
+  void apply(Incoming& incoming, std::vector<bgp::IndexedPrefix>& dirty);
   /// Appends `prefix` to `dirty` unless already marked this drain epoch.
   void mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
-                  std::vector<Ipv4Prefix>& dirty);
+                  std::vector<bgp::IndexedPrefix>& dirty);
   bool accept_route(const Route& route, const PeerState* peer) const;
 
   // -- decision + advertisement path --
   // The pipeline works over scratch buffers of `const Route*` pointing
   // into the Adj-RIB-In (and, for the ARR hand-off, one local copy);
   // routes are only materialized when an Adj-RIB-Out actually changes.
-  void run_pipeline(const Ipv4Prefix& prefix);
+  void run_pipeline(const Ipv4Prefix& prefix, PrefixId pid);
   void reflect_tbrr(const Ipv4Prefix& prefix, PrefixId pid,
                     std::span<const Route* const> candidates);
   void reflect_abrr(const Ipv4Prefix& prefix, PrefixId pid,
@@ -420,9 +436,11 @@ class Speaker {
   void set_group_routes(int group, const Ipv4Prefix& prefix, PrefixId pid,
                         std::span<Route> routes);
 
-  void schedule_send(RouterId peer, int group, const Ipv4Prefix& prefix);
-  void flush_peer(RouterId peer);
-  void transmit(PeerState& peer, int group, const Ipv4Prefix& prefix);
+  void schedule_send(PeerState& peer, int group, const Ipv4Prefix& prefix,
+                     PrefixId pid);
+  void flush_peer(PeerState& peer);
+  void transmit(PeerState& peer, int group, const Ipv4Prefix& prefix,
+                PrefixId pid);
 
   std::uint64_t& sent_hash(PeerState& peer, int group, PrefixId pid);
   /// Exact (group, prefix) key for the pending set.
@@ -513,14 +531,14 @@ class Speaker {
   std::vector<Route> scratch_to_rrs_;
   std::vector<ApId> scratch_aps_;
   // flush_peer's batch; swapped with a peer's pending list.
-  std::vector<std::pair<int, Ipv4Prefix>> flush_batch_;
+  std::vector<PendingTx> flush_batch_;
   std::vector<const Route*> scratch_candidates_;
   std::vector<const Route*> scratch_accepted_;
   std::vector<const Route*> scratch_eligible_;
   std::vector<const Route*> scratch_select_;
   std::vector<const Route*> scratch_bal_;
   std::vector<const Route*> scratch_target_;
-  std::vector<Ipv4Prefix> scratch_dirty_;
+  std::vector<bgp::IndexedPrefix> scratch_dirty_;
 
   // Hot-path metric handles: looked up once at construction, incremented
   // directly (one add through a pointer) everywhere the old

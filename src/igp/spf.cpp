@@ -5,7 +5,7 @@
 
 namespace abrr::igp {
 
-Metric SpfTree::distance_to(RouterId target) const {
+Metric SpfTree::sparse_distance_to(RouterId target) const {
   const auto it = distance.find(target);
   return it == distance.end() ? bgp::kIgpInfinity : it->second;
 }
@@ -46,13 +46,26 @@ SpfTree compute_spf(const Graph& graph, RouterId source) {
       heap.emplace(dist + edge.metric, edge.to, next_first);
     }
   }
+  for (const auto& [node, dist] : tree.distance) {
+    if (node >= SpfTree::kDenseIds) continue;
+    if (node >= tree.dense_distance.size()) {
+      tree.dense_distance.resize(node + 1, bgp::kIgpInfinity);
+    }
+    tree.dense_distance[node] = dist;
+  }
   return tree;
 }
 
+const SpfTree& SpfCache::refresh(RouterId source, Entry& entry) {
+  if (!entry.fresh) {
+    entry.tree = compute_spf(*graph_, source);
+    entry.fresh = true;
+  }
+  return entry.tree;
+}
+
 const SpfTree& SpfCache::tree(RouterId source) {
-  const auto it = trees_.find(source);
-  if (it != trees_.end()) return it->second;
-  return trees_.emplace(source, compute_spf(*graph_, source)).first->second;
+  return refresh(source, trees_[source]);
 }
 
 Metric SpfCache::distance(RouterId from, RouterId to) {
@@ -64,7 +77,13 @@ RouterId SpfCache::next_hop(RouterId from, RouterId to) {
 }
 
 bgp::IgpDistanceFn SpfCache::distance_fn(RouterId from) {
-  return [this, from](RouterId next_hop) { return distance(from, next_hop); };
+  return [this, from, entry = &trees_[from]](RouterId next_hop) {
+    return refresh(from, *entry).distance_to(next_hop);
+  };
+}
+
+void SpfCache::invalidate() {
+  for (auto& [source, entry] : trees_) entry.fresh = false;
 }
 
 }  // namespace abrr::igp

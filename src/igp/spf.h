@@ -2,6 +2,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <vector>
 
 #include "bgp/decision.h"
 #include "igp/graph.h"
@@ -17,12 +18,26 @@ struct SpfTree {
   /// maps to itself). Ties broken toward the lower neighbor id so the
   /// data-plane walk is deterministic.
   std::unordered_map<RouterId, RouterId> first_hop;
+  /// `distance` again as an array over router ids below kDenseIds
+  /// (kIgpInfinity = unreachable), sized to the largest such reachable
+  /// id. Routers are numbered from 1 up, so every BGP speaker lands
+  /// here; the PoP hubs (topo::kHubBase and up) stay in the map only.
+  std::vector<Metric> dense_distance;
+
+  /// Router ids below this bound are indexed by `dense_distance`.
+  static constexpr RouterId kDenseIds = 1u << 20;
 
   /// Distance, or bgp::kIgpInfinity when unreachable.
-  Metric distance_to(RouterId target) const;
+  Metric distance_to(RouterId target) const {
+    if (target < dense_distance.size()) return dense_distance[target];
+    return sparse_distance_to(target);
+  }
 
   /// Next hop toward target, or kNoRouter when unreachable.
   RouterId next_hop_to(RouterId target) const;
+
+ private:
+  Metric sparse_distance_to(RouterId target) const;
 };
 
 /// Runs Dijkstra from `source`.
@@ -40,15 +55,28 @@ class SpfCache {
 
   RouterId next_hop(RouterId from, RouterId to);
 
-  /// Distance oracle bound to a vantage point, for decision step 6.
+  /// Distance oracle bound to a vantage point, for decision step 6. It
+  /// holds the vantage point's cache entry, so a call costs an array
+  /// read (ids below SpfTree::kDenseIds), not a map probe. It stays
+  /// valid across invalidate() and recomputes on its next call.
   bgp::IgpDistanceFn distance_fn(RouterId from);
 
-  /// Drops all cached trees (call after mutating the graph).
-  void invalidate() { trees_.clear(); }
+  /// Marks every cached tree stale (call after mutating the graph); each
+  /// recomputes on its next use.
+  void invalidate();
 
  private:
+  struct Entry {
+    SpfTree tree;
+    bool fresh = false;
+  };
+
+  /// `source`'s entry, recomputed first when stale.
+  const SpfTree& refresh(RouterId source, Entry& entry);
+
   const Graph* graph_;
-  std::unordered_map<RouterId, SpfTree> trees_;
+  // Node-based and never erased: oracles point at their entry.
+  std::unordered_map<RouterId, Entry> trees_;
 };
 
 }  // namespace abrr::igp

@@ -1,11 +1,11 @@
 // Point-to-point control-plane channel between two routers.
 //
 // Models the BGP TCP session transport: reliable, in-order delivery with
-// a configurable one-way latency. In-order delivery is enforced even
-// under jitter by never scheduling a message before the previously sent
-// one on the same directed channel, and is additionally asserted at
-// delivery time by a per-channel sequence check (the fault-injection
-// hooks must not be able to reorder the stream).
+// a configurable one-way latency. In-order delivery holds even under
+// jitter because a message is never due before the previously sent one
+// on the same directed channel, and the network keeps each channel's
+// in-flight messages in one FIFO queue whose head alone is scheduled:
+// delivering the head arms the next, so nothing can overtake.
 //
 // Fault model (driven by fault::FaultInjector through Network):
 //  - link down: messages are buffered, not lost — TCP keeps
@@ -13,8 +13,8 @@
 //    order when the link restores, and discarded when either endpoint
 //    tears the session down (the connection reset loses the window).
 //  - impairment window: per-message extra delay and/or loss probability.
-//    Loss is decided at send time, before a sequence number is
-//    assigned, so delivered messages still form a gap-free FIFO stream.
+//    Loss is decided at send time, before the message is queued, so
+//    delivered messages still form a gap-free FIFO stream.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +50,6 @@ struct ChannelState {
   std::uint64_t dropped = 0;
   /// Messages awaiting a link restore, in send order.
   std::vector<bgp::UpdateMessage> buffered;
-
-  // --- in-order delivery invariant ------------------------------------
-  /// Next sequence number to assign when a delivery is scheduled.
-  std::uint64_t next_seq = 0;
-  /// Sequence number the receiver expects; a delivered message whose
-  /// sequence differs means the fault hooks reordered the stream, which
-  /// is a bug (Network::send throws logic_error).
-  std::uint64_t expect_seq = 0;
 };
 
 }  // namespace abrr::net

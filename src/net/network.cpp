@@ -33,10 +33,11 @@ void Network::connect(RouterId a, RouterId b, sim::Time latency,
   if (latency < 0 || jitter < 0) {
     throw std::invalid_argument{"connect: negative latency"};
   }
-  for (const auto k : {key(a, b), key(b, a)}) {
-    ChannelState& ch = channels_[k];
-    ch.base_latency = latency;
-    ch.jitter = jitter;
+  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    Channel& ch = channels_[key(from, to)];
+    ch.from = from;
+    ch.state.base_latency = latency;
+    ch.state.jitter = jitter;
   }
 }
 
@@ -44,37 +45,37 @@ bool Network::connected(RouterId a, RouterId b) const {
   return channels_.count(key(a, b)) != 0;
 }
 
-void Network::dispatch(RouterId from, RouterId to, ChannelState& ch,
-                       const Receiver& receiver, bgp::UpdateMessage msg) {
-  sim::Time latency = ch.base_latency + ch.extra_delay;
-  if (ch.jitter > 0) latency += rng_->uniform_int(0, ch.jitter);
+void Network::dispatch(Channel& ch, const Receiver& receiver,
+                       bgp::UpdateMessage msg) {
+  ChannelState& st = ch.state;
+  sim::Time latency = st.base_latency + st.extra_delay;
+  if (st.jitter > 0) latency += rng_->uniform_int(0, st.jitter);
   sim::Time at = scheduler_->now() + latency;
-  if (at <= ch.last_delivery) at = ch.last_delivery + 1;  // FIFO
-  ch.last_delivery = at;
-  const std::uint64_t seq = ch.next_seq++;
+  if (at <= st.last_delivery) at = st.last_delivery + 1;  // FIFO
+  st.last_delivery = at;
+  ch.receiver = &receiver;
+  // The sequence number is taken now, as a delivery event scheduled here
+  // would take it; the event itself is pushed when the message reaches
+  // the head of the queue.
+  const bool idle = ch.in_flight.empty();
+  in_flight_.push(ch.in_flight,
+                  InFlight{at, scheduler_->reserve_seq(), std::move(msg)});
+  if (idle) arm(ch);
+}
 
-  // The closure holds the channel (for the in-order check) and the
-  // receiver slot by pointer: neither is ever erased, a rehash does not
-  // move them, and an endpoint re-registered mid-run (e.g. transition
-  // experiments) is reached through the same slot. The payload is moved
-  // into the receiver, not copied.
-  auto deliver = [chp = &ch, rcv = &receiver, from, to, seq,
-                  m = std::move(msg)]() mutable {
-    if (seq != chp->expect_seq) {
-      throw std::logic_error{"channel " + std::to_string(from) + " -> " +
-                             std::to_string(to) +
-                             " delivered out of order (fault hooks broke "
-                             "the FIFO invariant)"};
-    }
-    ++chp->expect_seq;
-    (*rcv)(from, std::move(m));
-  };
-  // The delivery closure is the dominant event on the scheduler hot path;
-  // it must stay within the pooled nodes' inline capture budget or every
-  // message delivery regains a heap allocation.
-  static_assert(sim::Scheduler::Callback::fits_inline<decltype(deliver)>(),
-                "delivery lambda exceeds Scheduler::kCallbackCapacity");
-  scheduler_->schedule_at(at, std::move(deliver));
+void Network::arm(Channel& ch) {
+  const InFlight& head = in_flight_.front(ch.in_flight);
+  scheduler_->schedule_reserved(head.at, head.seq,
+                                [this, chp = &ch] { deliver(*chp); });
+}
+
+void Network::deliver(Channel& ch) {
+  bgp::UpdateMessage msg = std::move(in_flight_.front(ch.in_flight).msg);
+  in_flight_.pop(ch.in_flight);
+  // Due times strictly increase along the queue, so the next head is
+  // still ahead of this event and keeps its reserved place.
+  if (!ch.in_flight.empty()) arm(ch);
+  (*ch.receiver)(ch.from, std::move(msg));
 }
 
 void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
@@ -90,7 +91,8 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
                            std::to_string(to)};
   }
 
-  ChannelState& ch = cit->second;
+  Channel& channel = cit->second;
+  ChannelState& ch = channel.state;
   if (!down_endpoints_.empty() && down_endpoints_.count(to) != 0) {
     // The destination's TCP stack died with it; nothing retransmits.
     ++ch.dropped;
@@ -138,7 +140,7 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
     ch.buffered.push_back(std::move(msg));
     return;
   }
-  dispatch(from, to, ch, eit->second, std::move(msg));
+  dispatch(channel, eit->second, std::move(msg));
 }
 
 void Network::set_link(RouterId a, RouterId b, bool up) {
@@ -148,7 +150,8 @@ void Network::set_link(RouterId a, RouterId b, bool up) {
       throw std::logic_error{"set_link: no session " + std::to_string(a) +
                              " <-> " + std::to_string(b)};
     }
-    ChannelState& ch = it->second;
+    Channel& channel = it->second;
+    ChannelState& ch = channel.state;
     if (ch.up == up) continue;
     ch.up = up;
     if (!up) continue;
@@ -157,14 +160,14 @@ void Network::set_link(RouterId a, RouterId b, bool up) {
     // send() refused to buffer toward an unregistered endpoint.
     const Receiver& receiver = endpoints_.at(to);
     for (bgp::UpdateMessage& msg : flush) {
-      dispatch(from, to, ch, receiver, std::move(msg));
+      dispatch(channel, receiver, std::move(msg));
     }
   }
 }
 
 bool Network::link_up(RouterId a, RouterId b) const {
   const auto it = channels_.find(key(a, b));
-  return it != channels_.end() && it->second.up;
+  return it != channels_.end() && it->second.state.up;
 }
 
 void Network::set_endpoint_up(RouterId id, bool up) {
@@ -190,8 +193,8 @@ void Network::impair(RouterId a, RouterId b, sim::Time extra_delay,
       throw std::logic_error{"impair: no session " + std::to_string(a) +
                              " <-> " + std::to_string(b)};
     }
-    it->second.extra_delay = extra_delay;
-    it->second.loss_prob = loss_prob;
+    it->second.state.extra_delay = extra_delay;
+    it->second.state.loss_prob = loss_prob;
   }
 }
 
@@ -199,7 +202,7 @@ void Network::session_reset(RouterId a, RouterId b) {
   for (const auto k : {key(a, b), key(b, a)}) {
     const auto it = channels_.find(k);
     if (it == channels_.end()) continue;
-    ChannelState& ch = it->second;
+    ChannelState& ch = it->second.state;
     if (ch.buffered.empty()) continue;
     ch.dropped += ch.buffered.size();
     total_dropped_ += ch.buffered.size();
@@ -228,7 +231,7 @@ std::vector<std::pair<RouterId, RouterId>> Network::sessions() const {
 
 const ChannelState* Network::channel(RouterId from, RouterId to) const {
   const auto it = channels_.find(key(from, to));
-  return it == channels_.end() ? nullptr : &it->second;
+  return it == channels_.end() ? nullptr : &it->second.state;
 }
 
 }  // namespace abrr::net

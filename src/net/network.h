@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/random.h"
+#include "sim/queue_pool.h"
 #include "sim/scheduler.h"
 #include "wire/codec.h"
 
@@ -59,9 +60,10 @@ class Network {
 
   bool connected(RouterId a, RouterId b) const;
 
-  /// Sends a message; delivery is scheduled after the channel latency
-  /// (plus jitter and any impairment surcharge), no earlier than the
-  /// previous message on the same directed channel. Throws if the
+  /// Sends a message; delivery is due after the channel latency (plus
+  /// jitter and any impairment surcharge), no earlier than the previous
+  /// message on the same directed channel, and fires exactly where a
+  /// delivery event scheduled at send time would fire. Throws if the
   /// channel does not exist. While the link is down the message is
   /// buffered; while the destination endpoint is down it is dropped.
   /// `bytes` must be measure(msg): a sender that counts the bytes itself
@@ -139,24 +141,50 @@ class Network {
   std::size_t session_count() const { return channels_.size() / 2; }
 
  private:
+  /// A message on its way: due time and the scheduler sequence number it
+  /// took at dispatch, which pin its place in the global event order.
+  struct InFlight {
+    sim::Time at = 0;
+    std::uint64_t seq = 0;
+    bgp::UpdateMessage msg;
+  };
+
+  /// One directed channel: its public state plus its in-flight queue
+  /// (in `in_flight_`). Only the queue's head has a scheduler event;
+  /// delivering it arms the next, so the event heap holds one entry per
+  /// busy channel.
+  struct Channel {
+    ChannelState state;
+    RouterId from = bgp::kNoRouter;
+    /// The destination's receiver slot; set on the first dispatch.
+    const Receiver* receiver = nullptr;
+    sim::QueuePool<InFlight>::Queue in_flight;
+  };
+
   static std::uint64_t key(RouterId from, RouterId to) {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  /// Schedules the delivery of `msg` on channel (from, to) to `receiver`
-  /// (the endpoint's registered slot), assigning its FIFO sequence
-  /// number. The channel must exist and be up.
-  void dispatch(RouterId from, RouterId to, ChannelState& ch,
-                const Receiver& receiver, bgp::UpdateMessage msg);
+  /// Queues `msg` on `ch` behind its in-flight messages, fixing its due
+  /// time and event sequence number now. The channel must be up and its
+  /// endpoint registered (`receiver` is its slot).
+  void dispatch(Channel& ch, const Receiver& receiver,
+                bgp::UpdateMessage msg);
+  /// Schedules the delivery event of `ch`'s head message.
+  void arm(Channel& ch);
+  /// Delivers `ch`'s head message and arms the next one.
+  void deliver(Channel& ch);
 
   sim::Scheduler* scheduler_;
   sim::Rng* rng_;
-  // Node-based maps with no erase: a delivery in flight holds pointers
-  // to its channel and its endpoint's receiver slot, which stay valid
-  // across rehashes, and re-registering an endpoint assigns into the
-  // same slot.
+  // Node-based maps with no erase: an armed delivery holds a pointer to
+  // its channel, and a channel to its endpoint's receiver slot; both
+  // stay valid across rehashes, and re-registering an endpoint assigns
+  // into the same slot.
   std::unordered_map<RouterId, Receiver> endpoints_;
-  std::unordered_map<std::uint64_t, ChannelState> channels_;
+  std::unordered_map<std::uint64_t, Channel> channels_;
+  // Every channel's in-flight messages, in one pool of nodes.
+  sim::QueuePool<InFlight> in_flight_;
   std::unordered_set<RouterId> down_endpoints_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;

@@ -2,12 +2,11 @@
 // currency.
 //
 // std::function heap-allocates every capture list larger than its small
-// buffer (16 bytes on libstdc++) — one malloc/free round trip per
-// delivered message on the scheduler hot path. InplaceFunction<N> stores
-// captures up to N bytes inside the object itself, so a pooled event
-// node carries its callback with zero heap traffic. Oversized callables
-// still work (boxed on the heap) but the scheduler static_asserts its
-// dominant capture fits inline (see net/network.cpp).
+// buffer (16 bytes on libstdc++) — one malloc/free round trip per event
+// on the scheduler hot path. InplaceFunction<N> stores captures up to N
+// bytes inside the object itself, so a pooled event node carries its
+// callback with zero heap traffic. Oversized callables still work
+// (boxed on the heap), they just lose that.
 #pragma once
 
 #include <cstddef>

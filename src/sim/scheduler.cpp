@@ -38,15 +38,14 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-EventId Scheduler::schedule_impl(Time at, Callback&& fn, bool weak) {
-  confined_.check();
+EventId Scheduler::schedule_impl(Time at, std::uint64_t seq, Callback&& fn,
+                                 bool weak) {
   if (!fn) throw std::invalid_argument{"schedule_at: empty callback"};
-  if (at < now_) at = now_;
   const std::uint32_t slot = acquire_slot();
   Node& n = node(slot);
   n.fn = std::move(fn);
   n.at = at;
-  n.seq = next_seq_++;
+  n.seq = seq;
   n.scheduled = true;
   n.weak = weak;
   if (weak) {
@@ -59,23 +58,39 @@ EventId Scheduler::schedule_impl(Time at, Callback&& fn, bool weak) {
 }
 
 EventId Scheduler::schedule_at(Time at, Callback fn) {
-  return schedule_impl(at, std::move(fn), /*weak=*/false);
+  confined_.check();
+  return schedule_impl(std::max(at, now_), next_seq_++, std::move(fn),
+                       /*weak=*/false);
 }
 
 EventId Scheduler::schedule_after(Time delay, Callback fn) {
   if (delay < 0) throw std::invalid_argument{"schedule_after: negative delay"};
-  return schedule_impl(now_ + delay, std::move(fn), /*weak=*/false);
+  return schedule_at(now_ + delay, std::move(fn));
 }
 
 EventId Scheduler::schedule_weak_at(Time at, Callback fn) {
-  return schedule_impl(at, std::move(fn), /*weak=*/true);
+  confined_.check();
+  return schedule_impl(std::max(at, now_), next_seq_++, std::move(fn),
+                       /*weak=*/true);
 }
 
 EventId Scheduler::schedule_weak_after(Time delay, Callback fn) {
   if (delay < 0) {
     throw std::invalid_argument{"schedule_weak_after: negative delay"};
   }
-  return schedule_impl(now_ + delay, std::move(fn), /*weak=*/true);
+  return schedule_weak_at(now_ + delay, std::move(fn));
+}
+
+EventId Scheduler::schedule_reserved(Time at, std::uint64_t seq,
+                                     Callback fn) {
+  confined_.check();
+  // Clamping would move the event off its reserved position; a past
+  // time means the caller pushed it too late.
+  if (at < now_) throw std::invalid_argument{"schedule_reserved: past time"};
+  if (seq >= next_seq_) {
+    throw std::invalid_argument{"schedule_reserved: seq was not reserved"};
+  }
+  return schedule_impl(at, seq, std::move(fn), /*weak=*/false);
 }
 
 void Scheduler::cancel(EventId id) {

@@ -7,9 +7,15 @@
 // Allocation model: event state lives in pooled slabs owned by the
 // scheduler, recycled through a free list — steady-state scheduling does
 // zero heap allocations. Callbacks are InplaceFunction<kCallbackCapacity>
-// so typical capture lists (including the message-delivery lambda, the
-// hottest one) are stored inline in the pooled node instead of behind a
-// per-event std::function heap box.
+// so typical capture lists are stored inline in the pooled node instead
+// of behind a per-event std::function heap box.
+//
+// Reserved sequence numbers: a producer that queues work of its own (the
+// network's per-channel delivery queues) can take an event's sequence
+// number when the work is created and push the event only later, when
+// the work reaches the head of its queue. The event then fires at exactly
+// the (time, seq) position a plain schedule_at() at reservation time
+// would have given it, while the heap only ever holds the queue heads.
 #pragma once
 
 #include <algorithm>
@@ -42,10 +48,10 @@ using EventId = std::uint64_t;
 class Scheduler {
  public:
   /// Inline capture budget for event callbacks. Sized for the largest
-  /// hot-path capture list (the message-delivery lambda in
-  /// net/network.cpp, which static_asserts it fits); anything bigger
-  /// still works via a heap box, it just loses the pooling win.
-  static constexpr std::size_t kCallbackCapacity = 112;
+  /// recurring capture lists (a trace or fault event plus `this`);
+  /// anything bigger still works via a heap box, it just loses the
+  /// pooling win.
+  static constexpr std::size_t kCallbackCapacity = 64;
   using Callback = InplaceFunction<kCallbackCapacity>;
 
   Scheduler() = default;
@@ -71,6 +77,18 @@ class Scheduler {
 
   /// Weak counterpart of schedule_after().
   EventId schedule_weak_after(Time delay, Callback fn);
+
+  /// Takes the insertion sequence number the next schedule_* call would
+  /// have used, for a later schedule_reserved().
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules a strong event under a sequence number from reserve_seq().
+  /// It fires exactly where schedule_at(at, fn) issued at reservation
+  /// time would have fired it, provided it is pushed before that moment
+  /// comes: `at` may not lie in the past (throws std::invalid_argument),
+  /// and an event that ties `at` with now() must still be ahead of the
+  /// event being run. Each reserved number may be used once.
+  EventId schedule_reserved(Time at, std::uint64_t seq, Callback fn);
 
   /// Cancels a pending event. Cancelling an already-fired or unknown
   /// event is a harmless no-op: the generation encoded in the id no
@@ -191,7 +209,8 @@ class Scheduler {
     std::vector<HeapItem> items_;
   };
 
-  EventId schedule_impl(Time at, Callback&& fn, bool weak);
+  EventId schedule_impl(Time at, std::uint64_t seq, Callback&& fn,
+                        bool weak);
 
   Node& node(std::uint32_t slot) {
     return slabs_[slot / kSlabSize][slot % kSlabSize];
@@ -203,7 +222,8 @@ class Scheduler {
   void release_slot(std::uint32_t slot);
 
   // True when the heap item still refers to the scheduling it was pushed
-  // for (the global seq uniquely identifies one schedule_* call).
+  // for (the global seq uniquely identifies one schedule_* call or
+  // reservation).
   bool is_live(const HeapItem& item) {
     const Node& n = node(item.slot);
     return n.scheduled && n.seq == item.seq;

@@ -115,6 +115,59 @@ TEST(AttrsInterner, HitAndMissAccounting) {
   EXPECT_EQ(a, b);
 }
 
+TEST(AttrsInterner, EqualHashesWithUnequalContentStayDistinct) {
+  // Blocks are found by content hash and confirmed by a deep compare:
+  // colliding hashes must neither merge two blocks nor hide either one,
+  // however long the collision run and across table growth.
+  AttrsInterner interner;
+  constexpr std::uint64_t kHash = 0x1234;
+  const auto colliding = [&](std::uint32_t local_pref) {
+    PathAttrs attrs = sample_attrs();
+    attrs.local_pref = local_pref;
+    attrs.content_hash = kHash;  // preset: the interner keeps it
+    return attrs;
+  };
+  const AttrsPtr a = interner.intern(colliding(1));
+  const AttrsPtr b = interner.intern(colliding(2));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a->content_hash, kHash);
+  EXPECT_EQ(b->content_hash, kHash);
+  EXPECT_EQ(interner.live_blocks(), 2u);
+  EXPECT_EQ(interner.intern(colliding(1)), a);
+  EXPECT_EQ(interner.intern(colliding(2)), b);
+  EXPECT_EQ(interner.misses(), 2u);
+  EXPECT_EQ(interner.hits(), 2u);
+
+  for (std::uint32_t lp = 3; lp < 100; ++lp) interner.intern(colliding(lp));
+  EXPECT_EQ(interner.live_blocks(), 99u);
+  EXPECT_EQ(interner.intern(colliding(1)), a);
+  EXPECT_EQ(interner.intern(colliding(2)), b);
+  EXPECT_EQ(interner.intern(colliding(99))->local_pref, 99u);
+  EXPECT_EQ(interner.live_blocks(), 99u);
+}
+
+TEST(AttrsInterner, ResetEmptiesTheTable) {
+  AttrsInterner interner;
+  for (std::uint32_t lp = 0; lp < 50; ++lp) {
+    PathAttrs attrs = sample_attrs();
+    attrs.local_pref = lp;
+    interner.intern(std::move(attrs));
+  }
+  EXPECT_EQ(interner.live_blocks(), 50u);
+  interner.reset();
+  EXPECT_EQ(interner.live_blocks(), 0u);
+  // Nothing survives the reset: equal content interns as a miss again.
+  interner.reset_stats();
+  PathAttrs again = sample_attrs();
+  again.local_pref = 7;
+  const AttrsPtr block = interner.intern(PathAttrs{again});
+  EXPECT_EQ(interner.misses(), 1u);
+  EXPECT_EQ(interner.hits(), 0u);
+  EXPECT_EQ(interner.live_blocks(), 1u);
+  EXPECT_EQ(interner.intern(std::move(again)), block);
+  EXPECT_EQ(interner.live_blocks(), 1u);
+}
+
 TEST(SameAnnouncement, HashFastPathAgreesWithDeepCompare) {
   const Ipv4Prefix pfx = Ipv4Prefix::parse("10.0.0.0/8");
   const Route a = RouteBuilder{pfx}.path_id(1).as_path({1, 2}).build();

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "bgp/decision.h"
 #include "sim/random.h"
@@ -11,6 +14,143 @@ namespace abrr::bgp {
 namespace {
 
 const Ipv4Prefix kPfx = Ipv4Prefix::parse("10.0.0.0/8");
+
+// ---------------------------------------------------------------------
+// Reference decision process: the step-by-step elimination the library
+// used before its one-pass kernels. Each step keeps the candidates that
+// minimise one key, in candidate order; the library must pick exactly
+// what this picks.
+// ---------------------------------------------------------------------
+
+template <typename Key>
+void keep_min(std::vector<const Route*>& routes, Key key) {
+  if (routes.size() <= 1) return;
+  auto best = key(*routes.front());
+  for (std::size_t i = 1; i < routes.size(); ++i) {
+    best = std::min(best, key(*routes[i]));
+  }
+  std::erase_if(routes, [&](const Route* r) { return key(*r) != best; });
+}
+
+std::vector<const Route*> reference_best_as_level(
+    const std::vector<const Route*>& candidates, const DecisionConfig& cfg) {
+  std::vector<const Route*> out;
+  for (const Route* r : candidates) {
+    if (r != nullptr && r->valid()) out.push_back(r);
+  }
+  keep_min(out, [](const Route& r) {
+    return -static_cast<std::int64_t>(r.attrs->local_pref);
+  });
+  keep_min(out, [](const Route& r) { return r.attrs->as_path.length(); });
+  keep_min(out,
+           [](const Route& r) { return static_cast<int>(r.attrs->origin); });
+  if (out.size() <= 1 || cfg.ignore_med) return out;
+  if (cfg.always_compare_med) {
+    keep_min(out, [&](const Route& r) { return cfg.med_of(r); });
+    return out;
+  }
+  // Deterministic MED: per neighbor AS, keep the group's lowest MED.
+  const std::vector<const Route*> pre = out;
+  std::erase_if(out, [&](const Route* r) {
+    for (const Route* o : pre) {
+      if (o->neighbor_as() == r->neighbor_as() &&
+          cfg.med_of(*o) < cfg.med_of(*r)) {
+        return true;
+      }
+    }
+    return false;
+  });
+  return out;
+}
+
+const Route* reference_select_best(const std::vector<const Route*>& candidates,
+                                   RouterId self, const IgpDistanceFn& igp,
+                                   const DecisionConfig& cfg) {
+  std::vector<const Route*> s = reference_best_as_level(candidates, cfg);
+  if (s.empty()) return nullptr;
+  keep_min(s,
+           [](const Route& r) { return r.via == LearnedVia::kIbgp ? 1 : 0; });
+  const auto igp_cost = [&](const Route& r) -> std::int64_t {
+    if (r.egress() == self) return 0;
+    return igp ? igp(r.egress()) : 0;
+  };
+  keep_min(s, igp_cost);
+  if (igp_cost(*s.front()) == kIgpInfinity) return nullptr;
+  if (cfg.prefer_shorter_cluster_list) {
+    keep_min(s, [](const Route& r) { return r.attrs->cluster_list.size(); });
+  }
+  keep_min(s, [](const Route& r) {
+    return r.attrs->originator_id ? *r.attrs->originator_id : r.learned_from;
+  });
+  keep_min(s, [](const Route& r) { return r.learned_from; });
+  keep_min(s, [](const Route& r) { return r.path_id; });
+  return s.front();
+}
+
+// Candidates drawn from tiny value ranges so that every decision key
+// ties often: two local-prefs, path lengths, origins and neighbor ASes,
+// MEDs that may be missing, next hops that include the deciding router
+// (kSelf) and an unreachable one (kDark), short cluster lists, optional
+// originator ids, and repeated (peer, path id) pairs. Slots may also be
+// null or hold an invalid route.
+constexpr RouterId kSelf = 1;
+constexpr RouterId kDark = 4;
+
+std::vector<Route> tie_heavy_candidates(sim::Rng& rng, std::size_t n) {
+  std::vector<Route> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.chance(0.05)) {
+      out.push_back(Route{});  // invalid: no attributes
+      continue;
+    }
+    std::vector<Asn> path{static_cast<Asn>(7000 + rng.index(2))};
+    if (rng.chance(0.5)) path.push_back(64512);
+    std::vector<std::uint32_t> clusters(rng.index(3), 9);
+    RouteBuilder b{kPfx};
+    b.path_id(static_cast<PathId>(1 + rng.index(3)))
+        .local_pref(rng.chance(0.5) ? 100 : 200)
+        .as_path(AsPath{path})
+        .origin(static_cast<Origin>(rng.index(2)))
+        .next_hop(static_cast<RouterId>(kSelf + rng.index(4)))
+        .cluster_list(clusters)
+        .learned_from(static_cast<RouterId>(10 + rng.index(3)),
+                      rng.chance(0.6) ? LearnedVia::kIbgp
+                                      : LearnedVia::kEbgp);
+    if (rng.chance(0.7)) {
+      b.med(10 * static_cast<std::uint32_t>(rng.index(2)));
+    } else {
+      b.no_med();
+    }
+    if (rng.chance(0.5)) b.originator(static_cast<RouterId>(10 + rng.index(3)));
+    out.push_back(b.build());
+  }
+  return out;
+}
+
+std::int64_t tie_heavy_igp(RouterId nh) {
+  switch (nh) {
+    case 2:
+    case 3:
+      return 5;  // equal-cost egresses
+    case kDark:
+      return kIgpInfinity;
+    default:
+      return 0;
+  }
+}
+
+std::vector<DecisionConfig> all_configs() {
+  std::vector<DecisionConfig> out;
+  for (int bits = 0; bits < 16; ++bits) {
+    DecisionConfig cfg;
+    cfg.always_compare_med = (bits & 1) != 0;
+    cfg.prefer_shorter_cluster_list = (bits & 2) == 0;
+    cfg.missing_med_as_worst = (bits & 4) != 0;
+    cfg.ignore_med = (bits & 8) != 0;
+    out.push_back(cfg);
+  }
+  return out;
+}
 
 std::vector<Route> random_candidates(sim::Rng& rng, std::size_t n) {
   std::vector<Route> out;
@@ -134,6 +274,38 @@ TEST_P(DecisionProperty, SequentialFoldCanDependOnOrderOnlyViaMed) {
     ASSERT_EQ(a.valid(), b.valid());
     if (a.valid()) EXPECT_EQ(a.path_id, b.path_id);
   }
+}
+
+TEST_P(DecisionProperty, OnePassKernelsMatchTheEliminationReference) {
+  sim::Rng rng{GetParam()};
+  const IgpDistanceFn igp = tie_heavy_igp;
+  const IgpDistanceFn no_igp;  // every next hop at distance 0
+  std::vector<const Route*> out;
+  std::vector<const Route*> scratch;
+  int unreachable = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<Route> routes =
+        tie_heavy_candidates(rng, 1 + rng.index(12));
+    std::vector<const Route*> candidates;
+    for (const Route& r : routes) candidates.push_back(&r);
+    if (rng.chance(0.1)) candidates.insert(candidates.begin(), nullptr);
+    for (const DecisionConfig& cfg : all_configs()) {
+      best_as_level_into(candidates, cfg, out);
+      ASSERT_EQ(out, reference_best_as_level(candidates, cfg))
+          << "trial " << trial;
+      for (const IgpDistanceFn* fn : {&igp, &no_igp}) {
+        const Route* expected =
+            reference_select_best(candidates, kSelf, *fn, cfg);
+        ASSERT_EQ(select_best_from(candidates, kSelf, *fn, cfg, scratch),
+                  expected)
+            << "trial " << trial;
+        if (expected == nullptr && fn == &igp && !out.empty()) ++unreachable;
+      }
+    }
+  }
+  // The generator must exercise the "best AS-level routes all
+  // unreachable" outcome, not only pick winners.
+  EXPECT_GT(unreachable, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecisionProperty,

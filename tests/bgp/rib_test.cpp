@@ -81,6 +81,32 @@ TEST(AdjRibIn, ReplaceSwapsOnePeersSetAndKeepsOrder) {
   EXPECT_THROW(rib.replace(6, kP1, next), std::invalid_argument);
 }
 
+TEST(AdjRibIn, ReplaceWithAnAscendingSetOfEqualSizeRewritesTheRun) {
+  // The peer's run sits between two other peers' paths; an equal-size
+  // set in path-id order takes its place without moving the neighbours.
+  AdjRibIn rib;
+  rib.announce(mk(kP1, 4, 1, 100));
+  rib.announce(mk(kP1, 5, 1, 100));
+  rib.announce(mk(kP1, 5, 2, 100));
+  rib.announce(mk(kP1, 6, 3, 100));
+  const std::vector<Route> next = {mk(kP1, 5, 7, 101), mk(kP1, 5, 8, 102)};
+  rib.replace(5, kP1, next);
+  EXPECT_EQ(rib.size(), 4u);
+  EXPECT_EQ(rib.peer_size(5), 2u);
+  const std::vector<Route> all = rib.routes_for(kP1);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[0].learned_from, 4u);
+  EXPECT_EQ(all[1].path_id, 7u);
+  EXPECT_EQ(all[1].neighbor_as(), 101u);
+  EXPECT_EQ(all[2].path_id, 8u);
+  EXPECT_EQ(all[3].learned_from, 6u);
+  // Rejected sets leave the RIB untouched.
+  const std::vector<Route> bad = {mk(kP1, 5, 9, 103), mk(kP1, 6, 10, 103)};
+  EXPECT_THROW(rib.replace(5, kP1, bad), std::invalid_argument);
+  EXPECT_EQ(rib.routes_for(kP1)[1].path_id, 7u);
+  EXPECT_EQ(rib.peer_size(5), 2u);
+}
+
 TEST(AdjRibIn, WithdrawPeerReportsAffectedPrefixes) {
   AdjRibIn rib;
   rib.announce(mk(kP1, 5, 1, 100));

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
+#include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace abrr::sim {
@@ -215,6 +219,105 @@ TEST(Scheduler, WeakEventResumesWhenStrongWorkReturns) {
   s.schedule_at(25, [] {});
   s.run_to_quiescence();
   EXPECT_EQ(weak, 2);  // t = 10, 20
+}
+
+// A randomized workload mixing plain events with FIFO chains whose
+// events fire in order (as a network channel's deliveries do). Every
+// fired event may create more work. With `reserve` set, a chain event
+// takes its sequence number when created but is pushed only once its
+// predecessor has fired; otherwise it is plain-scheduled when created,
+// which defines the reference order. Returns (label, time) per firing.
+std::vector<std::pair<int, Time>> run_mixed(std::uint64_t seed,
+                                            bool reserve) {
+  struct Pending {
+    Time at;
+    std::uint64_t seq;
+    int label;
+  };
+  struct Chain {
+    Time last = 0;
+    std::deque<Pending> queue;
+  };
+  constexpr int kChains = 4;
+  constexpr int kEvents = 4000;
+
+  Scheduler s;
+  std::mt19937_64 rng{seed};
+  std::vector<Chain> chains(kChains);
+  std::vector<std::pair<int, Time>> fired;
+  int created = 0;
+
+  std::function<void(int)> fire;
+  std::function<void(Chain&)> arm = [&](Chain& chain) {
+    const Pending& head = chain.queue.front();
+    s.schedule_reserved(head.at, head.seq, [&, c = &chain] {
+      const int label = c->queue.front().label;
+      c->queue.pop_front();
+      if (!c->queue.empty()) arm(*c);
+      fire(label);
+    });
+  };
+  const auto create = [&] {
+    const int label = created++;
+    const Time at = s.now() + static_cast<Time>(rng() % 40);
+    if (rng() % 2 == 0) {
+      s.schedule_at(at, [&, label] { fire(label); });
+      return;
+    }
+    Chain& chain = chains[rng() % kChains];
+    const Time due = at > chain.last ? at : chain.last + 1;
+    chain.last = due;
+    if (!reserve) {
+      s.schedule_at(due, [&, label] { fire(label); });
+      return;
+    }
+    chain.queue.push_back(Pending{due, s.reserve_seq(), label});
+    if (chain.queue.size() == 1) arm(chain);
+  };
+  fire = [&](int label) {
+    fired.emplace_back(label, s.now());
+    const int spawn = static_cast<int>(rng() % 3);
+    for (int i = 0; i < spawn && created < kEvents; ++i) create();
+  };
+
+  for (int i = 0; i < 50; ++i) create();
+  EXPECT_TRUE(s.run_to_quiescence());
+  return fired;
+}
+
+TEST(Scheduler, ReservedSequenceFiresWherePlainSchedulingWould) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 42u, 1234u}) {
+    const auto reference = run_mixed(seed, /*reserve=*/false);
+    const auto reserved = run_mixed(seed, /*reserve=*/true);
+    ASSERT_GT(reference.size(), 1000u) << "seed " << seed;
+    EXPECT_EQ(reserved, reference) << "seed " << seed;
+  }
+}
+
+TEST(Scheduler, ReservedEventTiesBreakByReservationOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t early = s.reserve_seq();
+  s.schedule_at(10, [&] { order.push_back(2); });
+  const std::uint64_t late = s.reserve_seq();
+  s.schedule_reserved(10, late, [&] { order.push_back(3); });
+  s.schedule_reserved(10, early, [&] { order.push_back(1); });
+  EXPECT_EQ(s.pending_count(), 3u);
+  EXPECT_TRUE(s.run_to_quiescence());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Scheduler, ScheduleReservedRejectsPastTimeAndUnreservedSeq) {
+  Scheduler s;
+  s.schedule_at(100, [] {});
+  s.run_to_quiescence();
+  const std::uint64_t seq = s.reserve_seq();
+  EXPECT_THROW(s.schedule_reserved(99, seq, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_reserved(100, seq + 1, [] {}),
+               std::invalid_argument);
+  EXPECT_FALSE(s.has_pending());
+  s.schedule_reserved(100, seq, [] {});
+  EXPECT_TRUE(s.has_pending());
 }
 
 TEST(TimeHelpers, Conversions) {

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <fstream>
 #include <span>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "wire/codec.h"
 
@@ -16,7 +19,12 @@ namespace {
 class MrtTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path = ::testing::TempDir() + "abrr_mrt_test.bin";
+    // ctest runs every case as its own process, possibly in parallel: a
+    // shared file name would let one case's TearDown delete another's
+    // file. Name it after the test and the process.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path = ::testing::TempDir() + "abrr_mrt_" + info->name() + "_" +
+           std::to_string(::getpid()) + ".bin";
     sim::Rng rng{7};
     topo::TopologyParams tp;
     tp.pops = 4;
