@@ -88,15 +88,7 @@ void best_as_level_into(std::span<const Route* const> candidates,
 
   // Step 4: lowest MED. Default semantics compare only within a
   // neighbor-AS group (deterministic-MED elimination); the survivors of
-  // every group together form the best AS-level set. Equal MEDs remove
-  // nothing under either rule, so the common case (peer routes carry
-  // no MED) never reads the AS paths.
-  const std::uint32_t first_med = cfg.med_of(*out.front());
-  if (std::all_of(out.begin() + 1, out.end(), [&](const Route* r) {
-        return cfg.med_of(*r) == first_med;
-      })) {
-    return;
-  }
+  // every group together form the best AS-level set.
   if (cfg.always_compare_med) {
     std::uint32_t min_med = std::numeric_limits<std::uint32_t>::max();
     for (const Route* r : out) min_med = std::min(min_med, cfg.med_of(*r));

@@ -88,23 +88,13 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
   }
   PathList& paths = ensure_list(key.id);
   // The list is sorted by (peer, path id), so the peer's paths are one
-  // run. A set of the same size in strictly increasing path-id order
-  // (what a sender's Adj-RIB-Out holds) takes the run's place as is.
+  // run.
   const auto lo =
       std::lower_bound(paths.begin(), paths.end(), Key{peer, 0}, KeyLess{});
   const auto hi = std::find_if(lo, paths.end(), [&](const Route& entry) {
     return entry.learned_from != peer;
   });
   const auto removed = static_cast<std::size_t>(hi - lo);
-  const bool ascending =
-      std::adjacent_find(routes.begin(), routes.end(),
-                         [](const Route& a, const Route& b) {
-                           return a.path_id >= b.path_id;
-                         }) == routes.end();
-  if (removed == routes.size() && ascending) {
-    std::copy(routes.begin(), routes.end(), lo);
-    return;
-  }
   paths.erase(lo, hi);
   const std::size_t kept = paths.size();  // other peers' paths
   size_ -= removed;

@@ -1,13 +1,22 @@
 #include "igp/spf.h"
 
+#include <algorithm>
 #include <queue>
 #include <tuple>
 
 namespace abrr::igp {
 
 Metric SpfTree::sparse_distance_to(RouterId target) const {
-  const auto it = distance.find(target);
-  return it == distance.end() ? bgp::kIgpInfinity : it->second;
+  const auto it = sparse_distance.find(target);
+  return it == sparse_distance.end() ? bgp::kIgpInfinity : it->second;
+}
+
+void SpfTree::set_distance(RouterId target, Metric distance) {
+  if (target < dense_distance.size()) {
+    dense_distance[target] = distance;
+  } else {
+    sparse_distance.emplace(target, distance);
+  }
 }
 
 RouterId SpfTree::next_hop_to(RouterId target) const {
@@ -20,6 +29,12 @@ SpfTree compute_spf(const Graph& graph, RouterId source) {
   tree.source = source;
   if (!graph.has_node(source)) return tree;
 
+  RouterId dense_end = 0;
+  for (const RouterId node : graph.nodes()) {
+    if (node < SpfTree::kDenseIds) dense_end = std::max(dense_end, node + 1);
+  }
+  tree.dense_distance.assign(dense_end, bgp::kIgpInfinity);
+
   // (distance, node, first hop); ties resolved toward lower node then
   // lower first hop for determinism.
   using Item = std::tuple<Metric, RouterId, RouterId>;
@@ -29,29 +44,22 @@ SpfTree compute_spf(const Graph& graph, RouterId source) {
   while (!heap.empty()) {
     const auto [dist, node, hop] = heap.top();
     heap.pop();
-    const auto it = tree.distance.find(node);
-    if (it != tree.distance.end()) {
+    const Metric settled = tree.distance_to(node);
+    if (settled != bgp::kIgpInfinity) {
       // Already settled; keep the lower first hop on exact ties so the
       // result does not depend on heap internals.
-      if (it->second == dist && hop < tree.first_hop[node]) {
+      if (settled == dist && hop < tree.first_hop[node]) {
         tree.first_hop[node] = hop;
       }
       continue;
     }
-    tree.distance.emplace(node, dist);
+    tree.set_distance(node, dist);
     tree.first_hop.emplace(node, hop);
     for (const Graph::Edge& edge : graph.neighbors(node)) {
-      if (tree.distance.count(edge.to) != 0) continue;
+      if (tree.distance_to(edge.to) != bgp::kIgpInfinity) continue;
       const RouterId next_first = node == source ? edge.to : hop;
       heap.emplace(dist + edge.metric, edge.to, next_first);
     }
-  }
-  for (const auto& [node, dist] : tree.distance) {
-    if (node >= SpfTree::kDenseIds) continue;
-    if (node >= tree.dense_distance.size()) {
-      tree.dense_distance.resize(node + 1, bgp::kIgpInfinity);
-    }
-    tree.dense_distance[node] = dist;
   }
   return tree;
 }

@@ -12,17 +12,18 @@ namespace abrr::igp {
 /// Result of one Dijkstra run: distances and first hops from a source.
 struct SpfTree {
   RouterId source = bgp::kNoRouter;
-  /// Distance to each reachable router (absent = unreachable).
-  std::unordered_map<RouterId, Metric> distance;
   /// First hop on the shortest path to each reachable router (the source
   /// maps to itself). Ties broken toward the lower neighbor id so the
   /// data-plane walk is deterministic.
   std::unordered_map<RouterId, RouterId> first_hop;
-  /// `distance` again as an array over router ids below kDenseIds
-  /// (kIgpInfinity = unreachable), sized to the largest such reachable
-  /// id. Routers are numbered from 1 up, so every BGP speaker lands
-  /// here; the PoP hubs (topo::kHubBase and up) stay in the map only.
+  /// Distance to each router below kDenseIds, indexed by router id
+  /// (kIgpInfinity = unreachable), sized to the largest such id in the
+  /// graph. Routers are numbered from 1 up, so every BGP speaker lands
+  /// here.
   std::vector<Metric> dense_distance;
+  /// Distance to each reachable router at or above kDenseIds: the PoP
+  /// hubs (topo::kHubBase and up).
+  std::unordered_map<RouterId, Metric> sparse_distance;
 
   /// Router ids below this bound are indexed by `dense_distance`.
   static constexpr RouterId kDenseIds = 1u << 20;
@@ -35,6 +36,9 @@ struct SpfTree {
 
   /// Next hop toward target, or kNoRouter when unreachable.
   RouterId next_hop_to(RouterId target) const;
+
+  /// Records `target` as reached at `distance`.
+  void set_distance(RouterId target, Metric distance);
 
  private:
   Metric sparse_distance_to(RouterId target) const;

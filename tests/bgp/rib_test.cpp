@@ -81,9 +81,9 @@ TEST(AdjRibIn, ReplaceSwapsOnePeersSetAndKeepsOrder) {
   EXPECT_THROW(rib.replace(6, kP1, next), std::invalid_argument);
 }
 
-TEST(AdjRibIn, ReplaceWithAnAscendingSetOfEqualSizeRewritesTheRun) {
+TEST(AdjRibIn, ReplaceWithAnEqualSizeSetKeepsTheNeighbours) {
   // The peer's run sits between two other peers' paths; an equal-size
-  // set in path-id order takes its place without moving the neighbours.
+  // set takes its place without moving the neighbours.
   AdjRibIn rib;
   rib.announce(mk(kP1, 4, 1, 100));
   rib.announce(mk(kP1, 5, 1, 100));

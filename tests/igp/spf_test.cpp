@@ -103,6 +103,24 @@ TEST(SpfCache, InvalidateRecomputes) {
   EXPECT_EQ(cache.distance(1, 2), 4);
 }
 
+TEST(Spf, IdsOnBothSidesOfTheDenseBoundAgree) {
+  // Speakers sit below kDenseIds, PoP hubs above it; paths cross both.
+  constexpr RouterId kHub = SpfTree::kDenseIds + 7;
+  Graph g;
+  g.add_link(1, kHub, 2);
+  g.add_link(kHub, 3, 5);
+  g.add_link(1, 3, 9);
+  g.add_node(SpfTree::kDenseIds + 8);  // isolated
+  const SpfTree tree = compute_spf(g, 1);
+  EXPECT_EQ(tree.distance_to(1), 0);
+  EXPECT_EQ(tree.distance_to(kHub), 2);
+  EXPECT_EQ(tree.distance_to(3), 7);
+  EXPECT_EQ(tree.next_hop_to(3), kHub);
+  EXPECT_EQ(tree.distance_to(2), bgp::kIgpInfinity);
+  EXPECT_EQ(tree.distance_to(SpfTree::kDenseIds + 8), bgp::kIgpInfinity);
+  EXPECT_EQ(compute_spf(g, kHub).distance_to(3), 5);
+}
+
 TEST(Spf, WalkingFirstHopsReachesTarget) {
   // Property: repeatedly following next_hop from any node reaches the
   // target within node_count() steps (no micro-loops in SPF).
