@@ -16,11 +16,11 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_client_reduction");
-  if (cfg.prefixes == 4000) cfg.prefixes = 1200;
-  cfg.pops = 7;  // keep the full-mesh reference affordable
-  cfg.clients_per_pop = 6;
-  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
+  // A small bed keeps the full-mesh reference affordable.
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "ablation_client_reduction", {.prefixes = 1200, .pops = 7});
+  auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
+  paper.topology.clients_per_pop = 6;
   sim::Rng rng{cfg.seed};
   const auto topology = runner::make_trial_topology(paper.topology, rng);
   // Diverse per-point MEDs: the regime where a reflected low-MED route

@@ -14,8 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_loop_prevention");
-  if (cfg.prefixes == 4000) cfg.prefixes = 800;
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "ablation_loop_prevention", {.prefixes = 800});
   const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
   const auto topology = runner::make_trial_topology(paper.topology, rng);

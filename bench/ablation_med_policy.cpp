@@ -13,9 +13,8 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_med_policy");
-  if (cfg.prefixes == 4000) cfg.prefixes = 600;
-  cfg.pops = 5;
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "ablation_med_policy", {.prefixes = 600, .pops = 5});
 
   std::printf("# Ablation: MED policy vs convergence (%zu prefixes)\n\n",
               cfg.prefixes);

@@ -1,9 +1,13 @@
-# Runs one bench/example binary and checks how it ended. Two modes:
+# Runs one bench/example binary and checks how it ended. Three modes:
 #
 #   cmake -DBIN=<exe> -DARGS="<flags>" -DGOLDEN=<file> -DACTUAL=<file>
 #         -P check_output.cmake
 #     the run must exit 0 and its stdout must equal GOLDEN byte for byte
 #     (stdout is kept in ACTUAL for diffing on a mismatch);
+#
+#   cmake -DBIN=<exe> -DARGS="<flags>" -DSTDOUT_MATCH=<re>
+#         -P check_output.cmake
+#     the run must exit 0 and print something matching <re> on stdout;
 #
 #   cmake -DBIN=<exe> -DARGS="<flags>" -DEXIT_CODE=<n> -DSTDERR_MATCH=<re>
 #         -P check_output.cmake
@@ -25,6 +29,17 @@ if(DEFINED GOLDEN)
   if(NOT differ EQUAL 0)
     message(FATAL_ERROR "stdout of ${BIN} ${ARGS} differs from the golden "
                         "file\n  diff ${GOLDEN} ${ACTUAL}")
+  endif()
+elseif(DEFINED STDOUT_MATCH)
+  execute_process(COMMAND "${BIN}" ${args}
+                  OUTPUT_VARIABLE out
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${BIN} ${ARGS} exited with '${rc}'")
+  endif()
+  if(NOT out MATCHES "${STDOUT_MATCH}")
+    message(FATAL_ERROR "stdout of ${BIN} ${ARGS} does not match "
+                        "'${STDOUT_MATCH}':\n${out}")
   endif()
 else()
   execute_process(COMMAND "${BIN}" ${args}

@@ -42,12 +42,15 @@ namespace abrr::bench {
 /// How many of the --seeds values a bench runs.
 enum class Seeds { kOne, kMany };
 
+/// The flags every bench shares. A bench with other defaults passes them
+/// to from_args (or sets them before register_flags), so a flag given on
+/// the command line always wins. The topology knobs without a flag
+/// (clients per PoP, peer ASes, points per AS) stay at the paper values
+/// of runner::TopologyOptions; a bench that changes one sets it on its
+/// ScenarioSpec.
 struct ExperimentConfig {
   std::size_t prefixes = 4000;
   std::uint32_t pops = 13;  // the paper's 13-cluster testbed subset
-  std::uint32_t clients_per_pop = 8;
-  std::uint32_t peer_ases = 25;
-  std::uint32_t points_per_as = 8;
   std::uint64_t seed = 42;
   /// All seeds to run (multi-trial benches); defaults to {seed}.
   std::vector<std::uint64_t> seeds;
@@ -104,7 +107,14 @@ struct ExperimentConfig {
   static ExperimentConfig from_args(int argc, char** argv,
                                     const char* program,
                                     Seeds accepts = Seeds::kOne) {
-    ExperimentConfig cfg;
+    return from_args(argc, argv, program, ExperimentConfig{}, accepts);
+  }
+
+  /// Parses the shared flags over `cfg`, the bench's defaults.
+  static ExperimentConfig from_args(int argc, char** argv,
+                                    const char* program,
+                                    ExperimentConfig cfg,
+                                    Seeds accepts = Seeds::kOne) {
     runner::ArgParser parser{program};
     cfg.register_flags(parser);
     parser.parse(argc, argv);
@@ -121,9 +131,6 @@ inline runner::ScenarioSpec paper_spec(ibgp::IbgpMode mode,
                                        const ExperimentConfig& cfg) {
   auto spec = runner::ScenarioSpec::paper(mode, num_aps, cfg.seed);
   spec.topology.pops = cfg.pops;
-  spec.topology.clients_per_pop = cfg.clients_per_pop;
-  spec.topology.peer_ases = cfg.peer_ases;
-  spec.topology.points_per_as = cfg.points_per_as;
   spec.workload.prefixes = cfg.prefixes;
   spec.seeds = cfg.seeds.empty() ? std::vector<std::uint64_t>{cfg.seed}
                                  : cfg.seeds;
@@ -205,7 +212,8 @@ struct ServingBenchParams {
   }
 };
 
-/// One serving-mode scenario cell at this config's scale.
+/// One serving-mode scenario cell at this config's scale, on a mid-size
+/// bed (4 clients per PoP, 8 peer ASes at 3 points each).
 inline runner::ScenarioSpec serving_spec(ibgp::IbgpMode mode,
                                          const ExperimentConfig& cfg,
                                          const ServingBenchParams& params,
@@ -214,9 +222,9 @@ inline runner::ScenarioSpec serving_spec(ibgp::IbgpMode mode,
   spec.name = std::string{name_prefix} + "/" + runner::mode_name(mode);
   spec.mode = mode;
   spec.topology.pops = cfg.pops;
-  spec.topology.clients_per_pop = cfg.clients_per_pop;
-  spec.topology.peer_ases = cfg.peer_ases;
-  spec.topology.points_per_as = cfg.points_per_as;
+  spec.topology.clients_per_pop = 4;
+  spec.topology.peer_ases = 8;
+  spec.topology.points_per_as = 3;
   spec.workload.prefixes = cfg.prefixes;
   spec.abrr.num_aps = 2;
   spec.serve.enabled = true;

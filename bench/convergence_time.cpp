@@ -33,9 +33,8 @@ double percentile(std::vector<double> v, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "convergence_time");
-  cfg.pops = 6;
-  if (cfg.prefixes == 4000) cfg.prefixes = 400;
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "convergence_time", {.prefixes = 400, .pops = 6});
   const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   sim::Rng rng{cfg.seed};
   const auto topology = runner::make_trial_topology(paper.topology, rng);

@@ -23,13 +23,14 @@ int main(int argc, char** argv) {
 
   std::printf("# Figure 3: best AS-level routes per prefix\n");
   std::printf("# prefixes=%zu peer_ases=%u points/AS=%u seed=%llu\n",
-              cfg.prefixes, cfg.peer_ases, cfg.points_per_as,
+              cfg.prefixes, paper.topology.peer_ases,
+              paper.topology.points_per_as,
               static_cast<unsigned long long>(cfg.seed));
   std::printf("%-10s %-16s %-12s\n", "#PeerASes", "PeerASesOnly",
               "AllSources");
 
   std::vector<double> xs, peer_ys, all_ys;
-  for (std::size_t n = 1; n <= cfg.peer_ases; ++n) {
+  for (std::size_t n = 1; n <= paper.topology.peer_ases; ++n) {
     // Average several random peer subsets per point (the paper selects
     // peers at random).
     double peer = 0, all = 0;

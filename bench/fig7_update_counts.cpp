@@ -18,16 +18,14 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(
-      argc, argv, "fig7_update_counts", bench::Seeds::kMany);
   // The paper replayed a two-week realtime feed: per-session update
   // streams are SPARSE relative to the 5s MRAI. Mirror that by default
   // (a dense feed saturates MRAI coalescing on every session and hides
   // the received-updates growth with #APs).
-  if (cfg.trace_seconds == 120.0) cfg.trace_seconds = 240.0;
-  if (cfg.trace_events_per_second == 20.0) {
-    cfg.trace_events_per_second = 4.0;
-  }
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "fig7_update_counts",
+      {.trace_seconds = 240.0, .trace_events_per_second = 4.0},
+      bench::Seeds::kMany);
 
   std::vector<runner::ScenarioSpec> specs;
   const auto with_trace = [&](runner::ScenarioSpec spec) {
@@ -56,8 +54,8 @@ int main(int argc, char** argv) {
               cfg.trace_seconds);
   std::printf("# prefixes=%zu seed=%llu\n\n", cfg.prefixes,
               static_cast<unsigned long long>(cfg.seed));
-  std::printf("%-14s %14s %14s %14s %14s %8s\n", "config", "received/RR",
-              "generated/RR", "modeled-B/RR", "wire-B/RR", "#RRs");
+  std::printf("%-14s %14s %14s %14s %8s\n", "config", "received/RR",
+              "generated/RR", "wire-B/RR", "#RRs");
 
   bench::MetricsSink sink{"fig7_update_counts", cfg.metrics_out};
   for (const runner::TrialResult& r : results) {
@@ -67,12 +65,10 @@ int main(int argc, char** argv) {
                                   : r.error.c_str());
       continue;
     }
-    // Bandwidth both ways: the legacy closed-form estimate and the
-    // measured RFC 4271 wire length of every transmitted message
-    // (EXPERIMENTS.md discusses the delta between the two columns).
-    std::printf("%-14s %14.0f %14.0f %14.0f %14.0f %8zu\n",
-                r.scenario.c_str(), r.rr_totals.avg_received(),
-                r.rr_totals.avg_generated(), r.rr_totals.avg_bytes(),
+    // Bandwidth: the measured RFC 4271 wire length of every transmitted
+    // message.
+    std::printf("%-14s %14.0f %14.0f %14.0f %8zu\n", r.scenario.c_str(),
+                r.rr_totals.avg_received(), r.rr_totals.avg_generated(),
                 r.rr_totals.avg_wire_bytes(), r.rr_totals.speakers);
     sink.capture(r.scenario, r.metrics_json);
   }

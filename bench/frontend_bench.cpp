@@ -52,9 +52,6 @@ FrontendBenchConfig parse_args(int argc, char** argv) {
   // Same mid-size default bed as serve_bench so the two reports line up.
   cfg.base.prefixes = 2000;
   cfg.base.pops = 6;
-  cfg.base.clients_per_pop = 4;
-  cfg.base.peer_ases = 8;
-  cfg.base.points_per_as = 3;
   // The sweep runs against the horizon snapshot, so a short churn plan
   // is enough — it only has to exercise a few publishes first.
   cfg.serving.churn_seconds = 2.0;

@@ -15,7 +15,6 @@
 
 #include "bgp/decision.h"
 #include "bgp/flat_lpm.h"
-#include "bgp/prefix_trie.h"
 #include "bgp/rib.h"
 #include "common.h"
 #include "igp/spf.h"
@@ -126,71 +125,46 @@ void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjRibInAnnounceWithdraw);
 
-// Shared random table for the LPM benchmarks below: `n` prefixes drawn
-// with the same generator the trie bench has always used, so the
-// 10000-entry rows stay comparable across report history and the
-// 416000-entry rows model a paper-scale full table (~416K prefixes).
-std::vector<std::pair<Ipv4Prefix, int>> lpm_bench_table(int n) {
+// Random table for the LPM benchmark below: `n` prefixes drawn with
+// the same generator the LPM rows have always used, so the 10000-entry
+// rows stay comparable across report history and the 416000-entry rows
+// model a paper-scale full table (~416K prefixes).
+std::vector<Ipv4Prefix> lpm_bench_table(int n) {
   sim::Rng rng{3};
-  std::vector<std::pair<Ipv4Prefix, int>> entries;
-  entries.reserve(static_cast<std::size_t>(n));
+  std::vector<Ipv4Prefix> prefixes;
+  prefixes.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto addr =
         static_cast<bgp::Ipv4Addr>(rng.uniform_int(0, 0xDF000000));
-    entries.emplace_back(
-        Ipv4Prefix{addr,
-                   static_cast<std::uint8_t>(rng.uniform_int(12, 24))},
-        i);
+    prefixes.emplace_back(
+        addr, static_cast<std::uint8_t>(rng.uniform_int(12, 24)));
   }
-  return entries;
+  return prefixes;
 }
 
 // Probes per timed iteration. Sub-50ns lookups drown in per-iteration
-// harness bookkeeping, so every LPM benchmark below times a small batch
-// (the same probe sequence in each, so their rows compare probe for
-// probe); items_per_second is per single lookup.
+// harness bookkeeping, so the benchmark times a small batch;
+// items_per_second is per single lookup.
 constexpr int kLpmProbeBatch = 16;
 
-void BM_TrieLongestMatch(benchmark::State& state) {
-  bgp::PrefixTrie<int> trie;
-  for (const auto& [prefix, value] :
-       lpm_bench_table(static_cast<int>(state.range(0)))) {
-    trie.insert(prefix, value);
-  }
-  bgp::Ipv4Addr probe = 0x0A000000;
-  for (auto _ : state) {
-    std::uintptr_t acc = 0;
-    for (int i = 0; i < kLpmProbeBatch; ++i) {
-      probe = probe * 2654435761u + 12345;
-      const auto hit = trie.longest_match(probe);
-      acc += hit ? reinterpret_cast<std::uintptr_t>(hit->second) : 0;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kLpmProbeBatch);
-}
-BENCHMARK(BM_TrieLongestMatch)->Arg(10000)->Arg(416000);
-
-// The serving read path (16/8 DIR table, src/bgp/flat_lpm.h) on the
-// same table and probe sequence as the trie benchmark above.
+// The serving read path's leaf lookup (16/8 DIR table,
+// src/bgp/flat_lpm.h): LpmIndex::leaf_of, the call serving makes per
+// request before its per-router slot walk.
 void BM_FlatLpmLongestMatch(benchmark::State& state) {
-  const bgp::FlatLpm<int> lpm{
+  const bgp::LpmIndex index{
       lpm_bench_table(static_cast<int>(state.range(0)))};
   bgp::Ipv4Addr probe = 0x0A000000;
   for (auto _ : state) {
-    std::uintptr_t acc = 0;
+    std::uint64_t acc = 0;
     for (int i = 0; i < kLpmProbeBatch; ++i) {
       probe = probe * 2654435761u + 12345;
-      const auto hit = lpm.longest_match(probe);
-      acc += hit ? reinterpret_cast<std::uintptr_t>(hit->second) : 0;
+      acc += index.leaf_of(probe);
     }
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kLpmProbeBatch);
-  state.counters["index_bytes"] =
-      static_cast<double>(lpm.index().bytes());
+  state.counters["index_bytes"] = static_cast<double>(index.bytes());
 }
 BENCHMARK(BM_FlatLpmLongestMatch)->Arg(10000)->Arg(416000);
 
@@ -343,14 +317,11 @@ struct ConvergenceScenario {
 
 const ConvergenceScenario& convergence_scenario() {
   static const ConvergenceScenario* scenario = [] {
-    bench::ExperimentConfig cfg;
-    cfg.prefixes = 300;
-    cfg.pops = 4;
-    cfg.clients_per_pop = 4;
-    cfg.peer_ases = 8;
-    cfg.points_per_as = 4;
-    cfg.seed = 42;
-    const auto spec = bench::paper_spec(ibgp::IbgpMode::kTbrr, 4, cfg);
+    const bench::ExperimentConfig cfg{.prefixes = 300, .pops = 4, .seed = 42};
+    auto spec = bench::paper_spec(ibgp::IbgpMode::kTbrr, 4, cfg);
+    spec.topology.clients_per_pop = 4;
+    spec.topology.peer_ases = 8;
+    spec.topology.points_per_as = 4;
     sim::Rng rng{cfg.seed};
     auto topology = runner::make_trial_topology(spec.topology, rng);
     auto workload = runner::make_trial_workload(spec.workload, topology, rng);

@@ -26,11 +26,10 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "obs_drill");
   // A drill wants a small bed: the artifacts are for reading, not for
-  // scale. Override only values the user left at their defaults.
-  if (cfg.prefixes == 4000) cfg.prefixes = 200;
-  if (cfg.pops == 13) cfg.pops = 3;
+  // scale.
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "obs_drill", {.prefixes = 200, .pops = 3});
   const std::string& out_dir = cfg.out_dir;
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);

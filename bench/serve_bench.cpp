@@ -32,9 +32,6 @@ ServeBenchConfig parse_args(int argc, char** argv) {
   // mid-size bed and let --prefixes/--pops scale it up.
   cfg.base.prefixes = 2000;
   cfg.base.pops = 6;
-  cfg.base.clients_per_pop = 4;
-  cfg.base.peer_ases = 8;
-  cfg.base.points_per_as = 3;
   runner::ArgParser parser{"serve_bench"};
   cfg.base.register_flags(parser);
   cfg.serving.register_flags(parser);

@@ -1,9 +1,9 @@
 // §4.2 transmitted-updates experiment: the full 27-cluster iBGP topology
-// emulated for TBRR, and a corresponding 27-AP ABRR topology. The paper
-// measured that each TRR TRANSMITS ~2.5x more updates than an ARR, while
-// each ABRR update carries ~10 routes and is ~10x longer, so an ARR
-// transmits roughly 4x more BYTES: ABRR trades a modest bandwidth loss
-// for a large processing win.
+// emulated for TBRR, and a corresponding 27-AP ABRR topology (--pops
+// scales both). The paper measured that each TRR TRANSMITS ~2.5x more
+// updates than an ARR, while each ABRR update carries ~10 routes and is
+// ~10x longer, so an ARR transmits roughly 4x more BYTES: ABRR trades a
+// modest bandwidth loss for a large processing win.
 #include <cstdio>
 #include <memory>
 
@@ -11,10 +11,10 @@
 
 int main(int argc, char** argv) {
   using namespace abrr;
-  auto cfg = bench::ExperimentConfig::from_args(argc, argv, "t42_transmitted_updates");
-  cfg.pops = 27;  // the full 27-cluster AS of §4.2
-  if (cfg.prefixes == 4000) cfg.prefixes = 2000;  // 27 PoPs cost more
-  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 27, cfg);
+  // The full 27-cluster AS of §4.2; 27 PoPs cost more, so fewer prefixes.
+  const auto cfg = bench::ExperimentConfig::from_args(
+      argc, argv, "t42_transmitted_updates", {.prefixes = 2000, .pops = 27});
+  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, cfg.pops, cfg);
   sim::Rng rng{cfg.seed};
   const auto topology = runner::make_trial_topology(paper.topology, rng);
   const auto workload =
@@ -28,13 +28,13 @@ int main(int argc, char** argv) {
   const auto trace =
       trace::UpdateTrace::generate(tparams, workload, trace_rng);
 
-  std::printf("# §4.2: transmitted updates and bytes, 27 clusters vs 27 APs\n");
+  std::printf("# §4.2: transmitted updates and bytes, %u clusters vs %u APs\n",
+              cfg.pops, cfg.pops);
   std::printf("# prefixes=%zu clients=%zu trace_events=%zu\n\n",
               cfg.prefixes, topology.clients.size(), trace.events().size());
 
   struct Result {
     double tx_per_rr_sec = 0;
-    double bytes_per_rr_sec = 0;
     double wire_bytes_per_rr_sec = 0;
     double routes_per_update = 0;
     double generated_per_rr = 0;
@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
     }
     const auto rr = bed->rr_counters();
     r.tx_per_rr_sec = rr.avg_transmitted() / cfg.trace_seconds;
-    r.bytes_per_rr_sec = rr.avg_bytes() / cfg.trace_seconds;
     r.wire_bytes_per_rr_sec = rr.avg_wire_bytes() / cfg.trace_seconds;
     r.routes_per_update =
         updates ? static_cast<double>(routes) / updates : 0;
@@ -95,26 +94,24 @@ int main(int argc, char** argv) {
   const Result abrr = run(ibgp::IbgpMode::kAbrr);
   const Result tbrr = run(ibgp::IbgpMode::kTbrr);
 
-  // tx-bytes is the legacy closed-form estimate; wire-bytes is the
-  // measured RFC 4271 length of every transmitted message.
-  std::printf("%-8s %16s %15s %15s %14s %13s %10s\n", "scheme",
-              "tx-updates/RR/s", "tx-bytes/RR/s", "wire-bytes/RR/s",
-              "routes/update", "generated/RR", "peers/RR");
-  std::printf("%-8s %16.1f %15.0f %15.0f %14.2f %13.0f %10.0f\n", "ABRR",
-              abrr.tx_per_rr_sec, abrr.bytes_per_rr_sec,
-              abrr.wire_bytes_per_rr_sec, abrr.routes_per_update,
-              abrr.generated_per_rr, abrr.peers_per_rr);
-  std::printf("%-8s %16.1f %15.0f %15.0f %14.2f %13.0f %10.0f\n", "TBRR",
-              tbrr.tx_per_rr_sec, tbrr.bytes_per_rr_sec,
-              tbrr.wire_bytes_per_rr_sec, tbrr.routes_per_update,
-              tbrr.generated_per_rr, tbrr.peers_per_rr);
+  // wire-bytes is the measured RFC 4271 length of every transmitted
+  // message.
+  std::printf("%-8s %16s %15s %14s %13s %10s\n", "scheme",
+              "tx-updates/RR/s", "wire-bytes/RR/s", "routes/update",
+              "generated/RR", "peers/RR");
+  std::printf("%-8s %16.1f %15.0f %14.2f %13.0f %10.0f\n", "ABRR",
+              abrr.tx_per_rr_sec, abrr.wire_bytes_per_rr_sec,
+              abrr.routes_per_update, abrr.generated_per_rr,
+              abrr.peers_per_rr);
+  std::printf("%-8s %16.1f %15.0f %14.2f %13.0f %10.0f\n", "TBRR",
+              tbrr.tx_per_rr_sec, tbrr.wire_bytes_per_rr_sec,
+              tbrr.routes_per_update, tbrr.generated_per_rr,
+              tbrr.peers_per_rr);
   std::printf("\n# measured at this scale (%zu clients):\n",
               topology.clients.size());
   std::printf("#   TRR/ARR transmitted-updates ratio: %.2fx (paper ~2.5x)\n",
               tbrr.tx_per_rr_sec / abrr.tx_per_rr_sec);
   std::printf("#   ARR/TRR transmitted-bytes ratio:  %.2fx (paper ~4x)\n",
-              abrr.bytes_per_rr_sec / tbrr.bytes_per_rr_sec);
-  std::printf("#   ARR/TRR wire-bytes ratio:         %.2fx (measured)\n",
               abrr.wire_bytes_per_rr_sec / tbrr.wire_bytes_per_rr_sec);
   std::printf("#   ABRR routes per update: %.1f (paper ~10.2)\n",
               abrr.routes_per_update);

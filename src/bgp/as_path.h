@@ -40,9 +40,6 @@ class AsPath {
 
   const std::vector<Asn>& asns() const { return asns_; }
 
-  /// Wire-size estimate in bytes (2-byte segment header + 4 bytes per AS).
-  std::size_t wire_size() const { return 2 + 4 * asns_.size(); }
-
   /// "1 2 3" formatting for logs.
   std::string to_string() const;
 

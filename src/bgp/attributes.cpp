@@ -11,21 +11,6 @@ bool PathAttrs::has_ext_community(ExtCommunity c) const {
          ext_communities.end();
 }
 
-std::size_t PathAttrs::wire_size() const {
-  // Per-attribute estimate: 3-byte attribute header plus the value.
-  std::size_t size = 0;
-  size += 3 + 1;                      // ORIGIN
-  size += 3 + as_path.wire_size();    // AS_PATH
-  size += 3 + 4;                      // NEXT_HOP
-  size += 3 + 4;                      // LOCAL_PREF
-  if (med) size += 3 + 4;             // MULTI_EXIT_DISC
-  if (!communities.empty()) size += 3 + 4 * communities.size();
-  if (!ext_communities.empty()) size += 3 + 8 * ext_communities.size();
-  if (originator_id) size += 3 + 4;
-  if (!cluster_list.empty()) size += 3 + 4 * cluster_list.size();
-  return size;
-}
-
 namespace {
 
 // Attribute header: flags, type and a one-octet length, or a two-octet

@@ -66,9 +66,6 @@ struct PathAttrs {
 
   bool has_ext_community(ExtCommunity c) const;
 
-  /// Wire-size estimate of the attribute block in bytes.
-  std::size_t wire_size() const;
-
   friend bool operator==(const PathAttrs& a, const PathAttrs& b) {
     return a.origin == b.origin && a.next_hop == b.next_hop &&
            a.local_pref == b.local_pref && a.med == b.med &&

@@ -1,29 +1,18 @@
-// Flat longest-prefix-match structures for the serving read path.
+// Flat longest-prefix match for the serving read path.
 //
 // The experiments (and the serving mode built on them) know the prefix
-// universe up front, so longest-prefix matching can be compiled once
-// into a flat two-level directory instead of walked bit-by-bit through
-// the pointer-chasing PrefixTrie:
-//
-//   LpmIndex  — immutable map  address -> most-specific universe prefix
-//               (a "slot", the same dense id PrefixIndex hands out when
-//               built over the same prefix list), plus the next-shorter
-//               covering universe prefix per slot (`parent_of`). Layout
-//               is a 16/8 DIR table: one 2^16-entry level-1 array
-//               indexed by the top 16 address bits whose entries are
-//               either a slot or a reference to a 256-entry level-2
-//               chunk indexed by bits 15..8; prefixes longer than /24
-//               (rare; absent from the paper workloads) live in sorted
-//               per-/24 overflow lists behind a flag bit. A lookup is
-//               one or two array loads on the hot path — no branches on
-//               prefix length, no per-node allocation, no pointer
-//               chasing.
-//
-//   FlatLpm<T> — a PrefixTrie<T>-shaped convenience wrapper (build from
-//               (prefix, value) pairs, longest_match(addr)) used by the
-//               micro-benchmarks for an honest same-table trie-vs-flat
-//               comparison and by anything that wants LPM over a static
-//               table without carrying per-router sparsity.
+// universe up front, so longest-prefix matching is compiled once into a
+// flat two-level directory, LpmIndex: an immutable map
+// address -> most-specific universe prefix (a "slot", the same dense id
+// PrefixIndex hands out when built over the same prefix list), plus the
+// next-shorter covering universe prefix per slot (`parent_of`). Layout
+// is a 16/8 DIR table: one 2^16-entry level-1 array indexed by the top
+// 16 address bits whose entries are either a slot or a reference to a
+// 256-entry level-2 chunk indexed by bits 15..8; prefixes longer than
+// /24 (rare; absent from the paper workloads) live in sorted per-/24
+// overflow lists behind a flag bit. A lookup is one or two array loads
+// on the hot path — no branches on prefix length, no per-node
+// allocation, no pointer chasing.
 //
 // Sparse per-router tables (serving mode: a router's Loc-RIB may lack
 // an entry for a universe prefix mid-churn) layer on top: look up the
@@ -33,9 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "bgp/prefix.h"
@@ -117,57 +104,6 @@ class LpmIndex {
     std::vector<std::uint32_t> slots;  // /25+ slots, ascending (addr, len)
   };
   std::vector<OverflowList> overflow_;
-};
-
-/// PrefixTrie-shaped flat LPM over a static (prefix, value) table.
-template <typename T>
-class FlatLpm {
- public:
-  FlatLpm() = default;
-
-  /// Builds from a table; on duplicate prefixes the LAST value wins
-  /// (matching repeated PrefixTrie::insert semantics).
-  explicit FlatLpm(std::vector<std::pair<Ipv4Prefix, T>> table) {
-    std::vector<Ipv4Prefix> prefixes;
-    prefixes.reserve(table.size());
-    for (const auto& [prefix, value] : table) prefixes.push_back(prefix);
-    index_ = LpmIndex{prefixes};
-    // Entries are slot-indexed with the prefix stored NEXT TO the value:
-    // a hit costs one random access into entries_ after leaf_of instead
-    // of separate prefix and value fetches.
-    entries_.resize(table.size());
-    for (std::size_t s = 0; s < table.size(); ++s) {
-      entries_[s].first = index_.prefix_at(static_cast<std::uint32_t>(s));
-    }
-    // LpmIndex resolves duplicates to the first slot; overwrite in table
-    // order so that slot carries the last value, as a trie would.
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const std::uint32_t leaf = index_.leaf_of(table[i].first.first());
-      // The table entry's own prefix always covers its first address;
-      // walk up until the slot's prefix is exactly this prefix.
-      std::uint32_t slot = leaf;
-      while (index_.prefix_at(slot) != table[i].first) {
-        slot = index_.parent_of(slot);
-      }
-      entries_[slot].second = std::move(table[i].second);
-    }
-  }
-
-  /// Longest-prefix match; mirrors PrefixTrie::longest_match.
-  std::optional<std::pair<Ipv4Prefix, const T*>> longest_match(
-      Ipv4Addr addr) const {
-    const std::uint32_t slot = index_.leaf_of(addr);
-    if (slot == LpmIndex::kNoSlot) return std::nullopt;
-    const auto& e = entries_[slot];
-    return std::pair<Ipv4Prefix, const T*>{e.first, &e.second};
-  }
-
-  const LpmIndex& index() const { return index_; }
-  std::size_t size() const { return index_.size(); }
-
- private:
-  LpmIndex index_;
-  std::vector<std::pair<Ipv4Prefix, T>> entries_;  // slot-indexed
 };
 
 }  // namespace abrr::bgp

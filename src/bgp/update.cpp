@@ -2,17 +2,6 @@
 
 namespace abrr::bgp {
 
-std::size_t UpdateMessage::wire_size() const {
-  std::size_t size = 19;  // marker + length + type
-  if (keepalive) return size;  // KEEPALIVE is a bare header
-  for (const Route& r : announce) {
-    size += 4 + 5;  // path id + NLRI (1 length byte + 4 address bytes)
-    if (r.attrs) size += r.attrs->wire_size();
-  }
-  size += (4 + 5) * withdraw.size();
-  return size;
-}
-
 std::string UpdateMessage::to_string() const {
   if (keepalive) return "KEEPALIVE";
   std::string out = prefix.to_string();

@@ -34,11 +34,6 @@ struct UpdateMessage {
     return announce.empty() && (full_set || !withdraw.empty());
   }
 
-  /// Wire-size estimate in bytes (19-byte header, 4-byte path ID plus
-  /// 5-byte NLRI per announced route and per withdrawn path, and one
-  /// attribute block per announced route, as add-paths would encode it).
-  std::size_t wire_size() const;
-
   std::string to_string() const;
 };
 

@@ -361,7 +361,6 @@ ibgp::SpeakerCounters Testbed::delta_counters(RouterId id) const {
   now.generated_to_clients -= base.generated_to_clients;
   now.generated_to_rrs -= base.generated_to_rrs;
   now.updates_transmitted -= base.updates_transmitted;
-  now.bytes_transmitted -= base.bytes_transmitted;
   now.wire_bytes_transmitted -= base.wire_bytes_transmitted;
   now.routes_transmitted -= base.routes_transmitted;
   now.loops_suppressed -= base.loops_suppressed;
@@ -423,7 +422,6 @@ RoleTotals Testbed::role_totals(const obs::Labels& filter,
   t.received = m.sum_counters("speaker.updates_received", filter, base);
   t.generated = m.sum_counters("speaker.updates_generated", filter, base);
   t.transmitted = m.sum_counters("speaker.updates_transmitted", filter, base);
-  t.bytes = m.sum_counters("speaker.bytes_transmitted", filter, base);
   t.wire_bytes =
       m.sum_counters("speaker.wire_bytes_transmitted", filter, base);
   t.speakers = speakers;

@@ -40,7 +40,6 @@ struct RoleTotals {
   std::uint64_t received = 0;
   std::uint64_t generated = 0;
   std::uint64_t transmitted = 0;
-  std::uint64_t bytes = 0;       // modeled estimate (legacy column)
   std::uint64_t wire_bytes = 0;  // measured RFC 4271 encoded lengths
   std::size_t speakers = 0;
 
@@ -52,9 +51,6 @@ struct RoleTotals {
   }
   double avg_transmitted() const {
     return speakers ? static_cast<double>(transmitted) / speakers : 0;
-  }
-  double avg_bytes() const {
-    return speakers ? static_cast<double>(bytes) / speakers : 0;
   }
   double avg_wire_bytes() const {
     return speakers ? static_cast<double>(wire_bytes) / speakers : 0;

@@ -98,7 +98,6 @@ void Speaker::register_metrics() {
   c_.generated_to_clients = c("speaker.generated_to_clients");
   c_.generated_to_rrs = c("speaker.generated_to_rrs");
   c_.updates_transmitted = c("speaker.updates_transmitted");
-  c_.bytes_transmitted = c("speaker.bytes_transmitted");
   c_.wire_bytes_transmitted = c("speaker.wire_bytes_transmitted");
   c_.routes_transmitted = c("speaker.routes_transmitted");
   c_.loops_suppressed = c("speaker.loops_suppressed");
@@ -123,7 +122,6 @@ SpeakerCounters Speaker::counters() const {
   v.generated_to_clients = c_.generated_to_clients->value();
   v.generated_to_rrs = c_.generated_to_rrs->value();
   v.updates_transmitted = c_.updates_transmitted->value();
-  v.bytes_transmitted = c_.bytes_transmitted->value();
   v.wire_bytes_transmitted = c_.wire_bytes_transmitted->value();
   v.routes_transmitted = c_.routes_transmitted->value();
   v.loops_suppressed = c_.loops_suppressed->value();
@@ -912,11 +910,10 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix,
   msg.full_set = true;
   msg.announce.reserve(scratch_target_.size());
   for (const Route* r : scratch_target_) msg.announce.push_back(*r);
-  const net::MessageBytes bytes = network_->measure(msg);
+  const std::uint64_t bytes = network_->measure(msg);
   c_.updates_transmitted->inc();
   c_.routes_transmitted->inc(msg.announce.size());
-  c_.bytes_transmitted->inc(bytes.modeled);
-  c_.wire_bytes_transmitted->inc(bytes.wire);
+  c_.wire_bytes_transmitted->inc(bytes);
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kUpdateTx, config_.id, ps.info.id,
                     msg.announce.size());

@@ -152,8 +152,7 @@ struct SpeakerCounters {
   std::uint64_t generated_to_clients = 0;  // ...towards client groups
   std::uint64_t generated_to_rrs = 0;      // ...towards the TRR mesh
   std::uint64_t updates_transmitted = 0;  // messages sent
-  std::uint64_t bytes_transmitted = 0;       // modeled (closed-form estimate)
-  std::uint64_t wire_bytes_transmitted = 0;  // measured (RFC 4271 encoding)
+  std::uint64_t wire_bytes_transmitted = 0;  // RFC 4271 encoded length
   std::uint64_t routes_transmitted = 0;
   std::uint64_t loops_suppressed = 0;     // reflected-bit / cluster-list drops
   std::uint64_t misdirected = 0;          // client routes outside our APs
@@ -550,7 +549,6 @@ class Speaker {
     obs::Counter* generated_to_clients = nullptr;
     obs::Counter* generated_to_rrs = nullptr;
     obs::Counter* updates_transmitted = nullptr;
-    obs::Counter* bytes_transmitted = nullptr;
     obs::Counter* wire_bytes_transmitted = nullptr;
     obs::Counter* routes_transmitted = nullptr;
     obs::Counter* loops_suppressed = nullptr;

@@ -33,10 +33,8 @@ struct ChannelState {
   /// Departure time of the last message (for FIFO ordering).
   sim::Time last_delivery = 0;
   /// Messages and bytes carried (for the bandwidth accounting of §4.2).
-  /// `bytes` is the legacy closed-form model estimate; `wire_bytes` is
-  /// the exact RFC 4271 encoded length (wire::WireSizer).
+  /// `wire_bytes` is the exact RFC 4271 encoded length (wire::WireSizer).
   std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
   std::uint64_t wire_bytes = 0;
 
   // --- fault state ----------------------------------------------------

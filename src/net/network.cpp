@@ -10,14 +10,12 @@ void Network::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_messages_ = nullptr;
     m_bytes_ = nullptr;
-    m_modeled_bytes_ = nullptr;
     m_dropped_ = nullptr;
     m_msg_bytes_ = nullptr;
     return;
   }
   m_messages_ = metrics->counter("net.messages");
   m_bytes_ = metrics->counter("net.bytes");
-  m_modeled_bytes_ = metrics->counter("net.modeled_bytes");
   m_dropped_ = metrics->counter("net.dropped");
   m_msg_bytes_ = metrics->histogram("net.msg_bytes", obs::size_buckets());
 }
@@ -79,7 +77,7 @@ void Network::deliver(Channel& ch) {
 }
 
 void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
-                   MessageBytes bytes) {
+                   std::uint64_t bytes) {
   const auto cit = channels_.find(key(from, to));
   if (cit == channels_.end()) {
     throw std::logic_error{"send: no session " + std::to_string(from) +
@@ -115,23 +113,18 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
     return;
   }
 
-  const std::uint64_t wire = bytes.wire;
-  const std::uint64_t modeled = bytes.modeled;
   ++ch.messages;
-  ch.bytes += modeled;
-  ch.wire_bytes += wire;
+  ch.wire_bytes += bytes;
   ++total_messages_;
-  total_bytes_ += wire;
-  total_modeled_bytes_ += modeled;
+  total_bytes_ += bytes;
   if (m_messages_ != nullptr) {
     m_messages_->inc();
-    m_bytes_->inc(wire);
-    m_modeled_bytes_->inc(modeled);
-    m_msg_bytes_->record(static_cast<double>(wire));
+    m_bytes_->inc(bytes);
+    m_msg_bytes_->record(static_cast<double>(bytes));
   }
   if (tracer_ != nullptr && tracer_->packets() != nullptr) {
-    const auto bytes = encoder_.encode(msg);
-    tracer_->packets()->record(from, to, bytes.data(), bytes.size());
+    const auto encoded = encoder_.encode(msg);
+    tracer_->packets()->record(from, to, encoded.data(), encoded.size());
   }
 
   if (!ch.up) {

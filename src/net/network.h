@@ -27,14 +27,6 @@ using bgp::RouterId;
 /// callable taking `const bgp::UpdateMessage&` works as well.
 using Receiver = std::function<void(RouterId, bgp::UpdateMessage&&)>;
 
-/// What one message adds to the byte counters.
-struct MessageBytes {
-  /// Exact RFC 4271 encoded length of the message train.
-  std::uint64_t wire = 0;
-  /// Closed-form estimate (bgp::UpdateMessage::wire_size).
-  std::uint64_t modeled = 0;
-};
-
 /// Reliable in-order message fabric between registered endpoints.
 ///
 /// Endpoints are BGP speakers; `connect` establishes a bidirectional
@@ -69,11 +61,11 @@ class Network {
   /// `bytes` must be measure(msg): a sender that counts the bytes itself
   /// measures once and passes the result on.
   void send(RouterId from, RouterId to, bgp::UpdateMessage msg,
-            MessageBytes bytes);
+            std::uint64_t bytes);
 
   /// send() for callers that do not count bytes themselves.
   void send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
-    const MessageBytes bytes = measure(msg);
+    const std::uint64_t bytes = measure(msg);
     send(from, to, std::move(msg), bytes);
   }
 
@@ -120,19 +112,17 @@ class Network {
   /// Aggregate counters. total_bytes() is measured: the sum of the
   /// exact RFC 4271 encoded lengths each message occupies on the wire
   /// (wire::WireSizer, which reads each interned attribute block's stored
-  /// length). total_modeled_bytes() keeps the legacy closed-form estimate
-  /// for modeled-vs-measured comparison.
+  /// length).
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t total_modeled_bytes() const { return total_modeled_bytes_; }
   /// Messages dropped by fault hooks (loss, dead endpoints, resets).
   std::uint64_t total_dropped() const { return total_dropped_; }
 
-  /// Both byte counts of `msg`, as send() accounts them. Speakers use
+  /// The encoded length of `msg`, as send() accounts it. Speakers use
   /// this for their own byte counters so every layer reports the same
   /// measured number.
-  MessageBytes measure(const bgp::UpdateMessage& msg) {
-    return MessageBytes{sizer_.message_size(msg), msg.wire_size()};
+  std::uint64_t measure(const bgp::UpdateMessage& msg) {
+    return sizer_.message_size(msg);
   }
 
   /// Per-directed-channel counters, or nullptr if not connected.
@@ -188,7 +178,6 @@ class Network {
   std::unordered_set<RouterId> down_endpoints_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::uint64_t total_modeled_bytes_ = 0;
   std::uint64_t total_dropped_ = 0;
 
   // Exact-size oracle.
@@ -199,7 +188,6 @@ class Network {
   // Optional observability handles (null when not attached).
   obs::Counter* m_messages_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_modeled_bytes_ = nullptr;
   obs::Counter* m_dropped_ = nullptr;
   obs::Histogram* m_msg_bytes_ = nullptr;
   obs::Tracer* tracer_ = nullptr;

@@ -277,9 +277,9 @@ void append_totals(std::string& out, const char* key,
                    const harness::RoleTotals& t) {
   append(out,
          "\"%s\":{\"received\":%" PRIu64 ",\"generated\":%" PRIu64
-         ",\"transmitted\":%" PRIu64 ",\"bytes\":%" PRIu64
-         ",\"wire_bytes\":%" PRIu64 ",\"speakers\":%zu}",
-         key, t.received, t.generated, t.transmitted, t.bytes, t.wire_bytes,
+         ",\"transmitted\":%" PRIu64 ",\"wire_bytes\":%" PRIu64
+         ",\"speakers\":%zu}",
+         key, t.received, t.generated, t.transmitted, t.wire_bytes,
          t.speakers);
 }
 

@@ -45,7 +45,7 @@ TEST(PathAttrs, WireSizeGrowsWithContent) {
   big.med = 10;
   big.cluster_list = {1, 2, 3};
   big.ext_communities = {kAbrrReflectedCommunity};
-  EXPECT_GT(big.wire_size(), small.wire_size());
+  EXPECT_GT(encoded_attrs_size(big), encoded_attrs_size(small));
 }
 
 TEST(PathAttrs, WithAttrsCopiesOnWrite) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bgp/update.h"
+#include "wire/codec.h"
 
 namespace abrr::bgp {
 namespace {
@@ -194,8 +195,11 @@ TEST(UpdateMessage, WireSizeScalesWithRoutes) {
   UpdateMessage ten = one;
   for (PathId i = 2; i <= 10; ++i) ten.announce.push_back(mk(kP1, 5, i, 100));
   // An update carrying 10 routes is roughly 10x longer (§4.2).
-  EXPECT_GT(ten.wire_size(), 5 * one.wire_size());
-  EXPECT_LT(ten.wire_size(), 15 * one.wire_size());
+  wire::WireSizer sizer;
+  const std::uint64_t one_size = sizer.message_size(one);
+  const std::uint64_t ten_size = sizer.message_size(ten);
+  EXPECT_GT(ten_size, 5 * one_size);
+  EXPECT_LT(ten_size, 15 * one_size);
 }
 
 }  // namespace

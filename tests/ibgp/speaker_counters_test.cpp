@@ -75,7 +75,7 @@ TEST_F(CounterTest, SingleAnnouncementAccounting) {
   EXPECT_EQ(arr.generated_to_rrs, 0u);
   EXPECT_EQ(arr.updates_transmitted, 2u);
   EXPECT_EQ(arr.routes_transmitted, 2u);
-  EXPECT_GT(arr.bytes_transmitted, 2 * 19u);
+  EXPECT_GT(arr.wire_bytes_transmitted, 2 * 19u);
   // Clients 2/3: one message in each, nothing out.
   EXPECT_EQ(at(2).counters().updates_received, 1u);
   EXPECT_EQ(at(2).counters().updates_transmitted, 0u);

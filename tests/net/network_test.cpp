@@ -78,16 +78,14 @@ TEST_F(NetworkTest, CountsMessagesAndBytes) {
   net.send(1, 2, m);
   sched.run_to_quiescence();
   EXPECT_EQ(net.total_messages(), 2u);
-  // total_bytes() is measured (exact RFC 4271 encoding); the legacy
-  // closed-form estimate moves to total_modeled_bytes().
-  EXPECT_EQ(net.total_modeled_bytes(), 2 * m.wire_size());
-  EXPECT_EQ(net.measure(m).modeled, m.wire_size());
-  EXPECT_EQ(net.total_bytes(), 2 * net.measure(m).wire);
+  // total_bytes() is measured: the exact RFC 4271 encoding.
+  const std::uint64_t encoded = wire::Encoder{}.encode(m).size();
+  EXPECT_EQ(net.measure(m), encoded);
+  EXPECT_EQ(net.total_bytes(), 2 * encoded);
   EXPECT_GT(net.total_bytes(), 0u);
   const ChannelState* ch = net.channel(1, 2);
   ASSERT_NE(ch, nullptr);
   EXPECT_EQ(ch->messages, 2u);
-  EXPECT_EQ(ch->bytes, 2 * m.wire_size());
   EXPECT_EQ(ch->wire_bytes, net.total_bytes());
   EXPECT_EQ(net.channel(2, 1)->messages, 0u);
 }
@@ -194,12 +192,12 @@ TEST_F(NetworkTest, SendCountsTheBytesItIsGiven) {
   net.register_endpoint(2, [](RouterId, const UpdateMessage&) {});
   net.connect(1, 2, sim::msec(1));
   const UpdateMessage m = multi(Ipv4Prefix::parse("10.0.0.0/8"), 1, 3);
-  const MessageBytes bytes = net.measure(m);
+  const std::uint64_t bytes = net.measure(m);
   net.send(1, 2, m, bytes);
   net.send(1, 2, m);
   sched.run_to_quiescence();
-  EXPECT_EQ(net.total_bytes(), 2 * bytes.wire);
-  EXPECT_EQ(net.total_modeled_bytes(), 2 * bytes.modeled);
+  EXPECT_EQ(net.total_bytes(), 2 * bytes);
+  EXPECT_EQ(net.channel(1, 2)->wire_bytes, 2 * bytes);
 }
 
 }  // namespace

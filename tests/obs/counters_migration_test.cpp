@@ -48,7 +48,7 @@ harness::RoleTotals manual_totals(harness::Testbed& bed,
     t.received += c.updates_received;
     t.generated += c.updates_generated;
     t.transmitted += c.updates_transmitted;
-    t.bytes += c.bytes_transmitted;
+    t.wire_bytes += c.wire_bytes_transmitted;
   }
   t.speakers = ids.size();
   return t;
@@ -62,7 +62,7 @@ harness::RoleTotals manual_deltas(harness::Testbed& bed,
     t.received += c.updates_received;
     t.generated += c.updates_generated;
     t.transmitted += c.updates_transmitted;
-    t.bytes += c.bytes_transmitted;
+    t.wire_bytes += c.wire_bytes_transmitted;
   }
   t.speakers = ids.size();
   return t;
@@ -72,7 +72,7 @@ void expect_equal(const harness::RoleTotals& a, const harness::RoleTotals& b) {
   EXPECT_EQ(a.received, b.received);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.transmitted, b.transmitted);
-  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
   EXPECT_EQ(a.speakers, b.speakers);
 }
 

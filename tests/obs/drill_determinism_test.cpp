@@ -100,7 +100,7 @@ TEST(DrillDeterminism, ObservabilityDoesNotPerturbTheSimulation) {
   EXPECT_EQ(off.bed->sampler(), nullptr);
   for (const char* name :
        {"speaker.updates_received", "speaker.updates_transmitted",
-        "speaker.bytes_transmitted", "net.messages", "net.dropped"}) {
+        "speaker.wire_bytes_transmitted", "net.messages", "net.dropped"}) {
     EXPECT_EQ(on.bed->metrics().sum_counters(name),
               off.bed->metrics().sum_counters(name))
         << name;

@@ -1,60 +1,68 @@
 // Property tests for the flat LPM directory (bgp/flat_lpm.h): on any
-// static table, FlatLpm must answer longest_match exactly like the
-// reference PrefixTrie, including /25+ overflow lists, duplicate
-// prefixes, and a default route; LpmIndex's leaf/parent structure must
-// match a brute-force containment scan.
+// static table, LpmIndex must resolve every address to the same prefix
+// a brute-force longest-covering-prefix scan finds, including /25+
+// overflow lists, duplicate prefixes, and a default route; its
+// leaf/parent structure must match a brute-force containment scan.
 #include "bgp/flat_lpm.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
+#include <optional>
 #include <vector>
 
-#include "bgp/prefix_trie.h"
 #include "sim/random.h"
 
 namespace abrr::bgp {
 namespace {
 
-std::vector<std::pair<Ipv4Prefix, int>> random_table(sim::Rng& rng, int n,
-                                                     int min_len,
-                                                     int max_len) {
-  std::vector<std::pair<Ipv4Prefix, int>> table;
+std::vector<Ipv4Prefix> random_table(sim::Rng& rng, int n, int min_len,
+                                     int max_len) {
+  std::vector<Ipv4Prefix> table;
   table.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto addr =
         static_cast<Ipv4Addr>(rng.uniform_int(0, 0xFFFFFFFFll));
     const auto len =
         static_cast<std::uint8_t>(rng.uniform_int(min_len, max_len));
-    table.emplace_back(Ipv4Prefix{addr, len}, i);
+    table.emplace_back(addr, len);
   }
   return table;
 }
 
-/// Flat and trie answers must agree on random probes plus every table
+/// The reference: the longest table prefix containing `addr`.
+std::optional<Ipv4Prefix> longest_covering(
+    const std::vector<Ipv4Prefix>& table, Ipv4Addr addr) {
+  std::optional<Ipv4Prefix> best;
+  for (const Ipv4Prefix& p : table) {
+    if (p.contains(addr) && (!best || p.length() > best->length())) best = p;
+  }
+  return best;
+}
+
+/// The index's answer for `addr` as a prefix.
+std::optional<Ipv4Prefix> indexed_match(const LpmIndex& index,
+                                        Ipv4Addr addr) {
+  const std::uint32_t slot = index.leaf_of(addr);
+  if (slot == LpmIndex::kNoSlot) return std::nullopt;
+  return index.prefix_at(slot);
+}
+
+/// Index and reference must agree on random probes plus every table
 /// prefix's first/last address (the fill-boundary corner cases).
-void expect_matches_trie(const std::vector<std::pair<Ipv4Prefix, int>>& table,
-                         int probes, std::uint64_t probe_seed) {
-  const FlatLpm<int> flat{table};
-  PrefixTrie<int> trie;
-  for (const auto& [prefix, value] : table) trie.insert(prefix, value);
-
+/// Duplicates need no tie rule: both sides answer with a prefix.
+void expect_matches_reference(const std::vector<Ipv4Prefix>& table,
+                              int probes, std::uint64_t probe_seed) {
+  const LpmIndex index{table};
   const auto check = [&](Ipv4Addr addr) {
-    const auto expected = trie.longest_match(addr);
-    const auto got = flat.longest_match(addr);
-    ASSERT_EQ(expected.has_value(), got.has_value()) << "addr=" << addr;
-    if (expected) {
-      EXPECT_EQ(expected->first, got->first) << "addr=" << addr;
-      EXPECT_EQ(*expected->second, *got->second) << "addr=" << addr;
-    }
+    EXPECT_EQ(indexed_match(index, addr), longest_covering(table, addr))
+        << "addr=" << addr;
   };
-
   sim::Rng rng{probe_seed};
   for (int i = 0; i < probes; ++i) {
     check(static_cast<Ipv4Addr>(rng.uniform_int(0, 0xFFFFFFFFll)));
   }
-  for (const auto& [prefix, value] : table) {
+  for (const Ipv4Prefix& prefix : table) {
     check(prefix.first());
     check(prefix.last());
   }
@@ -62,50 +70,38 @@ void expect_matches_trie(const std::vector<std::pair<Ipv4Prefix, int>>& table,
 
 TEST(FlatLpm, MatchesTrieOnMixedLengths) {
   sim::Rng rng{7};
-  expect_matches_trie(random_table(rng, 4000, 8, 24), 20000, 17);
+  expect_matches_reference(random_table(rng, 4000, 8, 24), 20000, 17);
 }
 
 TEST(FlatLpm, MatchesTrieWithOverflowPrefixes) {
   sim::Rng rng{8};
   // /25../32 exercise the per-/24 overflow lists, mixed with their
   // covering shorter prefixes.
-  expect_matches_trie(random_table(rng, 3000, 16, 32), 20000, 18);
+  expect_matches_reference(random_table(rng, 3000, 16, 32), 20000, 18);
 }
 
 TEST(FlatLpm, MatchesTrieOnPureHostRoutes) {
   sim::Rng rng{9};
-  expect_matches_trie(random_table(rng, 500, 25, 32), 10000, 19);
+  expect_matches_reference(random_table(rng, 500, 25, 32), 10000, 19);
 }
 
 TEST(FlatLpm, DefaultRouteCoversEverything) {
-  std::vector<std::pair<Ipv4Prefix, int>> table;
-  table.emplace_back(Ipv4Prefix{0, 0}, 1);            // 0.0.0.0/0
-  table.emplace_back(Ipv4Prefix{0x0A000000, 8}, 2);   // 10.0.0.0/8
-  table.emplace_back(Ipv4Prefix{0x0A010000, 16}, 3);  // 10.1.0.0/16
-  const FlatLpm<int> flat{table};
-  EXPECT_EQ(*flat.longest_match(0xFFFFFFFF)->second, 1);
-  EXPECT_EQ(*flat.longest_match(0x0AFF0000)->second, 2);
-  EXPECT_EQ(*flat.longest_match(0x0A01FF00)->second, 3);
-  expect_matches_trie(table, 5000, 20);
-}
-
-TEST(FlatLpm, DuplicatePrefixesLastValueWins) {
-  std::vector<std::pair<Ipv4Prefix, int>> table{
-      {Ipv4Prefix{0x0A000000, 16}, 1},
-      {Ipv4Prefix{0x0B000000, 16}, 2},
-      {Ipv4Prefix{0x0A000000, 16}, 3},  // duplicate; must win
+  const std::vector<Ipv4Prefix> table{
+      Ipv4Prefix{0, 0},            // 0.0.0.0/0
+      Ipv4Prefix{0x0A000000, 8},   // 10.0.0.0/8
+      Ipv4Prefix{0x0A010000, 16},  // 10.1.0.0/16
   };
-  const FlatLpm<int> flat{table};
-  EXPECT_EQ(*flat.longest_match(0x0A000001)->second, 3);
-  EXPECT_EQ(*flat.longest_match(0x0B000001)->second, 2);
-  expect_matches_trie(table, 1000, 21);
+  const LpmIndex index{table};
+  EXPECT_EQ(indexed_match(index, 0xFFFFFFFF), table[0]);
+  EXPECT_EQ(indexed_match(index, 0x0AFF0000), table[1]);
+  EXPECT_EQ(indexed_match(index, 0x0A01FF00), table[2]);
+  expect_matches_reference(table, 5000, 20);
 }
 
 TEST(FlatLpm, EmptyTableAndDefaultConstructed) {
-  const FlatLpm<int> empty{std::vector<std::pair<Ipv4Prefix, int>>{}};
-  EXPECT_FALSE(empty.longest_match(0x0A000000).has_value());
-  const FlatLpm<int> def;
-  EXPECT_FALSE(def.longest_match(0x0A000000).has_value());
+  const LpmIndex empty{std::vector<Ipv4Prefix>{}};
+  EXPECT_EQ(empty.leaf_of(0x0A000000), LpmIndex::kNoSlot);
+  EXPECT_TRUE(empty.empty());
   const LpmIndex idx;
   EXPECT_EQ(idx.leaf_of(0), LpmIndex::kNoSlot);
   EXPECT_TRUE(idx.empty());
@@ -172,6 +168,7 @@ TEST(LpmIndex, DuplicatesShareTheFirstSlot) {
   EXPECT_EQ(index.parent_of(0), 1u);
   EXPECT_EQ(index.parent_of(2), 1u);
   EXPECT_EQ(index.parent_of(1), LpmIndex::kNoSlot);
+  expect_matches_reference(universe, 1000, 21);
 }
 
 }  // namespace

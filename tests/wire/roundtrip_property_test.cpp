@@ -233,14 +233,14 @@ TEST_P(AllModesWire, CapturedAdvertisementsRoundTrip) {
 
   // The capture and the byte accounting are independent walks over the
   // same sends; with nothing dropped they must agree exactly, and the
-  // registry mirrors the aggregate.
+  // registry mirrors the aggregate. Every send here is a speaker's
+  // UPDATE (no hold timer, so no KEEPALIVEs), so the speakers' own
+  // counters add up to the same total.
   EXPECT_EQ(cap->payload_bytes(), bed.network().total_bytes());
   EXPECT_EQ(bed.metrics().sum_counters("net.bytes"),
             bed.network().total_bytes());
-  EXPECT_EQ(bed.metrics().sum_counters("net.modeled_bytes"),
-            bed.network().total_modeled_bytes());
-  // Wire-faithful accounting diverges from the closed-form model -- that
-  // delta is the point of measuring (EXPERIMENTS.md records it).
+  EXPECT_EQ(bed.metrics().sum_counters("speaker.wire_bytes_transmitted"),
+            bed.network().total_bytes());
   EXPECT_NE(bed.network().total_bytes(), 0u);
 }
 
