@@ -15,23 +15,17 @@
 // runner::make_trial_topology/make_trial_workload and testbed_config().
 #pragma once
 
-#include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "harness/testbed.h"
-#include "obs/metrics.h"
 #include "runner/arg_parser.h"
 #include "runner/runner.h"
 #include "runner/scenario.h"
 #include "runner/trial.h"
-#include "serve/service.h"
 #include "topo/topology.h"
 #include "trace/regenerator.h"
 #include "trace/update_trace.h"
@@ -188,227 +182,6 @@ class MetricsSink {
   std::string bench_;
   std::string path_;
   std::vector<std::pair<std::string, std::string>> sections_;
-};
-
-// --- serving-mode shared plumbing (serve_bench / frontend_bench) -----
-
-/// Churn-plan flags common to the serving benches; both benches must
-/// drive the SAME spec shape so their numbers compare.
-struct ServingBenchParams {
-  double churn_seconds = 10.0;
-  double churn_events_per_second = 50.0;
-  unsigned long chaos_events = 8;
-  double publish_period_seconds = 0.25;
-
-  void register_flags(runner::ArgParser& p) {
-    p.add("churn-seconds", "virtual churn horizon per trial",
-          &churn_seconds);
-    p.add("churn-eps", "update-trace churn events per virtual second",
-          &churn_events_per_second);
-    p.add("chaos-events", "session/delay/loss fault events mixed in",
-          &chaos_events);
-    p.add("publish-period", "virtual seconds between publish attempts",
-          &publish_period_seconds);
-  }
-};
-
-/// One serving-mode scenario cell at this config's scale, on a mid-size
-/// bed (4 clients per PoP, 8 peer ASes at 3 points each).
-inline runner::ScenarioSpec serving_spec(ibgp::IbgpMode mode,
-                                         const ExperimentConfig& cfg,
-                                         const ServingBenchParams& params,
-                                         const char* name_prefix) {
-  runner::ScenarioSpec spec;
-  spec.name = std::string{name_prefix} + "/" + runner::mode_name(mode);
-  spec.mode = mode;
-  spec.topology.pops = cfg.pops;
-  spec.topology.clients_per_pop = 4;
-  spec.topology.peer_ases = 8;
-  spec.topology.points_per_as = 3;
-  spec.workload.prefixes = cfg.prefixes;
-  spec.abrr.num_aps = 2;
-  spec.serve.enabled = true;
-  spec.serve.churn_seconds = params.churn_seconds;
-  spec.serve.churn_events_per_second = params.churn_events_per_second;
-  spec.serve.chaos_events = params.chaos_events;
-  spec.serve.publish_period_seconds = params.publish_period_seconds;
-  return spec;
-}
-
-/// Deterministic hit-biased probe plan over a service's stable views
-/// (the LPM universe and router list are shared across every snapshot,
-/// so requests are generated once, outside any pin — the idiom every
-/// read-path driver uses).
-inline std::vector<serve::LookupRequest> serving_probe_plan(
-    serve::RouteService& service, std::size_t n, std::uint32_t salt = 0) {
-  serve::RouteService::Reader reader{service};
-  std::shared_ptr<const bgp::LpmIndex> index;
-  std::vector<bgp::RouterId> routers;
-  {
-    const serve::RouteService::Reader::PinGuard pin{reader};
-    index = pin->index;
-    routers = pin->router_ids;
-  }
-  std::vector<serve::LookupRequest> reqs;
-  reqs.reserve(n);
-  std::uint32_t probe = 0x9e3779b9u + salt;
-  for (std::size_t i = 0; i < n; ++i) {
-    probe = probe * 2654435761u + 12345;
-    const bgp::Ipv4Prefix& p = index->prefix_at(probe % index->size());
-    reqs.push_back(
-        serve::LookupRequest{routers[i % routers.size()],
-                             p.first() | (probe & (p.last() - p.first()))});
-  }
-  return reqs;
-}
-
-/// What one loadgen fan-out measured: operation/lookup counts and the
-/// per-operation latency histogram, merged across worker threads.
-struct LoadgenResult {
-  std::uint64_t ops = 0;      // completed operations (batches / RTTs)
-  std::uint64_t lookups = 0;  // individual lookups answered
-  std::uint64_t errors = 0;   // workers that died (exceptions)
-  obs::Histogram latency_ns{obs::latency_buckets_ns()};
-  double wall_ms = 0;
-
-  void merge(const LoadgenResult& other) {
-    ops += other.ops;
-    lookups += other.lookups;
-    errors += other.errors;
-    latency_ns.merge(other.latency_ns);
-  }
-  double lookups_per_sec() const {
-    return wall_ms > 0 ? static_cast<double>(lookups) / (wall_ms / 1e3) : 0;
-  }
-};
-
-/// Runs `fn(thread_index)` on `threads` workers and merges their
-/// results; wall_ms spans the whole fan-out (start to last join). A
-/// worker that throws counts as one error and contributes nothing —
-/// the caller decides whether errors fail the bench. One-CPU caveat:
-/// workers time-slice a single core here, so judge added concurrency
-/// by per-op latency, not wall speedup (see EXPERIMENTS.md).
-template <typename Fn>
-LoadgenResult run_loadgen_threads(std::size_t threads, Fn fn) {
-  std::vector<LoadgenResult> results(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const auto t_begin = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers.emplace_back([i, &results, &fn] {
-      try {
-        results[i] = fn(i);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "loadgen worker %zu: %s\n", i, e.what());
-        results[i] = LoadgenResult{};
-        results[i].errors = 1;
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  LoadgenResult merged;
-  for (const LoadgenResult& r : results) merged.merge(r);
-  merged.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t_begin)
-                       .count();
-  return merged;
-}
-
-/// Minimal ordered JSON emitter for BENCH_*.json reports: tracks comma
-/// state per nesting level so benches build reports field by field
-/// instead of via one giant fprintf format string. Writes the document
-/// (plus a trailing newline) on close()/destruction.
-class JsonWriter {
- public:
-  explicit JsonWriter(std::string path) : path_(std::move(path)) {}
-  ~JsonWriter() { close(); }
-  JsonWriter(const JsonWriter&) = delete;
-  JsonWriter& operator=(const JsonWriter&) = delete;
-
-  void begin_object(const char* key = nullptr) { open('{', key); }
-  void end_object() { close_scope(); }
-  void begin_array(const char* key = nullptr) { open('[', key); }
-  void end_array() { close_scope(); }
-
-  void field(const char* key, const char* v) {
-    item(key);
-    buf_ += '"';
-    buf_ += v;
-    buf_ += '"';
-  }
-  void field(const char* key, const std::string& v) { field(key, v.c_str()); }
-  void field(const char* key, double v) {
-    item(key);
-    char tmp[32];
-    std::snprintf(tmp, sizeof(tmp), "%.3f", v);
-    buf_ += tmp;
-  }
-  void field(const char* key, std::uint64_t v) {
-    item(key);
-    char tmp[32];
-    std::snprintf(tmp, sizeof(tmp), "%" PRIu64, v);
-    buf_ += tmp;
-  }
-  void field(const char* key, unsigned v) {
-    field(key, static_cast<std::uint64_t>(v));
-  }
-  void field(const char* key, long v) {
-    item(key);
-    char tmp[32];
-    std::snprintf(tmp, sizeof(tmp), "%ld", v);
-    buf_ += tmp;
-  }
-  /// 16-digit hex string — the fingerprint convention of BENCH_*.json.
-  void field_hex(const char* key, std::uint64_t v) {
-    item(key);
-    char tmp[32];
-    std::snprintf(tmp, sizeof(tmp), "\"%016" PRIx64 "\"", v);
-    buf_ += tmp;
-  }
-
-  /// Writes the document; returns false (and complains) on I/O error.
-  bool close() {
-    if (path_.empty()) return true;
-    FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", path_.c_str());
-      path_.clear();
-      return false;
-    }
-    std::fputs(buf_.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path_.c_str());
-    path_.clear();
-    return true;
-  }
-
- private:
-  void item(const char* key) {
-    if (!first_.empty() && !first_.back()) buf_ += ", ";
-    if (!first_.empty()) first_.back() = false;
-    if (key != nullptr) {
-      buf_ += '"';
-      buf_ += key;
-      buf_ += "\": ";
-    }
-  }
-  void open(char c, const char* key) {
-    item(key);
-    buf_ += c;
-    first_.push_back(true);
-    closers_.push_back(c == '{' ? '}' : ']');
-  }
-  void close_scope() {
-    buf_ += closers_.back();
-    closers_.pop_back();
-    first_.pop_back();
-  }
-
-  std::string path_;
-  std::string buf_;
-  std::vector<bool> first_;
-  std::vector<char> closers_;
 };
 
 /// Loads the snapshot paced over `seconds` of simulated time and runs to

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Runs the micro-benchmarks (BENCH_micro.json), the fault-resilience
-# experiment (BENCH_fault.json + BENCH_fault_metrics.json), the
+# experiment (BENCH_fault.json + BENCH_fault_metrics.json) and the
 # parallel sweep (BENCH_sweep.json, which also proves --jobs=N output is
-# byte-identical to --jobs=1), the serving-mode trial
-# (BENCH_serve.json: lookups/sec, per-lookup and publish latency
-# quantiles, reclamation stats, peak RSS) and the TCP front-end sweep
-# (BENCH_frontend.json: connections x batch-size cells, RTT quantiles,
-# wire bytes, slowdown vs the in-process read path).
+# byte-identical to --jobs=1). The serving path (in-process reads and
+# the TCP front-end) is benchmarked by perfbench:
+#   python3 perfbench/run.py --workload serve_churn|tcp_query
 #
 # Usage: bench/run_bench.sh [--out-dir=DIR] [--jobs=N] [--preset=NAME]
 #                           [build-dir] [extra google-benchmark flags...]
@@ -14,7 +12,8 @@
 # worker-thread count for the runner-backed benches (default: nproc).
 # --preset=NAME resolves the build dir from CMakePresets.json (e.g.
 # --preset=release -> ./build-release); otherwise the build dir defaults
-# to ./build. Build it first with:
+# to ./build, and a first argument starting with "--" is a
+# google-benchmark flag, not a build dir. Build it first with:
 #   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
 # (or `cmake --preset release && cmake --build --preset release`).
 #
@@ -23,9 +22,7 @@
 # binaries silently benchmark last week's code. Override the staleness
 # check (only) with ABRR_ALLOW_STALE=1. Skip the (slower) fault
 # experiment with ABRR_SKIP_FAULT_BENCH=1; skip the sweep with
-# ABRR_SKIP_SWEEP_BENCH=1; skip the serving trial with
-# ABRR_SKIP_SERVE_BENCH=1; skip the TCP front-end sweep with
-# ABRR_SKIP_FRONTEND_BENCH=1.
+# ABRR_SKIP_SWEEP_BENCH=1.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -62,8 +59,11 @@ if [[ -n "$preset" ]]; then
   fi
   build_dir="$repo_root/build-$preset"
 else
-  build_dir="${1:-$repo_root/build}"
-  shift || true
+  build_dir="$repo_root/build"
+  if [[ $# -gt 0 && "${1:0:2}" != "--" ]]; then
+    build_dir="$1"
+    shift
+  fi
 fi
 if [[ ! -d "$build_dir" ]]; then
   echo "error: build dir '$build_dir' does not exist." >&2
@@ -117,15 +117,12 @@ bench_bin="$build_dir/bench/micro_bench"
 check_fresh "$bench_bin"
 
 # Preflight: the allocation-path tests (arena, scheduler event pool,
-# interner trial scope) guard the machinery these benches measure, the
-# wire suite guards the measured byte columns the reports now carry,
-# the serve suite guards the snapshot/LPM read path the serving trial
-# times, and the frontend suite guards the ABRR-Q protocol the TCP
-# sweep drives — refuse to publish numbers from a build where any
-# fails.
+# interner trial scope) guard the machinery these benches measure, and
+# the wire suite guards the measured byte columns the reports carry —
+# refuse to publish numbers from a build where either fails.
 if command -v ctest >/dev/null 2>&1; then
-  echo "preflight: ctest -L '(alloc|wire|serve|frontend)' in $build_dir"
-  if ! ctest --test-dir "$build_dir" -L '(alloc|wire|serve|frontend)' --output-on-failure; then
+  echo "preflight: ctest -L '(alloc|wire)' in $build_dir"
+  if ! ctest --test-dir "$build_dir" -L '(alloc|wire)' --output-on-failure; then
     echo "error: preflight tests failed; not running benches" >&2
     exit 1
   fi
@@ -155,27 +152,4 @@ if [[ "${ABRR_SKIP_SWEEP_BENCH:-0}" != "1" ]]; then
     --prefixes="${ABRR_SWEEP_PREFIXES:-1000}" \
     --jobs="$jobs" \
     --out-dir="$out_dir"
-fi
-
-if [[ "${ABRR_SKIP_SERVE_BENCH:-0}" != "1" ]]; then
-  serve_bin="$build_dir/bench/serve_bench"
-  check_fresh "$serve_bin"
-  # One CPU here: readers time-slice the writer, so keep the default
-  # reader count low and judge the read path by per-lookup latency
-  # (see EXPERIMENTS.md), not aggregate throughput.
-  "$serve_bin" \
-    --prefixes="${ABRR_SERVE_PREFIXES:-2000}" \
-    --readers="${ABRR_SERVE_READERS:-2}" \
-    --json_out="$out_dir/BENCH_serve.json"
-fi
-
-if [[ "${ABRR_SKIP_FRONTEND_BENCH:-0}" != "1" ]]; then
-  frontend_bin="$build_dir/bench/frontend_bench"
-  check_fresh "$frontend_bin"
-  # One CPU here: client threads and the server loop time-slice one
-  # core, so judge the transport by per-batch RTT and by
-  # slowdown_vs_inprocess at --connections=1 (see EXPERIMENTS.md).
-  "$frontend_bin" \
-    --prefixes="${ABRR_FRONTEND_PREFIXES:-2000}" \
-    --json_out="$out_dir/BENCH_frontend.json"
 fi

@@ -35,9 +35,7 @@ std::uint64_t now_ns() {
 Server::Server(serve::RouteService& service, ServerOptions options)
     : service_(&service),
       options_(options),
-      batch_size_hist_(obs::size_buckets()),
-      handle_ns_hist_(obs::latency_buckets_ns()),
-      reply_bytes_hist_(obs::byte_buckets()) {}
+      handle_ns_hist_(obs::latency_buckets_ns()) {}
 
 Server::~Server() { stop(); }
 
@@ -104,19 +102,9 @@ ServerStats Server::stats() const {
   return s;
 }
 
-obs::Histogram Server::batch_size_hist() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return batch_size_hist_;
-}
-
 obs::Histogram Server::handle_ns_hist() const {
   std::lock_guard<std::mutex> lock{hist_mutex_};
   return handle_ns_hist_;
-}
-
-obs::Histogram Server::reply_bytes_hist() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return reply_bytes_hist_;
 }
 
 void Server::loop_main() {
@@ -315,17 +303,10 @@ bool Server::handle_frame(Conn& conn, const Frame& frame,
       }
       resps_.resize(reqs_.size());
       const serve::BatchResult res = reader.lookup_batch(reqs_, resps_);
-      const std::size_t out_before = conn.out.size();
       append_lookup_reply(conn.out, seq, res.snapshot_version,
                           res.fingerprint, resps_);
       batches_.fetch_add(1, std::memory_order_relaxed);
       lookups_.fetch_add(reqs_.size(), std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock{hist_mutex_};
-        batch_size_hist_.record(static_cast<double>(reqs_.size()));
-        reply_bytes_hist_.record(
-            static_cast<double>(conn.out.size() - out_before));
-      }
       break;
     }
     case FrameType::kHelloAck:

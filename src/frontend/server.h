@@ -80,11 +80,8 @@ class Server {
   std::uint16_t port() const { return port_; }
   ServerStats stats() const;
 
-  /// Loop-side histograms (batch sizes, per-frame service time in ns,
-  /// reply frame bytes), copied under a lock.
-  obs::Histogram batch_size_hist() const;
+  /// Loop-side per-frame service time (ns), copied under a lock.
   obs::Histogram handle_ns_hist() const;
-  obs::Histogram reply_bytes_hist() const;
 
  private:
   struct Conn {
@@ -139,9 +136,7 @@ class Server {
   std::atomic<std::uint64_t> active_{0};
 
   mutable std::mutex hist_mutex_;
-  obs::Histogram batch_size_hist_;
   obs::Histogram handle_ns_hist_;
-  obs::Histogram reply_bytes_hist_;
 };
 
 }  // namespace abrr::frontend

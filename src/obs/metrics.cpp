@@ -232,12 +232,6 @@ std::vector<double> size_buckets() {
   return b;
 }
 
-std::vector<double> byte_buckets() {
-  std::vector<double> b;
-  for (double v = 16; v <= 1024.0 * 1024 * 1024; v *= 4) b.push_back(v);
-  return b;
-}
-
 std::vector<double> latency_buckets_ns() {
   std::vector<double> b;
   for (double decade = 1; decade <= 1e9; decade *= 10) {

@@ -135,11 +135,6 @@ class Histogram {
 /// "how many routes / how many bytes / how big a batch" histograms.
 std::vector<double> size_buckets();
 
-/// Byte-size buckets: powers of four from 16B to 1GiB — the default
-/// for "how many bytes crossed the wire" histograms (frame sizes,
-/// per-connection outboxes), whose range outgrows size_buckets().
-std::vector<double> byte_buckets();
-
 /// Latency buckets in nanoseconds: 1-2-5 decades from 1ns to 10s —
 /// the default for lookup/publish latency histograms.
 std::vector<double> latency_buckets_ns();

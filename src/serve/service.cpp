@@ -20,8 +20,6 @@
 #include "runner/trial.h"
 #include "trace/update_trace.h"
 
-#include <sys/resource.h>
-
 namespace abrr::serve {
 namespace {
 
@@ -187,7 +185,6 @@ RouteService::RouteService(runner::ScenarioSpec spec, std::uint64_t seed,
     : spec_(std::move(spec)),
       seed_(seed),
       epochs_(max_readers),
-      lookup_hist_(obs::latency_buckets_ns()),
       publish_hist_(obs::latency_buckets_ns()) {
   spec_.serve.enabled = true;
   const std::vector<runner::ValidationError> errors = spec_.validate();
@@ -394,67 +391,47 @@ ServiceStats RouteService::stats() const {
   return s;
 }
 
-obs::Histogram RouteService::lookup_latency() const {
-  std::lock_guard<std::mutex> lock{hist_mutex_};
-  return lookup_hist_;
-}
-
 obs::Histogram RouteService::publish_latency() const {
   std::lock_guard<std::mutex> lock{hist_mutex_};
   return publish_hist_;
 }
 
 RouteService::Reader::Reader(RouteService& service)
-    : service_(&service),
-      slot_(service.epochs_.register_reader()),
-      latency_(obs::latency_buckets_ns()) {}
+    : service_(&service), slot_(service.epochs_.register_reader()) {}
 
 RouteService::Reader::~Reader() {
   service_->epochs_.unregister_reader(slot_);
-  {
-    std::lock_guard<std::mutex> lock{service_->hist_mutex_};
-    service_->lookup_hist_.merge(latency_);
-  }
-  service_->total_lookups_.fetch_add(lookups_, std::memory_order_relaxed);
 }
 
 BatchResult RouteService::Reader::lookup_batch(
     std::span<const LookupRequest> reqs, std::span<LookupResponse> resps) {
   assert(resps.size() >= reqs.size());
   BatchResult out;
-  const std::uint64_t t_begin = now_ns();
-  {
-    PinGuard pin{*this};
-    const RibSnapshot* snap = pin.get();
-    if (snap == nullptr) {
-      // Nothing published yet (a front-end client can query before the
-      // writer's first publish): every request misses at version 0.
-      for (std::size_t i = 0; i < reqs.size(); ++i) resps[i] = LookupResponse{};
-      return out;
-    }
-    out.snapshot_version = snap->version;
-    out.fingerprint = snap->fingerprint;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      LookupResponse& r = resps[i];
-      r = LookupResponse{};
-      r.snapshot_version = snap->version;
-      r.fingerprint = snap->fingerprint;
-      if (const auto hit = snap->lookup(reqs[i].router, reqs[i].addr)) {
-        r.attrs_hash = hit->entry->attrs_hash;
-        r.prefix = hit->prefix.address();
-        r.prefix_len = hit->prefix.length();
-        r.next_hop = hit->entry->next_hop;
-        r.learned_from = hit->entry->learned_from;
-        r.path_id = hit->entry->path_id;
-        r.hit = 1;
-        ++out.hits;
-      }
-    }
+  const PinGuard pin{*this};
+  const RibSnapshot* snap = pin.get();
+  if (snap == nullptr) {
+    // Nothing published yet (a front-end client can query before the
+    // writer's first publish): every request misses at version 0.
+    for (std::size_t i = 0; i < reqs.size(); ++i) resps[i] = LookupResponse{};
+    return out;
   }
-  if (!reqs.empty()) {
-    record(static_cast<double>(now_ns() - t_begin) /
-               static_cast<double>(reqs.size()),
-           reqs.size());
+  out.snapshot_version = snap->version;
+  out.fingerprint = snap->fingerprint;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    LookupResponse& r = resps[i];
+    r = LookupResponse{};
+    r.snapshot_version = snap->version;
+    r.fingerprint = snap->fingerprint;
+    if (const auto hit = snap->lookup(reqs[i].router, reqs[i].addr)) {
+      r.attrs_hash = hit->entry->attrs_hash;
+      r.prefix = hit->prefix.address();
+      r.prefix_len = hit->prefix.length();
+      r.next_hop = hit->entry->next_hop;
+      r.learned_from = hit->entry->learned_from;
+      r.path_id = hit->entry->path_id;
+      r.hit = 1;
+      ++out.hits;
+    }
   }
   return out;
 }
@@ -483,99 +460,6 @@ sim::Time batch_converged_time(const runner::ScenarioSpec& spec0,
     throw std::runtime_error{"batch_converged_time: no quiescence"};
   }
   return w.t0;
-}
-
-ServeReport run_serve_trial(const runner::ScenarioSpec& spec,
-                            std::uint64_t seed,
-                            const ServeTrialOptions& opt) {
-  ServeReport rep;
-  const std::uint64_t wall0 = now_ns();
-
-  RouteService service{spec, seed, opt.readers + 8};
-  service.start();
-  const sim::Time t0_virtual = service.converged_time();
-
-  std::atomic<bool> readers_stop{false};
-  std::vector<std::thread> threads;
-  threads.reserve(opt.readers);
-  for (std::size_t r = 0; r < opt.readers; ++r) {
-    threads.emplace_back([&service, &readers_stop, &opt, r] {
-      RouteService::Reader reader{service};
-      // The probe universe (LPM index, router list) is shared across
-      // every snapshot of a service, so requests are generated outside
-      // the pin; one initial guard fetches the stable views.
-      std::shared_ptr<const bgp::LpmIndex> index;
-      std::vector<bgp::RouterId> routers;
-      {
-        const RouteService::Reader::PinGuard pin{reader};
-        index = pin->index;
-        routers = pin->router_ids;
-      }
-      // Deterministic probe walk biased to HIT: pick a universe prefix
-      // by slot and scatter within its host bits (micro_bench idiom).
-      std::uint32_t probe =
-          0x9e3779b9u * (static_cast<std::uint32_t>(r) + 1) + 1;
-      std::size_t router_i = r;
-      std::vector<LookupRequest> reqs(opt.lookup_batch);
-      std::vector<LookupResponse> resps(opt.lookup_batch);
-      // do-while: even if the writer finished its whole horizon before
-      // this thread got scheduled (1-CPU hosts), every reader performs
-      // at least one batch against the final snapshot.
-      do {
-        const bgp::RouterId router = routers[router_i % routers.size()];
-        for (LookupRequest& req : reqs) {
-          probe = probe * 2654435761u + 12345;
-          const bgp::Ipv4Prefix& p = index->prefix_at(probe % index->size());
-          req.router = router;
-          req.addr = p.first() | (probe & (p.last() - p.first()));
-        }
-        reader.lookup_batch(reqs, resps);
-        ++router_i;
-      } while (!readers_stop.load(std::memory_order_acquire));
-    });
-  }
-
-  while (!service.done()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  readers_stop.store(true, std::memory_order_release);
-  for (std::thread& t : threads) t.join();
-  // All trial readers have unpinned; the parked writer's horizon
-  // publish now cannot defer. Bounded wait so the report's
-  // virtual_time/fingerprint reflect the full churn plan even when a
-  // reader sat pinned across the horizon on a loaded host.
-  const auto horizon_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!service.horizon_published() &&
-         std::chrono::steady_clock::now() < horizon_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  const ServiceStats stats = service.stats();
-  const obs::Histogram lookups = service.lookup_latency();
-  const obs::Histogram publishes = service.publish_latency();
-  const double wall_ns = static_cast<double>(now_ns() - wall0);
-
-  rep.lookups = service.total_lookups();
-  rep.lookups_per_sec =
-      wall_ns > 0 ? static_cast<double>(rep.lookups) / (wall_ns / 1e9) : 0;
-  rep.lookup_p50_ns = lookups.quantile(0.50);
-  rep.lookup_p99_ns = lookups.quantile(0.99);
-  rep.publish_p50_ns = publishes.quantile(0.50);
-  rep.publish_p99_ns = publishes.quantile(0.99);
-  rep.publishes = stats.publishes;
-  rep.publishes_deferred = stats.publishes_deferred;
-  rep.reclaimed = stats.reclaimed;
-  rep.retired_peak = stats.retired_peak;
-  rep.final_version = stats.version;
-  rep.final_fingerprint = stats.fingerprint;
-  rep.virtual_seconds = sim::to_seconds(stats.virtual_time - t0_virtual);
-  rep.wall_ms = wall_ns / 1e6;
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) rep.peak_rss_kb = usage.ru_maxrss;
-
-  service.stop();
-  return rep;
 }
 
 }  // namespace abrr::serve

@@ -174,17 +174,15 @@ class RouteService {
   /// Virtual time of the converged pre-churn state (snapshot v1).
   /// Recorded by the writer before start() returns; stable thereafter.
   /// Reading stats().virtual_time for this instead races the writer:
-  /// on a loaded 1-CPU host it may have replayed part of the horizon
-  /// before the caller runs again.
+  /// it may have replayed part of the horizon before the caller runs
+  /// again.
   sim::Time converged_time() const {
     return t0_virtual_.load(std::memory_order_acquire);
   }
 
   ServiceStats stats() const;
 
-  /// Per-reader-thread handle: one epoch slot plus a thread-local
-  /// lookup-latency histogram (the registry is writer-confined, so
-  /// readers record locally; the service merges on Reader destruction).
+  /// Per-reader-thread handle: one epoch slot.
   ///
   /// The read contract is lookup_batch(): requests in, flattened
   /// responses out, one epoch pin per batch. Raw pin()/unpin() no
@@ -227,11 +225,9 @@ class RouteService {
 
     /// Answers reqs[i] into resps[i] under a single epoch pin, so the
     /// whole batch reflects ONE snapshot. Requires
-    /// resps.size() >= reqs.size(). Records the batch's mean per-lookup
-    /// latency into this reader's histogram (one sample per batch; see
-    /// EXPERIMENTS.md on batch-wise tails). Total: before the first
-    /// publish every request misses at snapshot_version 0 (the TCP
-    /// front-end exposes this path to clients).
+    /// resps.size() >= reqs.size(). Total: before the first publish
+    /// every request misses at snapshot_version 0 (the TCP front-end
+    /// exposes this path to clients).
     BatchResult lookup_batch(std::span<const LookupRequest> reqs,
                              std::span<LookupResponse> resps);
 
@@ -244,35 +240,13 @@ class RouteService {
       return resp;
     }
 
-    /// Folds one timing sample (mean ns per lookup over `lookups`
-    /// queries) into this reader's telemetry. lookup_batch calls this
-    /// itself; it is public for harnesses that time at a coarser grain.
-    /// Count and histogram move together — there is no way to desync
-    /// them.
-    void record(double ns_per_lookup, std::uint64_t lookups) {
-      latency_.record(ns_per_lookup);
-      lookups_ += lookups;
-    }
-
-    /// Thread-local latency samples (ns per lookup); merged into the
-    /// service aggregate when the Reader is destroyed.
-    const obs::Histogram& latency_hist() const { return latency_; }
-    std::uint64_t lookups() const { return lookups_; }
-
    private:
     friend class PinGuard;
 
     RouteService* service_;
     std::size_t slot_;
-    obs::Histogram latency_;
-    std::uint64_t lookups_ = 0;
   };
 
-  /// Merged view of every destroyed Reader's latency histogram.
-  obs::Histogram lookup_latency() const;
-  std::uint64_t total_lookups() const {
-    return total_lookups_.load(std::memory_order_relaxed);
-  }
   /// Writer-side wall-clock snapshot publish latency (ns).
   obs::Histogram publish_latency() const;
 
@@ -316,11 +290,9 @@ class RouteService {
   std::atomic<std::int64_t> virtual_time_{0};
   std::atomic<std::int64_t> t0_virtual_{0};
 
-  // Merged reader-side latency + writer-side publish latency.
+  // Writer-side publish latency.
   mutable std::mutex hist_mutex_;
-  obs::Histogram lookup_hist_;
   obs::Histogram publish_hist_;
-  std::atomic<std::uint64_t> total_lookups_{0};
 };
 
 /// Batch-mode comparator for the snapshot-consistency contract: builds
@@ -336,41 +308,5 @@ std::uint64_t batch_fingerprint_at(const runner::ScenarioSpec& spec,
 /// snapshot v1's virtual_time.
 sim::Time batch_converged_time(const runner::ScenarioSpec& spec,
                                std::uint64_t seed);
-
-// --- serve trial mode ---------------------------------------------------
-
-struct ServeTrialOptions {
-  std::size_t readers = 1;
-  /// Lookups per timing sample: the clock is read once per batch and
-  /// the mean per-lookup latency recorded batch-wise (amortizes
-  /// clock_gettime; tails are per-batch means, see EXPERIMENTS.md).
-  std::size_t lookup_batch = 64;
-};
-
-/// One serving run's report (bench/serve emits these as JSON).
-struct ServeReport {
-  std::uint64_t lookups = 0;
-  double lookups_per_sec = 0;
-  double lookup_p50_ns = 0;
-  double lookup_p99_ns = 0;
-  double publish_p50_ns = 0;
-  double publish_p99_ns = 0;
-  std::uint64_t publishes = 0;
-  std::uint64_t publishes_deferred = 0;
-  std::uint64_t reclaimed = 0;
-  std::uint64_t retired_peak = 0;
-  std::uint64_t final_version = 0;
-  std::uint64_t final_fingerprint = 0;
-  double virtual_seconds = 0;  // churn horizon actually replayed
-  double wall_ms = 0;
-  long peak_rss_kb = 0;  // getrusage(RUSAGE_SELF).ru_maxrss
-};
-
-/// Runs a full serving trial: starts the service, hammers it with
-/// `opt.readers` lookup threads (deterministic probe sequence) until
-/// the writer finishes its churn horizon, and collects the report.
-ServeReport run_serve_trial(const runner::ScenarioSpec& spec,
-                            std::uint64_t seed,
-                            const ServeTrialOptions& opt = {});
 
 }  // namespace abrr::serve

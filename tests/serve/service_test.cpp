@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -48,8 +49,8 @@ runner::ScenarioSpec serve_tiny(ibgp::IbgpMode mode) {
 
 std::vector<ibgp::IbgpMode> modes_under_test() {
 #if defined(__SANITIZE_THREAD__)
-  // TSan runs ~10x slower on this 1-CPU host; one mode is enough for
-  // the race check (the fingerprint matrix runs in the plain preset).
+  // TSan runs ~10x slower; one mode is enough for the race check (the
+  // fingerprint matrix runs in the plain preset).
   return {ibgp::IbgpMode::kAbrr};
 #else
   return {ibgp::IbgpMode::kFullMesh, ibgp::IbgpMode::kTbrr,
@@ -87,9 +88,9 @@ TEST(RouteService, SnapshotsMatchBatchRunsAtSameVirtualTime) {
       }
       service.stop();
     }
-    // The final pin guarantees at least one observation; on this slow
-    // 1-CPU host the aggressive sampler typically catches several
-    // mid-churn snapshots too, but that is scheduling-dependent.
+    // The final pin guarantees at least one observation; the aggressive
+    // sampler typically catches several mid-churn snapshots too, but
+    // that is scheduling-dependent.
     ASSERT_GE(observed.size(), 1u);
 
     // The converged v1 snapshot must be among the observations (the
@@ -119,8 +120,8 @@ TEST(RouteService, StuckReaderBoundsResidentSnapshotsAndDefers) {
   spec.serve.max_resident_snapshots = 3;
   RouteService service{spec, 11};
   // Pin BEFORE the writer starts (live is still null, so the guard
-  // holds no snapshot): on a 1-CPU host pinning after start() races the
-  // writer, which can replay the whole horizon in its first quantum.
+  // holds no snapshot): pinning after start() races the writer, which
+  // can replay the whole horizon before this thread runs again.
   RouteService::Reader stuck{service};
   std::optional<RouteService::Reader::PinGuard> stuck_pin;
   stuck_pin.emplace(stuck);
@@ -155,25 +156,68 @@ TEST(RouteService, StuckReaderBoundsResidentSnapshotsAndDefers) {
   service.stop();
 }
 
+// The horizon snapshot equals a batch run to the end of the churn plan
+// even while two reader threads call lookup_batch through the churn.
 TEST(RouteService, ServeTrialReportsAndFinalStateMatchesBatch) {
   const runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kDual);
   constexpr std::uint64_t kSeed = 12;
-  ServeTrialOptions opt;
-  opt.readers = 2;
-  opt.lookup_batch = 16;
-  const ServeReport report = run_serve_trial(spec, kSeed, opt);
+  RouteService service{spec, kSeed};
+  service.start();
 
-  EXPECT_GT(report.lookups, 0u);
-  EXPECT_GT(report.lookups_per_sec, 0.0);
-  EXPECT_GE(report.publishes, 2u);
-  EXPECT_GE(report.final_version, report.publishes);
-  EXPECT_NEAR(report.virtual_seconds, spec.serve.churn_seconds, 1e-6);
-  EXPECT_GT(report.peak_rss_kb, 0);
+  std::atomic<bool> readers_stop{false};
+  std::uint64_t lookups[2] = {0, 0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&service, &readers_stop, &lookups, r] {
+      RouteService::Reader reader{service};
+      std::shared_ptr<const bgp::LpmIndex> index;
+      std::vector<bgp::RouterId> routers;
+      {
+        const RouteService::Reader::PinGuard pin{reader};
+        index = pin->index;
+        routers = pin->router_ids;
+      }
+      std::vector<LookupRequest> reqs(16);
+      std::vector<LookupResponse> resps(reqs.size());
+      std::uint32_t probe = 0x9e3779b9u * (r + 1) + 1;
+      std::size_t router_i = r;
+      // do-while: a reader scheduled only after the writer finished
+      // still answers one batch against the final snapshot.
+      do {
+        for (LookupRequest& req : reqs) {
+          probe = probe * 2654435761u + 12345;
+          const bgp::Ipv4Prefix& p = index->prefix_at(probe % index->size());
+          req.router = routers[router_i % routers.size()];
+          req.addr = p.first() | (probe & (p.last() - p.first()));
+        }
+        reader.lookup_batch(reqs, resps);
+        lookups[r] += reqs.size();
+        ++router_i;
+      } while (!readers_stop.load(std::memory_order_acquire));
+    });
+  }
+  while (!service.done()) std::this_thread::sleep_for(1ms);
+  readers_stop.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+  // Every reader has unpinned, so the parked writer's horizon publish
+  // can no longer defer.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!service.horizon_published() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(service.horizon_published());
 
+  EXPECT_GT(lookups[0], 0u);
+  EXPECT_GT(lookups[1], 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_GE(stats.publishes, 2u);
+  EXPECT_GE(stats.version, stats.publishes);
   const sim::Time t_end = batch_converged_time(spec, kSeed) +
                           sim::sec_f(spec.serve.churn_seconds);
-  EXPECT_EQ(report.final_fingerprint,
-            batch_fingerprint_at(spec, kSeed, t_end));
+  EXPECT_EQ(stats.virtual_time, t_end);
+  EXPECT_EQ(stats.fingerprint, batch_fingerprint_at(spec, kSeed, t_end));
+  service.stop();
 }
 
 TEST(RouteService, LookupBatchAnswersUnderOneSnapshotAndMatchesSingleShot) {
@@ -212,11 +256,6 @@ TEST(RouteService, LookupBatchAnswersUnderOneSnapshotAndMatchesSingleShot) {
     hits += r.hit;
   }
   EXPECT_EQ(hits, res.hits);
-
-  // Telemetry cannot desync: one histogram sample per batch, counts
-  // advance by the batch size.
-  EXPECT_EQ(reader.lookups(), reqs.size());
-  EXPECT_EQ(reader.latency_hist().count(), 1u);
 
   // After the horizon the snapshot is stable, so single-shot lookups
   // (a batch of one) must reproduce the batch responses exactly.
