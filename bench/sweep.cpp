@@ -5,8 +5,10 @@
 // seeds, plus TBRR x 4 seeds: TBRR ignores the AP count), runs it
 // twice — once with --jobs=1 and once with --jobs=N — verifies every
 // trial's canonical serialization is BYTE-IDENTICAL between the two
-// runs, and writes BENCH_sweep.json with per-trial wall, CPU and
-// allocation columns and the observed speedup.
+// runs, and writes BENCH_sweep.json with per-trial wall, CPU,
+// allocation and heap-by-structure (mem_*_mb, taken once the snapshot
+// load has converged) columns, the observed speedup, and the host and
+// build it ran on (CPUs, compiler, build type, git revision).
 //
 // Reading the numbers: wall-clock speedup is bounded by the host's core
 // count (reported as host_cpus); with --jobs > cores, per-trial wall_ms
@@ -15,6 +17,7 @@
 // independent signal: ~1.0 means the trials run contention-free — no
 // allocator locks, no refcount ping-pong — and parallel speedup is
 // limited only by the hardware the sweep happens to run on.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -22,6 +25,28 @@
 #include <vector>
 
 #include "common.h"
+
+namespace {
+
+/// `git describe --always --dirty` of the source tree, or "unknown".
+std::string git_revision() {
+  FILE* p = popen("git -C " ABRR_SOURCE_DIR
+                  " describe --always --dirty --abbrev=40 2>/dev/null",
+                  "r");
+  if (p == nullptr) return "unknown";
+  std::array<char, 128> buf{};
+  std::string out;
+  while (std::fgets(buf.data(), buf.size(), p) != nullptr) out += buf.data();
+  const bool ok = pclose(p) == 0;
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return ok && !out.empty() ? out : "unknown";
+}
+
+double mb(std::size_t bytes) { return static_cast<double>(bytes) / 1e6; }
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace abrr;
@@ -111,6 +136,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"bench\": \"sweep\",\n  \"jobs\": %zu,\n", jobs);
   std::fprintf(f, "  \"host_cpus\": %u,\n", host_cpus);
+  std::fprintf(f, "  \"compiler\": \"g++ %s\",\n", __VERSION__);
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", ABRR_BUILD_TYPE);
+  std::fprintf(f, "  \"git\": \"%s\",\n", git_revision().c_str());
   std::fprintf(f, "  \"trials\": %zu,\n  \"identical\": %s,\n", r1.size(),
                mismatches == 0 ? "true" : "false");
   std::fprintf(f,
@@ -125,6 +153,7 @@ int main(int argc, char** argv) {
                cpu1_total, cpun_total, cpu_efficiency);
   std::fprintf(f, "  \"per_trial\": [\n");
   for (std::size_t i = 0; i < r1.size(); ++i) {
+    const harness::MemoryBreakdown& m = r1[i].memory;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"seed\": %llu, "
                  "\"wall_ms_jobs1\": %.3f, \"wall_ms_jobsN\": %.3f, "
@@ -132,6 +161,11 @@ int main(int argc, char** argv) {
                  "\"attr_blocks\": %llu, \"attr_hits\": %llu, "
                  "\"attr_misses\": %llu, \"attr_arena_bytes\": %llu, "
                  "\"sched_events\": %llu, \"sched_pool_capacity\": %llu, "
+                 "\"mem_rib_in_mb\": %.3f, \"mem_loc_rib_mb\": %.3f, "
+                 "\"mem_rib_out_mb\": %.3f, \"mem_sent_hashes_mb\": %.3f, "
+                 "\"mem_pending_mb\": %.3f, \"mem_attr_arena_mb\": %.3f, "
+                 "\"mem_channel_queues_mb\": %.3f, \"mem_events_mb\": %.3f, "
+                 "\"mem_total_mb\": %.3f, "
                  "\"converged\": %s}%s\n",
                  r1[i].scenario.c_str(),
                  static_cast<unsigned long long>(r1[i].seed), r1[i].wall_ms,
@@ -142,6 +176,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r1[i].attr_arena_bytes),
                  static_cast<unsigned long long>(r1[i].sched_events),
                  static_cast<unsigned long long>(r1[i].sched_pool_capacity),
+                 mb(m.rib_in), mb(m.loc_rib), mb(m.rib_out),
+                 mb(m.sent_hashes), mb(m.pending), mb(m.attr_arena),
+                 mb(m.channel_queues), mb(m.events), mb(m.total()),
                  r1[i].converged ? "true" : "false",
                  i + 1 < r1.size() ? "," : "");
   }

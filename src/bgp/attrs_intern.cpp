@@ -5,6 +5,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/heap_bytes.h"
+
 namespace abrr::bgp {
 namespace {
 
@@ -107,6 +109,18 @@ void AttrsInterner::reserve(std::size_t expected_blocks) {
     rehash(std::bit_ceil(std::max<std::size_t>(16, 2 * expected_blocks)));
   }
   arena_.reserve(expected_blocks * sizeof(PathAttrs));
+}
+
+std::size_t AttrsInterner::bytes() const {
+  std::size_t n = arena_.bytes_reserved() + sim::heap_bytes(slots_);
+  for (const Slot& slot : slots_) {
+    if (slot.block == nullptr) continue;
+    const PathAttrs& a = *slot.block;
+    n += sim::heap_bytes(a.as_path.asns()) + sim::heap_bytes(a.communities) +
+         sim::heap_bytes(a.ext_communities) +
+         sim::heap_bytes(a.cluster_list);
+  }
+  return n;
 }
 
 void AttrsInterner::reset() {

@@ -75,6 +75,9 @@ class AttrsInterner {
   std::uint64_t misses() const { return misses_; }
   void reset_stats() { hits_ = misses_ = 0; }
   std::size_t arena_bytes() const { return arena_.bytes_used(); }
+  /// Heap bytes the interner holds: its slabs, its table and the
+  /// vectors (AS path, communities, cluster list) of its live blocks.
+  std::size_t bytes() const;
   std::uint64_t arena_allocations() const { return arena_.allocations(); }
   std::uint64_t slab_resets() const { return arena_.resets(); }
 

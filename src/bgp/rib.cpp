@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/heap_bytes.h"
+
 namespace abrr::bgp {
 namespace {
 
@@ -169,6 +171,12 @@ void AdjRibIn::clear() {
   size_ = 0;
 }
 
+std::size_t AdjRibIn::bytes() const {
+  std::size_t n = sim::heap_bytes(flat_) + sim::heap_bytes(per_peer_);
+  for (const PathList& paths : flat_) n += sim::heap_bytes(paths);
+  return n;
+}
+
 // --- LocRib -----------------------------------------------------------
 
 LocRib::LocRib(std::shared_ptr<PrefixIndex> index) : index_(std::move(index)) {}
@@ -227,6 +235,8 @@ void LocRib::clear() {
   count_ = 0;
 }
 
+std::size_t LocRib::bytes() const { return sim::heap_bytes(flat_); }
+
 // --- AdjRibOut --------------------------------------------------------
 
 AdjRibOut::AdjRibOut(std::shared_ptr<PrefixIndex> index)
@@ -283,6 +293,12 @@ void AdjRibOut::for_each(
   for (std::size_t id = 0; id < flat_.size(); ++id) {
     if (!flat_[id].empty()) fn(index_->prefix_of(id), flat_[id]);
   }
+}
+
+std::size_t AdjRibOut::bytes() const {
+  std::size_t n = sim::heap_bytes(flat_);
+  for (const std::vector<Route>& routes : flat_) n += sim::heap_bytes(routes);
+  return n;
 }
 
 }  // namespace abrr::bgp

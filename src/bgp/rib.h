@@ -79,6 +79,9 @@ class AdjRibIn {
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
 
+  /// Heap bytes this RIB holds (slots, path lists, per-peer counts).
+  std::size_t bytes() const;
+
   /// Storage key of an entry: (sending peer, add-paths path id).
   using Key = std::pair<RouterId, PathId>;
   static Key key_of(const Route& route) {
@@ -136,6 +139,9 @@ class LocRib {
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
 
+  /// Heap bytes this RIB holds.
+  std::size_t bytes() const;
+
  private:
   std::shared_ptr<PrefixIndex> index_;
   std::vector<Route> flat_;  // slot per PrefixId; !valid() = empty
@@ -173,6 +179,9 @@ class AdjRibOut {
 
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
+
+  /// Heap bytes this RIB holds (slots and the stored sets).
+  std::size_t bytes() const;
 
  private:
   std::shared_ptr<PrefixIndex> index_;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "bgp/attrs_intern.h"
+
 namespace abrr::harness {
 
 Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
@@ -396,6 +398,22 @@ Aggregate aggregate(const std::vector<double>& values) {
 }
 
 }  // namespace
+
+MemoryBreakdown Testbed::memory() const {
+  MemoryBreakdown m;
+  for (const auto& [id, speaker] : speakers_) {
+    const ibgp::SpeakerMemory s = speaker->memory();
+    m.rib_in += s.rib_in;
+    m.loc_rib += s.loc_rib;
+    m.rib_out += s.rib_out;
+    m.sent_hashes += s.sent_hashes;
+    m.pending += s.pending;
+  }
+  m.attr_arena = bgp::AttrsInterner::global().bytes();
+  m.channel_queues = network_.queue_bytes();
+  m.events = scheduler_.bytes();
+  return m;
+}
 
 Aggregate Testbed::rr_rib_in() const {
   std::vector<double> v;

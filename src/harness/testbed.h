@@ -57,6 +57,28 @@ struct RoleTotals {
   }
 };
 
+/// Heap bytes of a testbed by structure (Testbed::memory()), summed
+/// over its speakers where the structure is per speaker.
+struct MemoryBreakdown {
+  std::size_t rib_in = 0;
+  std::size_t loc_rib = 0;
+  std::size_t rib_out = 0;
+  std::size_t sent_hashes = 0;
+  std::size_t pending = 0;
+  /// The calling thread's active attribute interner (the trial's, inside
+  /// runner::run_trial): slabs, table and the blocks' vectors.
+  std::size_t attr_arena = 0;
+  /// The network's channel table and in-flight queue pool.
+  std::size_t channel_queues = 0;
+  /// The scheduler's event slabs and event heap.
+  std::size_t events = 0;
+
+  std::size_t total() const {
+    return rib_in + loc_rib + rib_out + sent_hashes + pending + attr_arena +
+           channel_queues + events;
+  }
+};
+
 class Testbed {
  public:
   /// Builds and wires the testbed. `prefixes` is the experiment's prefix
@@ -124,6 +146,9 @@ class Testbed {
   RoleTotals client_counters() const;
 
   std::size_t session_count() const { return network_.session_count(); }
+
+  /// Heap bytes by structure, at this moment.
+  MemoryBreakdown memory() const;
 
   /// Liveness/primary directory of the redundant ARRs per AP (empty for
   /// non-ABRR modes). The fault injector keeps it in sync with crashes.

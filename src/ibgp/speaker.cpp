@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/heap_bytes.h"
+
 namespace abrr::ibgp {
 namespace {
 
@@ -133,6 +135,28 @@ SpeakerCounters Speaker::counters() const {
   v.hold_expirations = c_.hold_expirations->value();
   v.sessions_reestablished = c_.sessions_reestablished->value();
   return v;
+}
+
+SpeakerMemory Speaker::memory() const {
+  SpeakerMemory m;
+  m.rib_in = adj_rib_in_.bytes();
+  m.loc_rib = loc_rib_.bytes();
+  m.rib_out = sim::heap_bytes(groups_);
+  for (const auto& [key, g] : groups_) {
+    m.rib_out += g.rib.bytes() + sim::heap_bytes(g.members);
+  }
+  m.pending = sim::heap_bytes(input_queue_) + sim::heap_bytes(drain_batch_);
+  for (const auto& [id, ps] : peers_) {
+    m.sent_hashes += sim::heap_bytes(ps.sent_hashes);
+    for (const auto& stripe : ps.sent_hashes) {
+      m.sent_hashes += sim::heap_bytes(stripe);
+    }
+    m.pending += sim::heap_bytes(ps.pending) + ps.pending_keys.bytes();
+  }
+  for (const auto& [id, state] : ebgp_neighbors_) {
+    m.sent_hashes += sim::heap_bytes(state.advertised);
+  }
+  return m;
 }
 
 void Speaker::add_peer(const PeerInfo& peer) {

@@ -167,6 +167,19 @@ struct SpeakerCounters {
   std::uint64_t sessions_reestablished = 0;
 };
 
+/// Heap bytes one speaker holds, by structure (Speaker::memory()).
+struct SpeakerMemory {
+  std::size_t rib_in = 0;
+  std::size_t loc_rib = 0;
+  /// Adj-RIB-Outs of every peer group, with the group table.
+  std::size_t rib_out = 0;
+  /// Per-(peer, group) sent-hash stripes and per-eBGP-neighbor
+  /// advertised hashes.
+  std::size_t sent_hashes = 0;
+  /// MRAI pending lists and their key sets, and the input queues.
+  std::size_t pending = 0;
+};
+
 /// A BGP speaker attached to a Network and a Scheduler.
 class Speaker {
  public:
@@ -320,6 +333,8 @@ class Speaker {
   std::size_t input_queue_size() const { return input_queue_.size(); }
   /// Point-in-time view of the registry-backed per-speaker counters.
   SpeakerCounters counters() const;
+  /// Heap bytes by structure, at this moment.
+  SpeakerMemory memory() const;
   /// The registry holding this speaker's counter cells (the testbed's
   /// shared registry, or the speaker's own when none was passed in).
   obs::MetricsRegistry& metrics() { return *metrics_; }

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/heap_bytes.h"
+
 namespace abrr::net {
 
 void Network::set_metrics(obs::MetricsRegistry* metrics) {
@@ -18,6 +20,10 @@ void Network::set_metrics(obs::MetricsRegistry* metrics) {
   m_bytes_ = metrics->counter("net.bytes");
   m_dropped_ = metrics->counter("net.dropped");
   m_msg_bytes_ = metrics->histogram("net.msg_bytes", obs::size_buckets());
+}
+
+std::size_t Network::queue_bytes() const {
+  return sim::heap_bytes(channels_) + in_flight_.bytes();
 }
 
 void Network::register_endpoint(RouterId id, Receiver receiver) {

@@ -118,6 +118,10 @@ class Network {
   /// Messages dropped by fault hooks (loss, dead endpoints, resets).
   std::uint64_t total_dropped() const { return total_dropped_; }
 
+  /// Heap bytes of the channel table and the in-flight queue pool (the
+  /// pool's chunks, not the route vectors of queued messages).
+  std::size_t queue_bytes() const;
+
   /// The encoded length of `msg`, as send() accounts it. Speakers use
   /// this for their own byte counters so every layer reports the same
   /// measured number.

@@ -184,6 +184,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
   } else {
     r.converged = bed.run_to_quiescence(500'000'000);
   }
+  r.memory = bed.memory();
 
   if (r.converged && spec.workload.trace_seconds > 0) {
     bed.reset_counters();

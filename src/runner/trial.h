@@ -69,6 +69,11 @@ struct TrialResult {
   std::uint64_t sched_events = 0;      // scheduler events executed
   std::uint64_t sched_pool_capacity = 0;  // event-pool high-water, nodes
 
+  /// Heap bytes by structure once the snapshot load has converged.
+  /// Excluded from serialize(): it measures this build's layout, not the
+  /// simulated outcome.
+  harness::MemoryBreakdown memory;
+
   /// Real (wall-clock) execution time of the trial on its worker.
   /// Excluded from serialize().
   double wall_ms = 0;

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/heap_bytes.h"
+
 namespace abrr::sim {
 
 class KeySet {
@@ -47,6 +49,9 @@ class KeySet {
   }
 
   std::size_t size() const { return size_; }
+
+  /// Heap bytes of the table.
+  std::size_t bytes() const { return heap_bytes(slots_); }
 
  private:
   static constexpr std::size_t kMinSlots = 16;

@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/heap_bytes.h"
+
 namespace abrr::sim {
 
 /// Pool of FIFO queues of default-constructible, move-assignable `T`.
@@ -78,6 +80,11 @@ class QueuePool {
 
   /// Element slots allocated (high-water capacity).
   std::size_t capacity() const { return chunks_.size() * kChunk; }
+
+  /// Heap bytes of the chunks (not of what the elements own).
+  std::size_t bytes() const {
+    return chunks_.size() * chunk_bytes(sizeof(Chunk)) + heap_bytes(chunks_);
+  }
 
  private:
   struct Chunk {

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/heap_bytes.h"
 #include "sim/inplace_function.h"
 #include "sim/thread_confined.h"
 #include "sim/time.h"
@@ -126,6 +127,12 @@ class Scheduler {
   /// Event nodes allocated across all slabs (high-water capacity).
   std::size_t pool_capacity() const { return slabs_.size() * kSlabSize; }
 
+  /// Heap bytes of the event slabs and the event heap.
+  std::size_t bytes() const {
+    return slabs_.size() * chunk_bytes(kSlabSize * sizeof(Node)) +
+           heap_bytes(slabs_) + queue_.bytes();
+  }
+
   /// Event nodes currently scheduled (live, not yet fired/cancelled).
   std::size_t pool_in_use() const { return strong_pending_ + weak_pending_; }
 
@@ -164,6 +171,7 @@ class Scheduler {
    public:
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }
+    std::size_t bytes() const { return heap_bytes(items_); }
     const HeapItem& top() const { return items_.front(); }
     /// Grows capacity to at least `n`, geometrically.
     void reserve_at_least(std::size_t n) {
