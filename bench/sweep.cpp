@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
                  "\"attr_misses\": %llu, \"attr_arena_bytes\": %llu, "
                  "\"sched_events\": %llu, \"sched_pool_capacity\": %llu, "
                  "\"mem_rib_in_mb\": %.3f, \"mem_loc_rib_mb\": %.3f, "
-                 "\"mem_rib_out_mb\": %.3f, \"mem_sent_hashes_mb\": %.3f, "
+                 "\"mem_rib_out_mb\": %.3f, \"mem_route_sets_mb\": %.3f, "
+                 "\"mem_sent_hashes_mb\": %.3f, "
                  "\"mem_pending_mb\": %.3f, \"mem_attr_arena_mb\": %.3f, "
                  "\"mem_channel_queues_mb\": %.3f, \"mem_events_mb\": %.3f, "
                  "\"mem_total_mb\": %.3f, "
@@ -177,8 +178,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r1[i].sched_events),
                  static_cast<unsigned long long>(r1[i].sched_pool_capacity),
                  mb(m.rib_in), mb(m.loc_rib), mb(m.rib_out),
-                 mb(m.sent_hashes), mb(m.pending), mb(m.attr_arena),
-                 mb(m.channel_queues), mb(m.events), mb(m.total()),
+                 mb(m.route_sets), mb(m.sent_hashes), mb(m.pending),
+                 mb(m.attr_arena), mb(m.channel_queues), mb(m.events),
+                 mb(m.total()),
                  r1[i].converged ? "true" : "false",
                  i + 1 < r1.size() ? "," : "");
   }

@@ -9,48 +9,75 @@
 namespace abrr::bgp {
 namespace {
 
-// Smallest capacity AdjRibIn::replace gives a path list it grows.
-constexpr std::size_t kMinPaths = 4;
+// Capacity of a prefix's run list when its first run arrives.
+constexpr std::size_t kMinRuns = 3;
 
-struct KeyLess {
-  bool operator()(const Route& entry,
-                  const std::pair<RouterId, PathId>& key) const {
-    return AdjRibIn::key_of(entry) < key;
-  }
-};
+bool path_id_less(const Route& entry, PathId id) { return entry.path_id < id; }
 
 }  // namespace
 
 // --- AdjRibIn ---------------------------------------------------------
 
-AdjRibIn::AdjRibIn(std::shared_ptr<PrefixIndex> index)
-    : index_(std::move(index)) {}
+AdjRibIn::AdjRibIn(std::shared_ptr<PrefixIndex> index,
+                   std::shared_ptr<RouteSetStore> sets)
+    : index_(std::move(index)), sets_(std::move(sets)) {}
 
-const AdjRibIn::PathList* AdjRibIn::find_list(
+AdjRibIn::~AdjRibIn() { clear(); }
+
+const AdjRibIn::RunList* AdjRibIn::find_list(
     std::optional<std::uint32_t> id) const {
   if (!id || *id >= flat_.size() || flat_[*id].empty()) return nullptr;
   return &flat_[*id];
 }
 
-AdjRibIn::PathList& AdjRibIn::ensure_list(std::uint32_t id) {
+AdjRibIn::RunList& AdjRibIn::ensure_list(std::uint32_t id) {
   if (id >= flat_.size()) flat_.resize(index_->size());
   return flat_[id];
 }
 
-AdjRibIn::Change AdjRibIn::announce(const Route& route) {
-  if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  const Change change = insert(ensure_list(index_->add(route.prefix)), route);
-  if (change == Change::kAdded) ++per_peer_[route.learned_from];
-  return change;
+AdjRibIn::RunList::iterator AdjRibIn::find_run(RunList& runs, RouterId peer) {
+  return std::lower_bound(
+      runs.begin(), runs.end(), peer,
+      [](const Run& run, RouterId p) { return run.peer < p; });
 }
 
-AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
-  const Key key{route.learned_from, route.path_id};
-  const auto it =
-      std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
-  if (it == paths.end() || key_of(*it) != key) {
+void AdjRibIn::store_run(RunList& runs, RouterId peer,
+                         std::span<const Route> paths) {
+  const auto it = find_run(runs, peer);
+  const bool found = it != runs.end() && it->peer == peer;
+  const std::size_t removed = found ? it->set->size() : 0;
+  const RouteSet* set = sets_->acquire(paths);
+  if (found) {
+    sets_->release(it->set);
+    if (set != nullptr) {
+      it->set = set;
+    } else {
+      runs.erase(it);
+    }
+  } else if (set != nullptr) {
+    // A list holds a few runs: one per ARR session (two, with redundant
+    // ARRs) plus one per eBGP neighbor announcing the prefix. Start at
+    // kMinRuns, then grow one run at a time: fewer reallocations than
+    // doubling from one, and no slack beyond the first kMinRuns.
+    const auto at = it - runs.begin();
+    if (runs.size() == runs.capacity()) {
+      runs.reserve(std::max(kMinRuns, runs.size() + 1));
+    }
+    runs.insert(runs.begin() + at, Run{peer, set});
+  }
+  size_ = size_ - removed + paths.size();
+  // The peer's count moves once per call, not once per stored route.
+  if (paths.size() != removed) {
+    per_peer_[peer] += paths.size() - removed;  // mod 2^64
+  }
+}
+
+AdjRibIn::Change AdjRibIn::insert(std::vector<Route>& paths,
+                                  const Route& route) {
+  const auto it = std::lower_bound(paths.begin(), paths.end(), route.path_id,
+                                   path_id_less);
+  if (it == paths.end() || it->path_id != route.path_id) {
     paths.insert(it, route);
-    ++size_;
     return Change::kAdded;
   }
   if (it->same_announcement(route) && it->via == route.via) {
@@ -60,18 +87,34 @@ AdjRibIn::Change AdjRibIn::insert(PathList& paths, const Route& route) {
   return Change::kReplaced;
 }
 
+AdjRibIn::Change AdjRibIn::announce(const Route& route) {
+  if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
+  RunList& runs = ensure_list(index_->add(route.prefix));
+  const auto it = find_run(runs, route.learned_from);
+  scratch_.clear();
+  if (it != runs.end() && it->peer == route.learned_from) {
+    scratch_.assign(it->set->begin(), it->set->end());
+  }
+  const Change change = insert(scratch_, route);
+  if (change != Change::kUnchanged) {
+    store_run(runs, route.learned_from, scratch_);
+  }
+  return change;
+}
+
 bool AdjRibIn::withdraw(RouterId peer, const Ipv4Prefix& prefix,
                         PathId path_id) {
   const auto id = index_->id_of(prefix);
   if (!id || *id >= flat_.size()) return false;
-  PathList& paths = flat_[*id];
-  const Key key{peer, path_id};
-  const auto it =
-      std::lower_bound(paths.begin(), paths.end(), key, KeyLess{});
-  if (it == paths.end() || key_of(*it) != key) return false;
-  paths.erase(it);
-  --size_;
-  --per_peer_[peer];
+  RunList& runs = flat_[*id];
+  const auto it = find_run(runs, peer);
+  if (it == runs.end() || it->peer != peer) return false;
+  scratch_.assign(it->set->begin(), it->set->end());
+  const auto path = std::lower_bound(scratch_.begin(), scratch_.end(),
+                                     path_id, path_id_less);
+  if (path == scratch_.end() || path->path_id != path_id) return false;
+  scratch_.erase(path);
+  store_run(runs, peer, scratch_);
   return true;
 }
 
@@ -88,46 +131,23 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
       throw std::invalid_argument{"replace: route not from (peer, prefix)"};
     }
   }
-  PathList& paths = ensure_list(key.id);
-  // The list is sorted by (peer, path id), so the peer's paths are one
-  // run.
-  const auto lo =
-      std::lower_bound(paths.begin(), paths.end(), Key{peer, 0}, KeyLess{});
-  const auto hi = std::find_if(lo, paths.end(), [&](const Route& entry) {
-    return entry.learned_from != peer;
-  });
-  const auto removed = static_cast<std::size_t>(hi - lo);
-  paths.erase(lo, hi);
-  const std::size_t kept = paths.size();  // other peers' paths
-  size_ -= removed;
-  // Grow once for the whole set, geometrically and to at least
-  // kMinPaths: a client's list holds the reflected set of every ARR
-  // session for the prefix, so growing one path at a time from empty
-  // would reallocate several times during the table load.
-  const std::size_t need = paths.size() + routes.size();
-  if (need > paths.capacity()) {
-    paths.reserve(std::max({need, 2 * paths.capacity(), kMinPaths}));
-  }
-  for (const Route& route : routes) insert(paths, route);
-  // The peer's count moves once per call, not once per stored route.
-  const std::size_t added = paths.size() - kept;
-  if (added != removed) per_peer_[peer] += added - removed;  // mod 2^64
+  // The new run is `routes` announce()d one by one into an empty list:
+  // sorted by path id, a repeated path id resolved as announce() would.
+  scratch_.clear();
+  for (const Route& route : routes) insert(scratch_, route);
+  store_run(ensure_list(key.id), peer, scratch_);
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
   std::vector<Ipv4Prefix> affected;
-  const auto purge = [&](const Ipv4Prefix& prefix, PathList& paths) {
-    const std::size_t before = paths.size();
-    std::erase_if(paths, [&](const Route& entry) {
-      return entry.learned_from == peer;
-    });
-    if (paths.size() != before) {
-      affected.push_back(prefix);
-      size_ -= before - paths.size();
-    }
-  };
   for (std::size_t id = 0; id < flat_.size(); ++id) {
-    if (!flat_[id].empty()) purge(index_->prefix_of(id), flat_[id]);
+    RunList& runs = flat_[id];
+    const auto it = find_run(runs, peer);
+    if (it == runs.end() || it->peer != peer) continue;
+    size_ -= it->set->size();
+    sets_->release(it->set);
+    runs.erase(it);
+    affected.push_back(index_->prefix_of(id));
   }
   per_peer_.erase(peer);
   // Sorted so downstream re-decisions run in prefix order, not in the
@@ -138,20 +158,22 @@ std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
 
 std::vector<Route> AdjRibIn::routes_for(const Ipv4Prefix& prefix) const {
   std::vector<Route> out;
-  const PathList* paths = find_list(index_->id_of(prefix));
-  if (paths == nullptr) return out;
-  out.reserve(paths->size());
-  out.assign(paths->begin(), paths->end());
+  const RunList* runs = find_list(index_->id_of(prefix));
+  if (runs == nullptr) return out;
+  for (const Run& run : *runs) {
+    out.insert(out.end(), run.set->begin(), run.set->end());
+  }
   return out;
 }
 
 void AdjRibIn::routes_for(const IndexedPrefix& key,
                           std::vector<const Route*>& out) const {
   out.clear();
-  const PathList* paths = find_list(key.id);
-  if (paths == nullptr) return;
-  out.reserve(paths->size());
-  for (const Route& route : *paths) out.push_back(&route);
+  const RunList* runs = find_list(key.id);
+  if (runs == nullptr) return;
+  for (const Run& run : *runs) {
+    for (const Route& route : *run.set) out.push_back(&route);
+  }
 }
 
 std::size_t AdjRibIn::peer_size(RouterId peer) const {
@@ -160,20 +182,26 @@ std::size_t AdjRibIn::peer_size(RouterId peer) const {
 }
 
 void AdjRibIn::for_each(const std::function<void(const Route&)>& fn) const {
-  for (const PathList& paths : flat_) {
-    for (const Route& route : paths) fn(route);
+  for (const RunList& runs : flat_) {
+    for (const Run& run : runs) {
+      for (const Route& route : *run.set) fn(route);
+    }
   }
 }
 
 void AdjRibIn::clear() {
-  for (PathList& paths : flat_) paths.clear();
+  for (RunList& runs : flat_) {
+    for (const Run& run : runs) sets_->release(run.set);
+    runs.clear();
+  }
   per_peer_.clear();
   size_ = 0;
 }
 
 std::size_t AdjRibIn::bytes() const {
-  std::size_t n = sim::heap_bytes(flat_) + sim::heap_bytes(per_peer_);
-  for (const PathList& paths : flat_) n += sim::heap_bytes(paths);
+  std::size_t n = sim::heap_bytes(flat_) + sim::heap_bytes(per_peer_) +
+                  sim::heap_bytes(scratch_);
+  for (const RunList& runs : flat_) n += sim::heap_bytes(runs);
   return n;
 }
 
@@ -239,8 +267,11 @@ std::size_t LocRib::bytes() const { return sim::heap_bytes(flat_); }
 
 // --- AdjRibOut --------------------------------------------------------
 
-AdjRibOut::AdjRibOut(std::shared_ptr<PrefixIndex> index)
-    : index_(std::move(index)) {}
+AdjRibOut::AdjRibOut(std::shared_ptr<PrefixIndex> index,
+                     std::shared_ptr<RouteSetStore> sets)
+    : index_(std::move(index)), sets_(std::move(sets)) {}
+
+AdjRibOut::~AdjRibOut() { clear(); }
 
 namespace {
 
@@ -264,41 +295,42 @@ bool AdjRibOut::set(const IndexedPrefix& key, std::span<Route> routes) {
     return a.path_id < b.path_id;
   });
 
-  if (key.id >= flat_.size()) flat_.resize(index_->size());
-  std::vector<Route>& slot = flat_[key.id];
-  if (same_route_set(slot, routes)) return false;
-  size_ = size_ - slot.size() + routes.size();
-  slot.assign(routes.begin(), routes.end());
+  if (key.id >= flat_.size()) flat_.resize(index_->size(), nullptr);
+  const RouteSet*& slot = flat_[key.id];
+  const std::span<const Route> current =
+      slot != nullptr ? std::span<const Route>{*slot} : std::span<const Route>{};
+  if (same_route_set(current, routes)) return false;
+  size_ = size_ - current.size() + routes.size();
+  const RouteSet* next = sets_->acquire(routes);
+  sets_->release(slot);
+  slot = next;
   return true;
 }
 
-const std::vector<Route>* AdjRibOut::get(const Ipv4Prefix& prefix) const {
+const RouteSet* AdjRibOut::get(const Ipv4Prefix& prefix) const {
   const auto id = index_->id_of(prefix);
   return id ? get(IndexedPrefix{prefix, *id}) : nullptr;
 }
 
-const std::vector<Route>* AdjRibOut::get(const IndexedPrefix& key) const {
-  if (key.id >= flat_.size() || flat_[key.id].empty()) return nullptr;
-  return &flat_[key.id];
+const RouteSet* AdjRibOut::get(const IndexedPrefix& key) const {
+  return key.id < flat_.size() ? flat_[key.id] : nullptr;
 }
 
 void AdjRibOut::clear() {
-  for (std::vector<Route>& routes : flat_) routes.clear();
+  for (const RouteSet*& set : flat_) {
+    sets_->release(set);
+    set = nullptr;
+  }
   size_ = 0;
 }
 
 void AdjRibOut::for_each(
-    const std::function<void(const Ipv4Prefix&, const std::vector<Route>&)>&
-        fn) const {
+    const std::function<void(const Ipv4Prefix&, const RouteSet&)>& fn) const {
   for (std::size_t id = 0; id < flat_.size(); ++id) {
-    if (!flat_[id].empty()) fn(index_->prefix_of(id), flat_[id]);
+    if (flat_[id] != nullptr) fn(index_->prefix_of(id), *flat_[id]);
   }
 }
 
-std::size_t AdjRibOut::bytes() const {
-  std::size_t n = sim::heap_bytes(flat_);
-  for (const std::vector<Route>& routes : flat_) n += sim::heap_bytes(routes);
-  return n;
-}
+std::size_t AdjRibOut::bytes() const { return sim::heap_bytes(flat_); }
 
 }  // namespace abrr::bgp

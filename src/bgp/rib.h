@@ -10,6 +10,12 @@
 // without one owns a private index. Mutations register a new prefix
 // (it gets the next id, and the vectors grow to match); prefix-form
 // queries only look the prefix up.
+//
+// The route sets of Adj-RIB-In and Adj-RIB-Out live in a RouteSetStore
+// (bgp/route_set_store.h): a slot holds a handle to an immutable,
+// shared set, so a set that many routers hold is stored once. A
+// speaker's RIBs share the store it was given (a testbed gives all of
+// its speakers one); a RIB built without one owns a private store.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +29,7 @@
 
 #include "bgp/prefix_index.h"
 #include "bgp/route.h"
+#include "bgp/route_set_store.h"
 
 namespace abrr::bgp {
 
@@ -33,10 +40,15 @@ class AdjRibIn {
   /// Result of applying an announcement.
   enum class Change { kUnchanged, kAdded, kReplaced };
 
-  /// Stores prefixes under `index`'s ids (a fresh private index when
-  /// none is given).
+  /// Stores prefixes under `index`'s ids and route sets in `sets` (fresh
+  /// private ones when none are given).
   explicit AdjRibIn(
-      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>());
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>(),
+      std::shared_ptr<RouteSetStore> sets = std::make_shared<RouteSetStore>());
+  /// Gives every held set back to the store.
+  ~AdjRibIn();
+  AdjRibIn(const AdjRibIn&) = delete;
+  AdjRibIn& operator=(const AdjRibIn&) = delete;
 
   /// Stores/overwrites the route keyed by (prefix, learned_from,
   /// path_id). Requires route.valid().
@@ -48,7 +60,7 @@ class AdjRibIn {
   /// Replacement semantics for one (peer, prefix): removes every path
   /// `peer` reported for the prefix, then announce()s each of `routes`
   /// (all learned from `peer`; empty withdraws the prefix from the
-  /// peer), with one capacity reservation for the whole set.
+  /// peer), storing the result as one shared set.
   void replace(RouterId peer, const Ipv4Prefix& prefix,
                std::span<const Route> routes);
   void replace(RouterId peer, const IndexedPrefix& key,
@@ -79,7 +91,8 @@ class AdjRibIn {
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
 
-  /// Heap bytes this RIB holds (slots, path lists, per-peer counts).
+  /// Heap bytes this RIB holds: slots, run lists and per-peer counts.
+  /// The sets the runs point to are the store's (RouteSetStore::bytes).
   std::size_t bytes() const;
 
   /// Storage key of an entry: (sending peer, add-paths path id).
@@ -89,25 +102,34 @@ class AdjRibIn {
   }
 
  private:
-  /// Sorted flat path list: node-free storage whose iteration order
-  /// matches the std::map it replaced. The sort key (learned_from,
-  /// path_id) is read from the routes themselves — storing it separately
-  /// would pad every entry by a quarter of a cache line for data the
-  /// Route already carries.
-  using PathList = std::vector<Route>;
+  /// One peer's paths for a prefix: a shared set, sorted by path id.
+  struct Run {
+    RouterId peer;
+    const RouteSet* set;
+  };
+  /// A prefix's runs, sorted by peer, so walking the runs and each run's
+  /// set visits paths in (peer, path id) order.
+  using RunList = std::vector<Run>;
 
-  /// The prefix's non-empty path list, or nullptr.
-  const PathList* find_list(std::optional<std::uint32_t> id) const;
-  /// The prefix's path list, growing the storage to cover `id`.
-  PathList& ensure_list(std::uint32_t id);
-  /// announce() into an already-resolved list. Leaves the per-peer
-  /// count to the caller.
-  Change insert(PathList& paths, const Route& route);
+  /// The prefix's non-empty run list, or nullptr.
+  const RunList* find_list(std::optional<std::uint32_t> id) const;
+  /// The prefix's run list, growing the storage to cover `id`.
+  RunList& ensure_list(std::uint32_t id);
+  /// The run of `peer` in `runs`, or where it would be inserted.
+  static RunList::iterator find_run(RunList& runs, RouterId peer);
+  /// Makes `paths` (all from `peer`, sorted by path id) the peer's run,
+  /// erasing the run when `paths` is empty, and keeps the counts.
+  void store_run(RunList& runs, RouterId peer, std::span<const Route> paths);
+  /// announce() into a path list sorted by path id.
+  static Change insert(std::vector<Route>& paths, const Route& route);
 
   std::shared_ptr<PrefixIndex> index_;
-  std::vector<PathList> flat_;  // slot per PrefixId; empty = no routes
+  std::shared_ptr<RouteSetStore> sets_;
+  std::vector<RunList> flat_;  // slot per PrefixId; empty = no routes
   std::unordered_map<RouterId, std::size_t> per_peer_;
   std::size_t size_ = 0;
+  /// Where announce/withdraw/replace build a peer's new path list.
+  std::vector<Route> scratch_;
 };
 
 /// Loc-RIB: the single chosen best route per prefix.
@@ -153,39 +175,49 @@ class LocRib {
 /// set for ARRs and multi-path TRRs).
 class AdjRibOut {
  public:
-  /// Stores prefixes under `index`'s ids (a fresh private index when
-  /// none is given).
+  /// Stores prefixes under `index`'s ids and route sets in `sets` (fresh
+  /// private ones when none are given).
   explicit AdjRibOut(
-      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>());
+      std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>(),
+      std::shared_ptr<RouteSetStore> sets = std::make_shared<RouteSetStore>());
+  /// Gives every held set back to the store.
+  ~AdjRibOut();
+  /// Moving leaves `other` empty, so one set is released once.
+  AdjRibOut(AdjRibOut&& other) = default;
+  AdjRibOut(const AdjRibOut&) = delete;
+  AdjRibOut& operator=(const AdjRibOut&) = delete;
+  AdjRibOut& operator=(AdjRibOut&&) = delete;
 
-  /// Replaces the advertised set for `prefix` with a copy of `routes`
-  /// (an empty set withdraws the prefix). Sorts `routes` in place into
-  /// the canonical path-id order first. Returns true if the stored set
-  /// changed. The copy reuses the prefix's storage, so replacing a set
-  /// with one no larger allocates nothing.
+  /// Replaces the advertised set for `prefix` with `routes` (an empty
+  /// set withdraws the prefix). Sorts `routes` in place into the
+  /// canonical path-id order first. Returns true if the stored set
+  /// changed; a set that announces the same as the stored one (same
+  /// prefix, path ids and attributes) leaves the stored one in place.
   bool set(const Ipv4Prefix& prefix, std::span<Route> routes);
   bool set(const IndexedPrefix& key, std::span<Route> routes);
 
   /// Current advertised set (nullptr if none).
-  const std::vector<Route>* get(const Ipv4Prefix& prefix) const;
-  const std::vector<Route>* get(const IndexedPrefix& key) const;
+  const RouteSet* get(const Ipv4Prefix& prefix) const;
+  const RouteSet* get(const IndexedPrefix& key) const;
 
   /// Total advertised route entries (the paper's RIB-Out size metric).
   std::size_t size() const { return size_; }
 
   void for_each(
-      const std::function<void(const Ipv4Prefix&, const std::vector<Route>&)>&
-          fn) const;
+      const std::function<void(const Ipv4Prefix&, const RouteSet&)>& fn)
+      const;
 
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
 
-  /// Heap bytes this RIB holds (slots and the stored sets).
+  /// Heap bytes this RIB holds: one handle per slot. The sets are the
+  /// store's (RouteSetStore::bytes).
   std::size_t bytes() const;
 
  private:
   std::shared_ptr<PrefixIndex> index_;
-  std::vector<std::vector<Route>> flat_;  // slot per PrefixId; empty = none
+  std::shared_ptr<RouteSetStore> sets_;
+  std::vector<const RouteSet*> flat_;  // slot per PrefixId; null = none
   std::size_t size_ = 0;
 };
 

@@ -16,7 +16,8 @@ Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
       rng_(config.seed),
       network_(scheduler_, rng_),
       obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)),
-      prefix_index_(std::make_shared<bgp::PrefixIndex>()) {
+      prefix_index_(std::make_shared<bgp::PrefixIndex>()),
+      route_sets_(std::make_shared<bgp::RouteSetStore>()) {
   network_.set_metrics(&obs_->metrics());
   network_.set_tracer(obs_->tracer());
   for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
@@ -99,7 +100,7 @@ ibgp::Speaker& Testbed::make_speaker(ibgp::SpeakerConfig cfg) {
   }
   auto speaker = std::make_unique<ibgp::Speaker>(
       cfg, scheduler_, network_, &obs_->metrics(), prefix_index_,
-      cfg.ap_of ? prefix_aps_ : nullptr);
+      cfg.ap_of ? prefix_aps_ : nullptr, route_sets_);
   speaker->set_tracer(obs_->tracer());
   auto& ref = *speaker;
   speakers_.emplace(cfg.id, std::move(speaker));
@@ -409,6 +410,7 @@ MemoryBreakdown Testbed::memory() const {
     m.sent_hashes += s.sent_hashes;
     m.pending += s.pending;
   }
+  m.route_sets = route_sets_->bytes();
   m.attr_arena = bgp::AttrsInterner::global().bytes();
   m.channel_queues = network_.queue_bytes();
   m.events = scheduler_.bytes();

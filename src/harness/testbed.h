@@ -60,9 +60,14 @@ struct RoleTotals {
 /// Heap bytes of a testbed by structure (Testbed::memory()), summed
 /// over its speakers where the structure is per speaker.
 struct MemoryBreakdown {
+  /// Adj-RIB-In slots and run lists.
   std::size_t rib_in = 0;
   std::size_t loc_rib = 0;
+  /// Adj-RIB-Out slots (one handle each) and the group tables.
   std::size_t rib_out = 0;
+  /// The bed's RouteSetStore: every route set the Adj-RIB-Ins and
+  /// Adj-RIB-Outs hold, once each, and its table.
+  std::size_t route_sets = 0;
   std::size_t sent_hashes = 0;
   std::size_t pending = 0;
   /// The calling thread's active attribute interner (the trial's, inside
@@ -74,8 +79,8 @@ struct MemoryBreakdown {
   std::size_t events = 0;
 
   std::size_t total() const {
-    return rib_in + loc_rib + rib_out + sent_hashes + pending + attr_arena +
-           channel_queues + events;
+    return rib_in + loc_rib + rib_out + route_sets + sent_hashes + pending +
+           attr_arena + channel_queues + events;
   }
 };
 
@@ -167,6 +172,9 @@ class Testbed {
   /// first seen later get the following ids.
   const bgp::PrefixIndex& prefix_index() const { return *prefix_index_; }
 
+  /// The route-set store every speaker of the bed shares.
+  const bgp::RouteSetStore& route_sets() const { return *route_sets_; }
+
   /// Resident-testbed hook: mirrors every Loc-RIB change into
   /// `on_change` (speaker id + best-change arguments; nullptr route =
   /// withdrawn) and every crash-wipe into `on_cleared`. Replaces any
@@ -201,6 +209,7 @@ class Testbed {
   std::shared_ptr<bgp::PrefixIndex> prefix_index_;
   /// ap_of_ over prefix_index_, shared by the ABRR speakers.
   std::shared_ptr<const ibgp::PrefixApTable> prefix_aps_;
+  std::shared_ptr<bgp::RouteSetStore> route_sets_;
 
   std::unordered_map<RouterId, std::unique_ptr<ibgp::Speaker>> speakers_;
   std::vector<RouterId> rr_ids_;

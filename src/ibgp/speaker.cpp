@@ -63,14 +63,17 @@ PrefixApTable::PrefixApTable(const bgp::PrefixIndex& index,
 Speaker::Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
                  net::Network& network, obs::MetricsRegistry* metrics,
                  std::shared_ptr<bgp::PrefixIndex> index,
-                 std::shared_ptr<const PrefixApTable> aps)
+                 std::shared_ptr<const PrefixApTable> aps,
+                 std::shared_ptr<bgp::RouteSetStore> route_sets)
     : config_(std::move(config)),
       scheduler_(&scheduler),
       network_(&network),
       prefix_index_(index ? std::move(index)
                           : std::make_shared<bgp::PrefixIndex>()),
       prefix_aps_(std::move(aps)),
-      adj_rib_in_(prefix_index_),
+      route_sets_(route_sets ? std::move(route_sets)
+                             : std::make_shared<bgp::RouteSetStore>()),
+      adj_rib_in_(prefix_index_, route_sets_),
       loc_rib_(prefix_index_),
       metrics_(metrics) {
   if (config_.id == bgp::kNoRouter) {
@@ -599,7 +602,7 @@ void Speaker::session_up(RouterId peer) {
       continue;
     }
     g.rib.for_each(
-        [&, k = key](const Ipv4Prefix& prefix, const std::vector<Route>&) {
+        [&, k = key](const Ipv4Prefix& prefix, const bgp::RouteSet&) {
           schedule_send(ps, k, prefix, prefix_id(prefix));
         });
   }
@@ -901,7 +904,7 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix,
                        PrefixId pid) {
   if (!ps.up) return;
   const OutGroup& g = group(key);
-  const std::vector<Route>* current = g.rib.get({prefix, pid});
+  const bgp::RouteSet* current = g.rib.get({prefix, pid});
 
   // "Not returned to sender": drop routes this peer itself advertised.
   // Filter and hash over pointers first; Route copies are made only when
@@ -1014,7 +1017,9 @@ Speaker::OutGroup& Speaker::group(int key) {
   if (const auto it = groups_.find(key); it != groups_.end()) {
     return it->second;
   }
-  return groups_.emplace(key, OutGroup{bgp::AdjRibOut{prefix_index_}, {}})
+  return groups_
+      .emplace(key,
+               OutGroup{bgp::AdjRibOut{prefix_index_, route_sets_}, {}})
       .first->second;
 }
 

@@ -192,11 +192,15 @@ class Speaker {
   /// state and the dirty-prefix coalescing; a testbed shares one between
   /// its speakers. When null the speaker owns a private one. `aps`, when
   /// given, must be built over the same index from config().ap_of; the
-  /// prefixes it covers take their APs from it.
+  /// prefixes it covers take their APs from it. `route_sets` stores the
+  /// route sets of the Adj-RIB-In and the Adj-RIB-Outs; a testbed shares
+  /// one between its speakers, and when null the speaker owns a private
+  /// one.
   Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
           net::Network& network, obs::MetricsRegistry* metrics = nullptr,
           std::shared_ptr<bgp::PrefixIndex> index = nullptr,
-          std::shared_ptr<const PrefixApTable> aps = nullptr);
+          std::shared_ptr<const PrefixApTable> aps = nullptr,
+          std::shared_ptr<bgp::RouteSetStore> route_sets = nullptr);
 
   Speaker(const Speaker&) = delete;
   Speaker& operator=(const Speaker&) = delete;
@@ -500,6 +504,7 @@ class Speaker {
   RibClearedHook rib_cleared_hook_;
   std::shared_ptr<bgp::PrefixIndex> prefix_index_;
   std::shared_ptr<const PrefixApTable> prefix_aps_;
+  std::shared_ptr<bgp::RouteSetStore> route_sets_;
 
   struct EbgpNeighborState {
     Asn asn = 0;
@@ -540,7 +545,7 @@ class Speaker {
 
   // Reusable pipeline scratch (valid only within one run_pipeline call).
   // Route vectors hold the sets committed to Adj-RIB-Outs; the commit
-  // copies them into the RIB's own storage.
+  // stores them in the shared RouteSetStore.
   std::vector<Route> scratch_out_;
   std::vector<Route> scratch_to_rrs_;
   std::vector<ApId> scratch_aps_;

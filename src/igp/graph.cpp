@@ -34,7 +34,7 @@ void Graph::add_link(RouterId a, RouterId b, Metric metric) {
 bool Graph::set_metric(RouterId a, RouterId b, Metric metric) {
   if (metric <= 0) throw std::invalid_argument{"set_metric: metric <= 0"};
   bool found = false;
-  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     const auto it = adjacency_.find(from);
     if (it == adjacency_.end()) continue;
     for (Edge& e : it->second) {
@@ -49,7 +49,7 @@ bool Graph::set_metric(RouterId a, RouterId b, Metric metric) {
 
 bool Graph::remove_link(RouterId a, RouterId b) {
   bool removed = false;
-  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     const auto it = adjacency_.find(from);
     if (it == adjacency_.end()) continue;
     const auto before = it->second.size();

@@ -37,7 +37,7 @@ void Network::connect(RouterId a, RouterId b, sim::Time latency,
   if (latency < 0 || jitter < 0) {
     throw std::invalid_argument{"connect: negative latency"};
   }
-  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     Channel& ch = channels_[key(from, to)];
     ch.from = from;
     ch.state.base_latency = latency;
@@ -143,7 +143,7 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
 }
 
 void Network::set_link(RouterId a, RouterId b, bool up) {
-  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     const auto it = channels_.find(key(from, to));
     if (it == channels_.end()) {
       throw std::logic_error{"set_link: no session " + std::to_string(a) +

@@ -254,7 +254,9 @@ TEST_P(DecisionProperty, SelectionIsOrderInvariant) {
     rng.shuffle(std::span<Route>{candidates});
     const Route b = select_best_no_igp(candidates);
     ASSERT_EQ(a.valid(), b.valid());
-    if (a.valid()) EXPECT_EQ(a.path_id, b.path_id);
+    if (a.valid()) {
+      EXPECT_EQ(a.path_id, b.path_id);
+    }
   }
 }
 
@@ -272,7 +274,9 @@ TEST_P(DecisionProperty, SequentialFoldCanDependOnOrderOnlyViaMed) {
     const Route a = select_best(candidates, 1, nullptr, fold);
     const Route b = select_best(candidates, 1, nullptr, det);
     ASSERT_EQ(a.valid(), b.valid());
-    if (a.valid()) EXPECT_EQ(a.path_id, b.path_id);
+    if (a.valid()) {
+      EXPECT_EQ(a.path_id, b.path_id);
+    }
   }
 }
 

@@ -91,6 +91,7 @@ TEST(RetireBin, PinnedEpochBlocksReclamation) {
   // advances — exactly the publish protocol.
   bin.retire(d.current(), std::make_unique<const Probe>(&freed));
   d.advance();
+  EXPECT_EQ(d.min_pinned(), e);
   EXPECT_EQ(bin.reclaim(d.min_pinned()), 0u);  // tag == e, reader pins e
   EXPECT_EQ(freed, 0);
 

@@ -3,8 +3,10 @@
 // The entry point is the standard libFuzzer hook, so with clang this
 // file builds as a true coverage-guided fuzzer:
 //
-//   clang++ -std=c++20 -fsanitize=fuzzer,address -DABRR_WIRE_LIBFUZZER \
+//   clang++ -std=c++20 -fsanitize=fuzzer,address -DABRR_WIRE_LIBFUZZER
 //       tests/wire/fuzz_decode.cpp src/wire/codec.cpp ... -Isrc
+//
+// (one command line).
 //
 // The container ships GCC only, so the default build (the `fuzz` CMake
 // preset) links the fallback driver below instead: a deterministic
