@@ -36,6 +36,10 @@ namespace abrr::bench {
 /// How many of the --seeds values a bench runs.
 enum class Seeds { kOne, kMany };
 
+/// Whether a bench filters its iBGP modes by --mode. Most benches print
+/// a fixed set of rows and refuse the flag rather than ignore it.
+enum class ModeFilter { kRefused, kHonoured };
+
 /// The flags every bench shares. A bench with other defaults passes them
 /// to from_args (or sets them before register_flags), so a flag given on
 /// the command line always wins. The topology knobs without a flag
@@ -51,7 +55,8 @@ struct ExperimentConfig {
   /// Worker threads for ExperimentRunner-backed benches.
   std::size_t jobs = 1;
   /// Optional iBGP-mode filter ("fullmesh"/"tbrr"/"abrr"/"dual");
-  /// empty = bench default set.
+  /// empty = bench default set. Only benches that pass
+  /// ModeFilter::kHonoured to finish() accept it.
   std::string mode;
   double trace_seconds = 120.0;       // compressed two-week update feed
   double trace_events_per_second = 20.0;
@@ -78,9 +83,16 @@ struct ExperimentConfig {
   }
 
   /// Reconciles --seed/--seeds and validates --mode. Exits 2 on a bad
-  /// mode name, and when a bench that runs one seed is given several
-  /// --seeds values (parse() already exited on unknown flags).
-  void finish(Seeds accepts = Seeds::kOne) {
+  /// mode name, on --mode for a bench that does not filter by it, and
+  /// when a bench that runs one seed is given several --seeds values
+  /// (parse() already exited on unknown flags).
+  void finish(Seeds accepts = Seeds::kOne,
+              ModeFilter modes = ModeFilter::kRefused) {
+    if (modes == ModeFilter::kRefused && !mode.empty()) {
+      std::fprintf(stderr, "error: this bench prints a fixed set of modes "
+                   "and does not take --mode\n");
+      std::exit(2);
+    }
     if (accepts == Seeds::kOne && seeds.size() > 1) {
       std::fprintf(stderr, "error: this bench runs one seed, but --seeds "
                    "lists %zu (use --seed=N)\n", seeds.size());

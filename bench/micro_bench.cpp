@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -83,47 +84,62 @@ void BM_BestAsLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_BestAsLevel)->Arg(10)->Arg(30)->Arg(100);
 
-// The speaker's real Adj-RIB-In access pattern: many prefixes with a
-// handful of paths each, and every announce/withdraw followed by a
-// routes_for() read when the decision pipeline re-runs the prefix.
-void BM_AdjRibInAnnounceWithdraw(benchmark::State& state) {
+// The speaker's real Adj-RIB-In write: an ARR reflects its set for a
+// prefix to every client, and each client replace()s its run for
+// (ARR, prefix), then re-reads the prefix when its decision re-runs.
+// The N receivers share one RouteSetStore, as a testbed's speakers do.
+// Each pass alternates every prefix between two sets, so every replace
+// changes what is stored.
+void BM_AdjRibInReplaceReflected(benchmark::State& state) {
   constexpr std::size_t kPrefixes = 256;
-  constexpr std::size_t kPathsPerPrefix = 4;
-  std::vector<Ipv4Prefix> prefixes;
-  std::vector<Route> routes;
+  constexpr std::size_t kPathsPerSet = 3;
+  constexpr bgp::RouterId kArr = 91;
+  const auto receivers = static_cast<std::size_t>(state.range(0));
+  auto index = std::make_shared<bgp::PrefixIndex>();
+  auto store = std::make_shared<bgp::RouteSetStore>();
+  std::vector<bgp::IndexedPrefix> keys;
+  std::vector<Route> sets[2];
   for (std::size_t p = 0; p < kPrefixes; ++p) {
     const Ipv4Prefix pfx{
         static_cast<bgp::Ipv4Addr>(0x0A000000u + (p << 8)), 24};
-    prefixes.push_back(pfx);
-    for (std::size_t i = 0; i < kPathsPerPrefix; ++i) {
-      RouteBuilder b{pfx};
-      b.path_id(static_cast<bgp::PathId>(i + 1))
-          .local_pref(100)
-          .as_path({static_cast<bgp::Asn>(7000 + i), 64512})
-          .next_hop(static_cast<bgp::RouterId>(i + 1))
-          .learned_from(static_cast<bgp::RouterId>(100 + i),
-                        bgp::LearnedVia::kIbgp);
-      routes.push_back(b.build());
+    keys.push_back(index->intern(pfx));
+    for (std::size_t version = 0; version < 2; ++version) {
+      for (std::size_t i = 0; i < kPathsPerSet; ++i) {
+        sets[version].push_back(
+            RouteBuilder{pfx}
+                .path_id(static_cast<bgp::PathId>(i + 1))
+                .local_pref(100)
+                .med(static_cast<std::uint32_t>(version))
+                .as_path({static_cast<bgp::Asn>(7000 + i), 64512})
+                .next_hop(static_cast<bgp::RouterId>(i + 1))
+                .learned_from(kArr, bgp::LearnedVia::kIbgp)
+                .build());
+      }
     }
   }
-  auto index = std::make_shared<bgp::PrefixIndex>();
-  for (const auto& pfx : prefixes) index->add(pfx);
-  bgp::AdjRibIn rib{index};
+  std::vector<std::unique_ptr<bgp::AdjRibIn>> ribs;
+  for (std::size_t r = 0; r < receivers; ++r) {
+    ribs.push_back(std::make_unique<bgp::AdjRibIn>(index, store));
+  }
   std::vector<const Route*> scratch;
+  std::size_t version = 0;
   for (auto _ : state) {
-    for (const auto& r : routes) {
-      rib.announce(r);
-      rib.routes_for(index->intern(r.prefix), scratch);
-      benchmark::DoNotOptimize(scratch.data());
+    for (std::size_t p = 0; p < kPrefixes; ++p) {
+      const std::span<const Route> set{
+          sets[version].data() + p * kPathsPerSet, kPathsPerSet};
+      for (const auto& rib : ribs) {
+        rib->replace(kArr, keys[p], set);
+        rib->routes_for(keys[p], scratch);
+        benchmark::DoNotOptimize(scratch.data());
+      }
     }
-    for (const auto& r : routes) {
-      rib.withdraw(r.learned_from, r.prefix, r.path_id);
-    }
+    version ^= 1;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * routes.size()));
+                          static_cast<std::int64_t>(kPrefixes * receivers));
+  state.counters["live_blocks"] = static_cast<double>(store->live_blocks());
 }
-BENCHMARK(BM_AdjRibInAnnounceWithdraw);
+BENCHMARK(BM_AdjRibInReplaceReflected)->Arg(1)->Arg(16)->Arg(104);
 
 // Random table for the LPM benchmark below: `n` prefixes drawn with
 // the same generator the LPM rows have always used, so the 10000-entry

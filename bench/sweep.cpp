@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   cfg.register_flags(parser);
   parser.parse(argc, argv);
   const bool seeds_given = !cfg.seeds.empty();  // before finish() fills it
-  cfg.finish(Seeds::kMany);
+  cfg.finish(Seeds::kMany, ModeFilter::kHonoured);
   const std::size_t jobs = cfg.jobs == 0 ? 1 : cfg.jobs;
 
   runner::ScenarioSpec base = paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);

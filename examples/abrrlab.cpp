@@ -46,7 +46,7 @@ struct Args {
       if (s.rfind("--", 0) != 0) continue;
       const auto eq = s.find('=');
       if (eq == std::string::npos) {
-        a.kv[s.substr(2)] = "1";
+        a.kv[s.substr(2)] = std::string{"1"};
       } else {
         a.kv[s.substr(2, eq - 2)] = s.substr(eq + 1);
       }

@@ -35,12 +35,6 @@ AdjRibIn::RunList& AdjRibIn::ensure_list(std::uint32_t id) {
   return flat_[id];
 }
 
-AdjRibIn::RunList::iterator AdjRibIn::find_run(RunList& runs, RouterId peer) {
-  return std::lower_bound(
-      runs.begin(), runs.end(), peer,
-      [](const Run& run, RouterId p) { return run.peer < p; });
-}
-
 void AdjRibIn::store_run(RunList& runs, RouterId peer,
                          std::span<const Route> paths) {
   const auto it = find_run(runs, peer);
@@ -174,6 +168,14 @@ void AdjRibIn::routes_for(const IndexedPrefix& key,
   for (const Run& run : *runs) {
     for (const Route& route : *run.set) out.push_back(&route);
   }
+}
+
+const RouteSet* AdjRibIn::from_peer(RouterId peer,
+                                    const Ipv4Prefix& prefix) const {
+  const RunList* runs = find_list(index_->id_of(prefix));
+  if (runs == nullptr) return nullptr;
+  const auto it = find_run(*runs, peer);
+  return it != runs->end() && it->peer == peer ? it->set : nullptr;
 }
 
 std::size_t AdjRibIn::peer_size(RouterId peer) const {

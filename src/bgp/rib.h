@@ -18,6 +18,7 @@
 // its speakers one); a RIB built without one owns a private store.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -79,6 +80,10 @@ class AdjRibIn {
   void routes_for(const IndexedPrefix& key,
                   std::vector<const Route*>& out) const;
 
+  /// The set `peer` reported for `prefix`, sorted by path id, or nullptr.
+  /// Receivers that store equal sets hold the same one.
+  const RouteSet* from_peer(RouterId peer, const Ipv4Prefix& prefix) const;
+
   /// Total entries (the paper's RIB-In size metric).
   std::size_t size() const { return size_; }
 
@@ -116,7 +121,12 @@ class AdjRibIn {
   /// The prefix's run list, growing the storage to cover `id`.
   RunList& ensure_list(std::uint32_t id);
   /// The run of `peer` in `runs`, or where it would be inserted.
-  static RunList::iterator find_run(RunList& runs, RouterId peer);
+  template <typename Runs>  // RunList or const RunList
+  static auto find_run(Runs& runs, RouterId peer) {
+    return std::lower_bound(
+        runs.begin(), runs.end(), peer,
+        [](const Run& run, RouterId p) { return run.peer < p; });
+  }
   /// Makes `paths` (all from `peer`, sorted by path id) the peer's run,
   /// erasing the run when `paths` is empty, and keeps the counts.
   void store_run(RunList& runs, RouterId peer, std::span<const Route> paths);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "trace/regenerator.h"
 #include "verify/efficiency.h"
 #include "verify/equivalence.h"
@@ -207,6 +209,60 @@ TEST_F(TestbedIntegration, PrefixOutsideTheUniverseReachesClientsAndWithdraws) {
   }
   EXPECT_TRUE(sizes() == before);
   EXPECT_EQ(bed->prefix_index().size(), universe + 1);  // ids are kept
+}
+
+TEST_F(TestbedIntegration, ClientsShareEachReflectedSetExceptContributors) {
+  // Every client of an ARR receives its set for a prefix; the clients
+  // that contributed none of its routes store it as one shared block,
+  // and each contributor (sender exclusion) stores its own smaller set.
+  auto bed = build_and_load(options(ibgp::IbgpMode::kAbrr));
+  ASSERT_NE(bed, nullptr);
+  const bgp::RouterId arr = bed->rr_ids().front();
+  const auto* out =
+      bed->speaker(arr).out_group(ibgp::Speaker::arr_group(bed->arr_ap(arr)));
+  ASSERT_NE(out, nullptr);
+  std::size_t shared_checked = 0;
+  std::size_t excluded_checked = 0;
+  out->for_each([&](const bgp::Ipv4Prefix& prefix, const bgp::RouteSet& set) {
+    if (set.size() < 2) return;
+    const bgp::RouteSet* shared = nullptr;
+    for (const bgp::RouterId client : bed->client_ids()) {
+      if (client == arr) continue;
+      const bool contributed =
+          std::any_of(set.begin(), set.end(), [&](const bgp::Route& r) {
+            return r.learned_from == client ||
+                   r.attrs->originator_id == client;
+          });
+      const bgp::RouteSet* held =
+          bed->speaker(client).adj_rib_in().from_peer(arr, prefix);
+      ASSERT_NE(held, nullptr) << prefix.to_string() << " at " << client;
+      if (contributed) {
+        EXPECT_LT(held->size(), set.size());
+        ++excluded_checked;
+      } else {
+        if (shared == nullptr) shared = held;
+        EXPECT_EQ(held, shared) << prefix.to_string() << " at " << client;
+        ++shared_checked;
+      }
+    }
+    if (shared != nullptr) {
+      EXPECT_EQ(shared->size(), set.size());
+    }
+  });
+  EXPECT_GT(shared_checked, 0u);
+  EXPECT_GT(excluded_checked, 0u);
+}
+
+TEST_F(TestbedIntegration, CrashingEverySpeakerFreesEveryRouteSet) {
+  for (const auto mode : {ibgp::IbgpMode::kTbrr, ibgp::IbgpMode::kAbrr}) {
+    auto bed = build_and_load(options(mode));
+    ASSERT_NE(bed, nullptr);
+    EXPECT_GT(bed->route_sets().live_blocks(), 0u);
+    EXPECT_GT(bed->memory().route_sets, 0u);
+    for (const bgp::RouterId id : bed->all_ids()) bed->speaker(id).crash();
+    EXPECT_EQ(bed->route_sets().live_blocks(), 0u)
+        << static_cast<int>(mode);
+  }
 }
 
 }  // namespace

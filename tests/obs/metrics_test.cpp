@@ -56,7 +56,9 @@ TEST(MetricsRegistry, HandlesStaySableAcrossManyRegistrations) {
   Counter* first = r.counter("c0");
   first->inc();
   for (int i = 1; i < 1000; ++i) {
-    r.counter("c" + std::to_string(i))->inc(static_cast<std::uint64_t>(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    r.counter(name)->inc(static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(first->value(), 1u);
   EXPECT_EQ(r.counter("c0"), first);
