@@ -39,6 +39,7 @@ void AdjRibIn::store_run(RunList& runs, RouterId peer,
                          std::span<const Route> paths) {
   const auto it = find_run(runs, peer);
   const bool found = it != runs.end() && it->peer == peer;
+  if (found && it->set->holds(paths)) return;  // the same set again
   const std::size_t removed = found ? it->set->size() : 0;
   const RouteSet* set = sets_->acquire(paths);
   if (found) {
@@ -125,11 +126,22 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
       throw std::invalid_argument{"replace: route not from (peer, prefix)"};
     }
   }
-  // The new run is `routes` announce()d one by one into an empty list:
-  // sorted by path id, a repeated path id resolved as announce() would.
+  RunList& runs = ensure_list(key.id);
+  // A set whose path ids strictly increase, as an Adj-RIB-Out sends
+  // them, is stored as it is.
+  if (std::adjacent_find(routes.begin(), routes.end(),
+                         [](const Route& a, const Route& b) {
+                           return a.path_id >= b.path_id;
+                         }) == routes.end()) {
+    store_run(runs, peer, routes);
+    return;
+  }
+  // Otherwise the new run is `routes` announce()d one by one into an
+  // empty list: sorted by path id, a repeated path id resolved as
+  // announce() would.
   scratch_.clear();
   for (const Route& route : routes) insert(scratch_, route);
-  store_run(ensure_list(key.id), peer, scratch_);
+  store_run(runs, peer, scratch_);
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {

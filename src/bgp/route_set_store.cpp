@@ -23,12 +23,11 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 std::uint64_t hash_of(std::span<const Route> routes) {
   std::uint64_t h = routes.size();
   for (const Route& r : routes) {
-    // An interned block's cached content hash; equal pointers give equal
-    // hashes either way, which is all the pointer-identity key needs.
-    const std::uint64_t attrs =
-        r.attrs != nullptr && r.attrs->content_hash != 0
-            ? r.attrs->content_hash
-            : reinterpret_cast<std::uintptr_t>(r.attrs);
+    // The key compares attribute blocks by pointer, so the pointer is
+    // what to hash; reading the block's content hash instead would cost
+    // a cache miss per route when a cold set is released.
+    const auto attrs = static_cast<std::uint64_t>(
+        reinterpret_cast<std::uintptr_t>(r.attrs));
     h = mix(h, static_cast<std::uint64_t>(r.prefix.address()) << 8 |
                    r.prefix.length());
     h = mix(h, static_cast<std::uint64_t>(r.path_id) << 32 | r.learned_from);
@@ -37,11 +36,18 @@ std::uint64_t hash_of(std::span<const Route> routes) {
   return h;
 }
 
-bool same_content(const RouteSet& set, std::span<const Route> routes) {
-  if (set.size() != routes.size()) return false;
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    const Route& a = set[i];
-    const Route& b = routes[i];
+std::size_t block_size(std::size_t routes) {
+  return sizeof(RouteSet) + routes * sizeof(Route);
+}
+
+}  // namespace
+
+bool RouteSet::holds(std::span<const Route> other) const {
+  if (size_ != other.size()) return false;
+  const Route* mine = routes();
+  for (std::size_t i = 0; i < size_; ++i) {
+    const Route& a = mine[i];
+    const Route& b = other[i];
     if (a.prefix != b.prefix || a.path_id != b.path_id ||
         a.attrs != b.attrs || a.learned_from != b.learned_from ||
         a.via != b.via) {
@@ -50,12 +56,6 @@ bool same_content(const RouteSet& set, std::span<const Route> routes) {
   }
   return true;
 }
-
-std::size_t block_size(std::size_t routes) {
-  return sizeof(RouteSet) + routes * sizeof(Route);
-}
-
-}  // namespace
 
 RouteSetStore::~RouteSetStore() {
   // Pooled blocks go with the arena.
@@ -101,7 +101,7 @@ const RouteSet* RouteSetStore::acquire(std::span<const Route> routes) {
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = home(hash);
   for (; slots_[i].set != nullptr; i = (i + 1) & mask) {
-    if (slots_[i].hash == hash && same_content(*slots_[i].set, routes)) {
+    if (slots_[i].hash == hash && slots_[i].set->holds(routes)) {
       ++slots_[i].set->refs_;
       return slots_[i].set;
     }

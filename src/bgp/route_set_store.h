@@ -55,6 +55,10 @@ class RouteSet {
   const Route& operator[](std::size_t i) const { return routes()[i]; }
   operator std::span<const Route>() const { return {routes(), size_}; }
 
+  /// True when this set stores exactly `routes`: every field of every
+  /// route, the attribute block by pointer (the store's key).
+  bool holds(std::span<const Route> routes) const;
+
  private:
   friend class RouteSetStore;
   explicit RouteSet(std::uint32_t size) : size_(size) {}
