@@ -37,14 +37,17 @@ AdjRibIn::RunList& AdjRibIn::ensure_list(std::uint32_t id) {
 
 void AdjRibIn::store_run(RunList& runs, RouterId peer,
                          std::span<const Route> paths) {
-  const auto it = find_run(runs, peer);
-  const bool found = it != runs.end() && it->peer == peer;
-  if (found && it->set->holds(paths)) return;  // the same set again
-  const std::size_t removed = found ? it->set->size() : 0;
+  // Acquire first: the store's table lookup does not depend on the run
+  // list or the old set, so the loads overlap.
   const RouteSet* set = sets_->acquire(paths);
-  if (found) {
+  const auto count = static_cast<std::uint32_t>(paths.size());
+  const auto it = find_run(runs, peer);
+  std::size_t removed = 0;
+  if (it != runs.end() && it->peer == peer) {
+    removed = it->count;
     sets_->release(it->set);
     if (set != nullptr) {
+      it->count = count;
       it->set = set;
     } else {
       runs.erase(it);
@@ -58,7 +61,7 @@ void AdjRibIn::store_run(RunList& runs, RouterId peer,
     if (runs.size() == runs.capacity()) {
       runs.reserve(std::max(kMinRuns, runs.size() + 1));
     }
-    runs.insert(runs.begin() + at, Run{peer, set});
+    runs.insert(runs.begin() + at, Run{peer, count, set});
   }
   size_ = size_ - removed + paths.size();
   // The peer's count moves once per call, not once per stored route.
@@ -150,7 +153,7 @@ std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
     RunList& runs = flat_[id];
     const auto it = find_run(runs, peer);
     if (it == runs.end() || it->peer != peer) continue;
-    size_ -= it->set->size();
+    size_ -= it->count;
     sets_->release(it->set);
     runs.erase(it);
     affected.push_back(index_->prefix_of(id));
@@ -177,8 +180,11 @@ void AdjRibIn::routes_for(const IndexedPrefix& key,
   out.clear();
   const RunList* runs = find_list(key.id);
   if (runs == nullptr) return;
+  // From the runs alone (the count is kept beside the handle): no set is
+  // read until the decision process reads its routes.
   for (const Run& run : *runs) {
-    for (const Route& route : *run.set) out.push_back(&route);
+    const Route* first = run.set->begin();
+    for (std::uint32_t i = 0; i < run.count; ++i) out.push_back(first + i);
   }
 }
 

@@ -110,6 +110,9 @@ class AdjRibIn {
   /// One peer's paths for a prefix: a shared set, sorted by path id.
   struct Run {
     RouterId peer;
+    /// The set's size, kept beside the handle: replacing a run reads
+    /// the old count without waiting for the old set's cache line.
+    std::uint32_t count;
     const RouteSet* set;
   };
   /// A prefix's runs, sorted by peer, so walking the runs and each run's

@@ -55,14 +55,14 @@ class RouteSet {
   const Route& operator[](std::size_t i) const { return routes()[i]; }
   operator std::span<const Route>() const { return {routes(), size_}; }
 
-  /// True when this set stores exactly `routes`: every field of every
-  /// route, the attribute block by pointer (the store's key).
-  bool holds(std::span<const Route> routes) const;
-
  private:
   friend class RouteSetStore;
   explicit RouteSet(std::uint32_t size) : size_(size) {}
   ~RouteSet() = default;
+
+  /// True when this set stores exactly `routes`: every field of every
+  /// route, the attribute block by pointer (the store's key).
+  bool holds(std::span<const Route> routes) const;
 
   const Route* routes() const {
     return reinterpret_cast<const Route*>(this + 1);
