@@ -61,6 +61,9 @@ int main(int argc, char** argv) {
   const bool seeds_given = !cfg.seeds.empty();  // before finish() fills it
   cfg.finish(Seeds::kMany, ModeFilter::kHonoured);
   const std::size_t jobs = cfg.jobs == 0 ? 1 : cfg.jobs;
+  // Read before anything is written: rewriting BENCH_sweep.json in a
+  // checkout would itself make the tree dirty.
+  const std::string revision = git_revision();
 
   runner::ScenarioSpec base = paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   base.name = "sweep";
@@ -138,7 +141,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"host_cpus\": %u,\n", host_cpus);
   std::fprintf(f, "  \"compiler\": \"g++ %s\",\n", __VERSION__);
   std::fprintf(f, "  \"build_type\": \"%s\",\n", ABRR_BUILD_TYPE);
-  std::fprintf(f, "  \"git\": \"%s\",\n", git_revision().c_str());
+  std::fprintf(f, "  \"git\": \"%s\",\n", revision.c_str());
   std::fprintf(f, "  \"trials\": %zu,\n  \"identical\": %s,\n", r1.size(),
                mismatches == 0 ? "true" : "false");
   std::fprintf(f,
