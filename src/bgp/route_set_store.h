@@ -48,7 +48,6 @@ class RouteSet {
   RouteSet& operator=(const RouteSet&) = delete;
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   const Route* begin() const { return routes(); }
   const Route* end() const { return routes() + size_; }
   const Route& front() const { return routes()[0]; }
