@@ -17,6 +17,7 @@
 #include "bgp/decision.h"
 #include "bgp/flat_lpm.h"
 #include "bgp/rib.h"
+#include "build_stamp.h"
 #include "common.h"
 #include "igp/spf.h"
 #include "obs/metrics.h"
@@ -410,11 +411,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-bool write_json(const std::string& path,
+bool write_json(const std::string& path, const std::string& revision,
                 const std::vector<CapturingReporter::Row>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"benchmarks\": [\n");
+  std::fprintf(f, "{\n");
+  abrr::bench::write_build_stamp(f, revision);
+  std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"real_time_ns\": %.3f, "
@@ -460,10 +463,14 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
     return 1;
   }
+  // Read before anything is written: rewriting BENCH_micro.json in a
+  // checkout would itself make the tree dirty.
+  const std::string revision = abrr::bench::git_revision();
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty() && !write_json(json_path, reporter.rows())) {
+  if (!json_path.empty() &&
+      !write_json(json_path, revision, reporter.rows())) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

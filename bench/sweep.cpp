@@ -17,32 +17,16 @@
 // independent signal: ~1.0 means the trials run contention-free — no
 // allocator locks, no refcount ping-pong — and parallel speedup is
 // limited only by the hardware the sweep happens to run on.
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "build_stamp.h"
 #include "common.h"
 
 namespace {
-
-/// `git describe --always --dirty` of the source tree, or "unknown".
-std::string git_revision() {
-  FILE* p = popen("git -C " ABRR_SOURCE_DIR
-                  " describe --always --dirty --abbrev=40 2>/dev/null",
-                  "r");
-  if (p == nullptr) return "unknown";
-  std::array<char, 128> buf{};
-  std::string out;
-  while (std::fgets(buf.data(), buf.size(), p) != nullptr) out += buf.data();
-  const bool ok = pclose(p) == 0;
-  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  return ok && !out.empty() ? out : "unknown";
-}
 
 double mb(std::size_t bytes) { return static_cast<double>(bytes) / 1e6; }
 
@@ -138,10 +122,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"sweep\",\n  \"jobs\": %zu,\n", jobs);
-  std::fprintf(f, "  \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(f, "  \"compiler\": \"g++ %s\",\n", __VERSION__);
-  std::fprintf(f, "  \"build_type\": \"%s\",\n", ABRR_BUILD_TYPE);
-  std::fprintf(f, "  \"git\": \"%s\",\n", revision.c_str());
+  write_build_stamp(f, revision);
   std::fprintf(f, "  \"trials\": %zu,\n  \"identical\": %s,\n", r1.size(),
                mismatches == 0 ? "true" : "false");
   std::fprintf(f,

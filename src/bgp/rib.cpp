@@ -9,9 +9,6 @@
 namespace abrr::bgp {
 namespace {
 
-// Capacity of a prefix's run list when its first run arrives.
-constexpr std::size_t kMinRuns = 3;
-
 bool path_id_less(const Route& entry, PathId id) { return entry.path_id < id; }
 
 }  // namespace
@@ -53,15 +50,7 @@ void AdjRibIn::store_run(RunList& runs, RouterId peer,
       runs.erase(it);
     }
   } else if (set != nullptr) {
-    // A list holds a few runs: one per ARR session (two, with redundant
-    // ARRs) plus one per eBGP neighbor announcing the prefix. Start at
-    // kMinRuns, then grow one run at a time: fewer reallocations than
-    // doubling from one, and no slack beyond the first kMinRuns.
-    const auto at = it - runs.begin();
-    if (runs.size() == runs.capacity()) {
-      runs.reserve(std::max(kMinRuns, runs.size() + 1));
-    }
-    runs.insert(runs.begin() + at, Run{peer, count, set});
+    runs.insert(it, Run{peer, count, set});
   }
   size_ = size_ - removed + paths.size();
   // The peer's count moves once per call, not once per stored route.
@@ -129,22 +118,11 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
       throw std::invalid_argument{"replace: route not from (peer, prefix)"};
     }
   }
-  RunList& runs = ensure_list(key.id);
-  // A set whose path ids strictly increase, as an Adj-RIB-Out sends
-  // them, is stored as it is.
-  if (std::adjacent_find(routes.begin(), routes.end(),
-                         [](const Route& a, const Route& b) {
-                           return a.path_id >= b.path_id;
-                         }) == routes.end()) {
-    store_run(runs, peer, routes);
-    return;
-  }
-  // Otherwise the new run is `routes` announce()d one by one into an
-  // empty list: sorted by path id, a repeated path id resolved as
-  // announce() would.
+  // The new run is `routes` announce()d one by one into an empty list:
+  // sorted by path id, a repeated path id resolved as announce() would.
   scratch_.clear();
   for (const Route& route : routes) insert(scratch_, route);
-  store_run(runs, peer, scratch_);
+  store_run(ensure_list(key.id), peer, scratch_);
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
@@ -186,14 +164,6 @@ void AdjRibIn::routes_for(const IndexedPrefix& key,
     const Route* first = run.set->begin();
     for (std::uint32_t i = 0; i < run.count; ++i) out.push_back(first + i);
   }
-}
-
-const RouteSet* AdjRibIn::from_peer(RouterId peer,
-                                    const Ipv4Prefix& prefix) const {
-  const RunList* runs = find_list(index_->id_of(prefix));
-  if (runs == nullptr) return nullptr;
-  const auto it = find_run(*runs, peer);
-  return it != runs->end() && it->peer == peer ? it->set : nullptr;
 }
 
 std::size_t AdjRibIn::peer_size(RouterId peer) const {

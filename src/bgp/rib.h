@@ -80,10 +80,6 @@ class AdjRibIn {
   void routes_for(const IndexedPrefix& key,
                   std::vector<const Route*>& out) const;
 
-  /// The set `peer` reported for `prefix`, sorted by path id, or nullptr.
-  /// Receivers that store equal sets hold the same one.
-  const RouteSet* from_peer(RouterId peer, const Ipv4Prefix& prefix) const;
-
   /// Total entries (the paper's RIB-In size metric).
   std::size_t size() const { return size_; }
 
@@ -99,12 +95,6 @@ class AdjRibIn {
   /// Heap bytes this RIB holds: slots, run lists and per-peer counts.
   /// The sets the runs point to are the store's (RouteSetStore::bytes).
   std::size_t bytes() const;
-
-  /// Storage key of an entry: (sending peer, add-paths path id).
-  using Key = std::pair<RouterId, PathId>;
-  static Key key_of(const Route& route) {
-    return Key{route.learned_from, route.path_id};
-  }
 
  private:
   /// One peer's paths for a prefix: a shared set, sorted by path id.

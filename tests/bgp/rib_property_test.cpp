@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bgp/rib.h"
@@ -94,13 +95,18 @@ TEST_P(RibProperty, AdjRibOutSizeMatchesContents) {
 /// prefix id, sorted by (peer, path id), holding its own Route copies.
 class PerCopyRib {
  public:
+  /// Storage key of an entry: (sending peer, add-paths path id).
+  static std::pair<RouterId, PathId> key_of(const Route& route) {
+    return {route.learned_from, route.path_id};
+  }
+
   void announce(std::uint32_t id, const Route& route) {
     std::vector<Route>& paths = at(id);
     const auto it = std::lower_bound(
         paths.begin(), paths.end(), route, [](const Route& a, const Route& b) {
-          return AdjRibIn::key_of(a) < AdjRibIn::key_of(b);
+          return key_of(a) < key_of(b);
         });
-    if (it == paths.end() || AdjRibIn::key_of(*it) != AdjRibIn::key_of(route)) {
+    if (it == paths.end() || key_of(*it) != key_of(route)) {
       paths.insert(it, route);
     } else if (!(it->same_announcement(route) && it->via == route.via)) {
       *it = route;

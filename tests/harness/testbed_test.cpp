@@ -223,9 +223,12 @@ TEST_F(TestbedIntegration, ClientsShareEachReflectedSetExceptContributors) {
   ASSERT_NE(out, nullptr);
   std::size_t shared_checked = 0;
   std::size_t excluded_checked = 0;
+  std::vector<const bgp::Route*> paths;
   out->for_each([&](const bgp::Ipv4Prefix& prefix, const bgp::RouteSet& set) {
     if (set.size() < 2) return;
-    const bgp::RouteSet* shared = nullptr;
+    const bgp::IndexedPrefix key{prefix, *bed->prefix_index().id_of(prefix)};
+    // Receivers holding one block hand out pointers to the same routes.
+    const bgp::Route* shared = nullptr;
     for (const bgp::RouterId client : bed->client_ids()) {
       if (client == arr) continue;
       const bool contributed =
@@ -233,20 +236,20 @@ TEST_F(TestbedIntegration, ClientsShareEachReflectedSetExceptContributors) {
             return r.learned_from == client ||
                    r.attrs->originator_id == client;
           });
-      const bgp::RouteSet* held =
-          bed->speaker(client).adj_rib_in().from_peer(arr, prefix);
-      ASSERT_NE(held, nullptr) << prefix.to_string() << " at " << client;
+      bed->speaker(client).adj_rib_in().routes_for(key, paths);
+      std::erase_if(paths,
+                    [&](const bgp::Route* r) { return r->learned_from != arr; });
+      ASSERT_FALSE(paths.empty()) << prefix.to_string() << " at " << client;
       if (contributed) {
-        EXPECT_LT(held->size(), set.size());
+        EXPECT_LT(paths.size(), set.size());
         ++excluded_checked;
       } else {
-        if (shared == nullptr) shared = held;
-        EXPECT_EQ(held, shared) << prefix.to_string() << " at " << client;
+        EXPECT_EQ(paths.size(), set.size());
+        if (shared == nullptr) shared = paths.front();
+        EXPECT_EQ(paths.front(), shared)
+            << prefix.to_string() << " at " << client;
         ++shared_checked;
       }
-    }
-    if (shared != nullptr) {
-      EXPECT_EQ(shared->size(), set.size());
     }
   });
   EXPECT_GT(shared_checked, 0u);
