@@ -12,11 +12,6 @@ int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(argc, argv, "ablation_ap_balancing");
   const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(paper.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
 
   std::printf("# Ablation: AP balancing (%zu prefixes, 8 APs, 2 ARRs each)\n\n",
               cfg.prefixes);
@@ -28,8 +23,9 @@ int main(int argc, char** argv) {
   const auto run = [&](bool balanced) {
     auto spec = paper;
     spec.abrr.balanced_aps = balanced;
-    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
-    if (!bench::load_snapshot(bed, workload, 30.0)) {
+    const runner::World world = runner::build_world(spec, cfg.seed);
+    harness::Testbed& bed = *world.bed;
+    if (!runner::converge(bed, sim::sec_f(spec.workload.snapshot_seconds))) {
       std::printf("%-10s DID NOT CONVERGE\n", balanced ? "balanced" : "uniform");
       return;
     }

@@ -16,12 +16,8 @@ int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(
       argc, argv, "ablation_loop_prevention", {.prefixes = 800});
-  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(paper.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
+  auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
+  paper.workload.snapshot_seconds = 20.0;
 
   std::printf("# Ablation: loop-prevention attribute overhead\n\n");
 
@@ -36,8 +32,9 @@ int main(int argc, char** argv) {
   const auto measure = [&](ibgp::IbgpMode mode) {
     auto spec = paper;
     spec.mode = mode;
-    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
-    bench::load_snapshot(bed, workload, 20.0);
+    const runner::World world = runner::build_world(spec, cfg.seed);
+    harness::Testbed& bed = *world.bed;
+    runner::converge(bed, sim::sec_f(spec.workload.snapshot_seconds));
     Stats s;
     for (const auto id : bed.client_ids()) {
       bed.speaker(id).adj_rib_in().for_each([&](const bgp::Route& r) {

@@ -11,8 +11,9 @@
 // unknown flags fail loudly, and every bench shares the same spelling
 // (--prefixes, --seed/--seeds, --jobs, --metrics-out, --out-dir, ...).
 // Experiments are runner::ScenarioSpec values (paper_spec): run by
-// runner::ExperimentRunner, or built into a hand-driven Testbed via
-// runner::make_trial_topology/make_trial_workload and testbed_config().
+// runner::ExperimentRunner, or, for a bench that drives its testbed by
+// hand, built by runner::build_world (snapshot paced over
+// spec.workload.snapshot_seconds) and settled by runner::converge.
 #pragma once
 
 #include <cstdio>
@@ -195,14 +196,5 @@ class MetricsSink {
   std::string path_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
-
-/// Loads the snapshot paced over `seconds` of simulated time and runs to
-/// quiescence. Returns false on non-convergence.
-inline bool load_snapshot(harness::Testbed& bed,
-                          const trace::Workload& workload, double seconds) {
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec_f(seconds));
-  return bed.run_to_quiescence(500'000'000);
-}
 
 }  // namespace abrr::bench

@@ -35,16 +35,13 @@ double percentile(std::vector<double> v, double p) {
 int main(int argc, char** argv) {
   const auto cfg = bench::ExperimentConfig::from_args(
       argc, argv, "convergence_time", {.prefixes = 400, .pops = 6});
-  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(paper.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
+  auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
+  paper.workload.snapshot_seconds = 20.0;
 
   std::printf("# §3.5: event-to-convergence time (MRAI = 5s on iBGP)\n");
-  std::printf("# prefixes=%zu clients=%zu events=20 per scheme\n\n",
-              cfg.prefixes, topology.clients.size());
+  std::printf("# prefixes=%zu clients=%u events=20 per scheme\n\n",
+              cfg.prefixes,
+              paper.topology.pops * paper.topology.clients_per_pop);
   std::printf("%-10s %12s %12s %12s %12s\n", "scheme", "cold-p50/ms",
               "cold-p95/ms", "warm-p50/ms", "warm-p95/ms");
 
@@ -52,9 +49,10 @@ int main(int argc, char** argv) {
   const auto measure = [&](ibgp::IbgpMode mode, const char* label) {
     auto spec = paper;
     spec.mode = mode;
-    auto bed = std::make_unique<harness::Testbed>(
-        topology, spec.testbed_config(cfg.seed), prefixes);
-    if (!bench::load_snapshot(*bed, workload, 20.0)) {
+    const runner::World world = runner::build_world(spec, cfg.seed);
+    harness::Testbed* bed = world.bed.get();
+    const trace::Workload& workload = world.workload;
+    if (!runner::converge(*bed, sim::sec_f(spec.workload.snapshot_seconds))) {
       std::printf("%-10s DID NOT CONVERGE\n", label);
       return;
     }

@@ -14,12 +14,14 @@
 // Each (mode, scenario) cell is one ScenarioSpec with fault.enabled;
 // the trial executor (runner/trial.cpp) runs the crash episode and the
 // in-trial full-mesh equivalence check. --jobs=N runs cells
-// concurrently with identical output.
+// concurrently with identical output. --json_out opens with the build
+// stamp (host CPUs, compiler, build type, git revision).
 #include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "build_stamp.h"
 #include "common.h"
 
 namespace abrr::bench {
@@ -38,7 +40,8 @@ void print_row(const runner::TrialResult& r) {
       r.fingerprint_restored ? 1 : 0, r.fullmesh_equivalent ? 1 : 0);
 }
 
-void write_json(const std::string& path, const ExperimentConfig& cfg,
+void write_json(const std::string& path, const std::string& revision,
+                const ExperimentConfig& cfg,
                 const std::vector<runner::TrialResult>& results) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -46,6 +49,7 @@ void write_json(const std::string& path, const ExperimentConfig& cfg,
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"fault_resilience\",\n");
+  write_build_stamp(f, revision);
   std::fprintf(f,
                "  \"config\": {\"prefixes\": %zu, \"pops\": %u, "
                "\"seed\": %" PRIu64 ", \"hold_time_ms\": %.0f, "
@@ -95,6 +99,8 @@ int main(int argc, char** argv) {
   parser.add("json_out", "write the case table as JSON here", &json_out);
   parser.parse(argc, argv);
   cfg.finish(Seeds::kMany);
+  // Before the report makes the checkout dirty (build_stamp.h).
+  const std::string revision = git_revision();
 
   std::vector<runner::ScenarioSpec> specs;
   for (const auto mode : {ibgp::IbgpMode::kAbrr, ibgp::IbgpMode::kTbrr}) {
@@ -131,6 +137,6 @@ int main(int argc, char** argv) {
     print_row(r);
     sink.capture(r.scenario, r.metrics_json);
   }
-  if (!json_out.empty()) write_json(json_out, cfg, results);
+  if (!json_out.empty()) write_json(json_out, revision, cfg, results);
   return 0;
 }

@@ -323,41 +323,22 @@ BENCHMARK(BM_WireSize)->Arg(1)->Arg(10)->Arg(100);
 
 // ---------------------------------------------------------------------
 // End-to-end: a small TBRR deployment converging on an initial snapshot
-// (testbed construction + paced injection + run to quiescence).
+// (runner::build_world, which also generates the topology and workload,
+// then paced injection and a run to quiescence).
 // ---------------------------------------------------------------------
-struct ConvergenceScenario {
-  topo::Topology topology;
-  trace::Workload workload;
-  std::vector<Ipv4Prefix> prefixes;
-  harness::TestbedConfig config;
-};
-
-const ConvergenceScenario& convergence_scenario() {
-  static const ConvergenceScenario* scenario = [] {
-    const bench::ExperimentConfig cfg{.prefixes = 300, .pops = 4, .seed = 42};
-    auto spec = bench::paper_spec(ibgp::IbgpMode::kTbrr, 4, cfg);
-    spec.topology.clients_per_pop = 4;
-    spec.topology.peer_ases = 8;
-    spec.topology.points_per_as = 4;
-    sim::Rng rng{cfg.seed};
-    auto topology = runner::make_trial_topology(spec.topology, rng);
-    auto workload = runner::make_trial_workload(spec.workload, topology, rng);
-    auto* s = new ConvergenceScenario{std::move(topology),
-                                      std::move(workload), {},
-                                      spec.testbed_config(cfg.seed)};
-    s->prefixes = s->workload.prefixes();
-    return s;
-  }();
-  return *scenario;
-}
-
 void BM_TestbedConvergence(benchmark::State& state) {
-  const ConvergenceScenario& s = convergence_scenario();
+  const bench::ExperimentConfig cfg{.prefixes = 300, .pops = 4, .seed = 42};
+  auto spec = bench::paper_spec(ibgp::IbgpMode::kTbrr, 4, cfg);
+  spec.topology.clients_per_pop = 4;
+  spec.topology.peer_ases = 8;
+  spec.topology.points_per_as = 4;
+  spec.workload.snapshot_seconds = 5.0;
   for (auto _ : state) {
-    harness::Testbed bed{s.topology, s.config, s.prefixes};
-    const bool converged = bench::load_snapshot(bed, s.workload, 5.0);
+    const runner::World world = runner::build_world(spec, cfg.seed);
+    const bool converged = runner::converge(
+        *world.bed, sim::sec_f(spec.workload.snapshot_seconds));
     if (!converged) state.SkipWithError("did not converge");
-    benchmark::DoNotOptimize(bed.rr_rib_in());
+    benchmark::DoNotOptimize(world.bed->rr_rib_in());
   }
 }
 BENCHMARK(BM_TestbedConvergence)->Unit(benchmark::kMillisecond);

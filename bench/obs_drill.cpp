@@ -40,21 +40,16 @@ int main(int argc, char** argv) {
   }
 
   auto spec = bench::paper_spec(ibgp::IbgpMode::kAbrr, 2, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(spec.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(spec.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
-
+  spec.workload.snapshot_seconds = 10.0;
   spec.timing.hold_time = sim::sec(3);  // arm failure detection
   spec.obs.enabled = true;
   spec.obs.sample_period = sim::msec(500);
   spec.obs.pcap_frames = std::size_t{1} << 18;  // keep the whole drill
-  harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
-
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec(10));
-  // Hold timers keep the queue alive forever, so run to a deadline.
+  const runner::World world = runner::build_world(spec, cfg.seed);
+  harness::Testbed& bed = *world.bed;
+  // Hold timers keep the queue alive forever, so run to a deadline. It
+  // is 20 s past the load, not runner::converge's 40 s: the drill's
+  // artifacts are pinned to this timeline.
   bed.run_until(sim::sec(30));
 
   fault::ChaosParams chaos;
@@ -67,7 +62,7 @@ int main(int argc, char** argv) {
       fault::FaultSchedule::chaos(chaos, bed.all_ids(), sessions, chaos_rng);
 
   fault::FaultInjector injector{bed, schedule};
-  injector.set_resync(fault::make_workload_resync(bed, regen));
+  injector.set_resync(fault::make_workload_resync(bed, *world.regen));
   injector.arm();
   bed.run_until(chaos.horizon + sim::sec(30));
 

@@ -6,18 +6,29 @@
 // while an ARR has usually collected the event's client updates by the
 // time it runs its decision and sends one combined update.
 #include <cstdio>
+#include <utility>
 
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace abrr;
   const auto cfg = bench::ExperimentConfig::from_args(argc, argv, "t42_client_updates");
-  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, cfg.pops, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(paper.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
+  const auto spec_for = [&](ibgp::IbgpMode mode) {
+    auto spec = bench::paper_spec(mode, cfg.pops, cfg);
+    // §4.2's regime: an RR's input batch window exceeds the spread of
+    // an event's DIRECT client updates (one latency hop), so an ARR
+    // coalesces them into one combined update; updates relayed through
+    // other TRRs arrive staggered by a further hop and separate
+    // processing phases, so a TRR re-advertises several times.
+    spec.timing.mrai = 0;
+    spec.timing.proc_delay = sim::msec(400);
+    spec.timing.latency_jitter = sim::msec(150);
+    return spec;
+  };
+  // Both modes' worlds hold the same workload: the ABRR world's serves
+  // for the trace and the header.
+  const auto abrr_spec = spec_for(ibgp::IbgpMode::kAbrr);
+  runner::World abrr_world = runner::build_world(abrr_spec, cfg.seed);
 
   trace::TraceParams tparams;
   tparams.duration = sim::sec_f(cfg.trace_seconds);
@@ -29,36 +40,28 @@ int main(int argc, char** argv) {
   tparams.single_point_fraction = 0.4;
   sim::Rng trace_rng{cfg.seed + 1};
   const auto trace =
-      trace::UpdateTrace::generate(tparams, workload, trace_rng);
+      trace::UpdateTrace::generate(tparams, abrr_world.workload, trace_rng);
 
   std::printf("# §4.2: updates received by clients, ABRR vs TBRR\n");
   std::printf("# prefixes=%zu clients=%zu trace_events=%zu\n\n",
-              cfg.prefixes, topology.clients.size(), trace.events().size());
+              cfg.prefixes, abrr_world.bed->topology().clients.size(),
+              trace.events().size());
 
   bench::MetricsSink sink{"t42_client_updates", cfg.metrics_out};
-  const auto run = [&](ibgp::IbgpMode mode, std::size_t aps) -> double {
-    auto spec = bench::paper_spec(mode, aps, cfg);
-    // §4.2's regime: an RR's input batch window exceeds the spread of
-    // an event's DIRECT client updates (one latency hop), so an ARR
-    // coalesces them into one combined update; updates relayed through
-    // other TRRs arrive staggered by a further hop and separate
-    // processing phases, so a TRR re-advertises several times.
-    spec.timing.mrai = 0;
-    spec.timing.proc_delay = sim::msec(400);
-    spec.timing.latency_jitter = sim::msec(150);
-    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
-    trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-    regen.load_snapshot(0, sim::sec(30));
-    bed.run_to_quiescence(500'000'000);
+  const auto run = [&](const runner::ScenarioSpec& spec,
+                       runner::World world) -> double {
+    harness::Testbed& bed = *world.bed;
+    runner::converge(bed, sim::sec_f(spec.workload.snapshot_seconds));
     bed.reset_counters();
-    regen.play(trace, bed.scheduler().now());
+    world.regen->play(trace, bed.scheduler().now());
     bed.run_to_quiescence(500'000'000);
-    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", bed);
+    sink.capture(spec.mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", bed);
     return bed.client_counters().avg_received();
   };
 
-  const double abrr = run(ibgp::IbgpMode::kAbrr, cfg.pops);
-  const double tbrr = run(ibgp::IbgpMode::kTbrr, cfg.pops);
+  const double abrr = run(abrr_spec, std::move(abrr_world));
+  const auto tbrr_spec = spec_for(ibgp::IbgpMode::kTbrr);
+  const double tbrr = run(tbrr_spec, runner::build_world(tbrr_spec, cfg.seed));
 
   std::printf("%-8s %22s %16s\n", "scheme", "updates recvd/client",
               "per trace event");

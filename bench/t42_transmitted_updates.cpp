@@ -5,7 +5,7 @@
 // ~10x longer, so an ARR transmits roughly 4x more BYTES: ABRR trades a
 // modest bandwidth loss for a large processing win.
 #include <cstdio>
-#include <memory>
+#include <utility>
 
 #include "common.h"
 
@@ -15,23 +15,36 @@ int main(int argc, char** argv) {
   const auto cfg = bench::ExperimentConfig::from_args(
       argc, argv, "t42_transmitted_updates", {.prefixes = 2000, .pops = 27});
   const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, cfg.pops, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(paper.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
+  const auto spec_for = [&](ibgp::IbgpMode mode) {
+    auto spec = paper;
+    spec.mode = mode;
+    // §4: the paper's feed ran up to 20x realtime with <3% change in
+    // update counts, so MRAI pacing was not the bottleneck there; what
+    // separates the schemes is input-batch coalescing (ARRs absorb a
+    // routing event's client updates in one processing pass) versus
+    // TBRR's staggered inter-TRR races. Model that regime directly.
+    spec.timing.mrai = 0;
+    spec.timing.proc_delay = sim::msec(100);
+    spec.timing.latency_jitter = sim::msec(150);
+    return spec;
+  };
+  // Both modes' worlds hold the same workload: the ABRR world's serves
+  // for the trace and the header.
+  const auto abrr_spec = spec_for(ibgp::IbgpMode::kAbrr);
+  runner::World abrr_world = runner::build_world(abrr_spec, cfg.seed);
+  const std::size_t clients = abrr_world.bed->topology().clients.size();
 
   trace::TraceParams tparams;
   tparams.duration = sim::sec_f(cfg.trace_seconds);
   tparams.events_per_second = cfg.trace_events_per_second;
   sim::Rng trace_rng{cfg.seed + 1};
   const auto trace =
-      trace::UpdateTrace::generate(tparams, workload, trace_rng);
+      trace::UpdateTrace::generate(tparams, abrr_world.workload, trace_rng);
 
   std::printf("# §4.2: transmitted updates and bytes, %u clusters vs %u APs\n",
               cfg.pops, cfg.pops);
   std::printf("# prefixes=%zu clients=%zu trace_events=%zu\n\n",
-              cfg.prefixes, topology.clients.size(), trace.events().size());
+              cfg.prefixes, clients, trace.events().size());
 
   struct Result {
     double tx_per_rr_sec = 0;
@@ -43,56 +56,45 @@ int main(int argc, char** argv) {
     double gen_rrs = 0;
   };
   bench::MetricsSink sink{"t42_transmitted_updates", cfg.metrics_out};
-  const auto run = [&](ibgp::IbgpMode mode) -> Result {
-    auto spec = paper;
-    spec.mode = mode;
-    // §4: the paper's feed ran up to 20x realtime with <3% change in
-    // update counts, so MRAI pacing was not the bottleneck there; what
-    // separates the schemes is input-batch coalescing (ARRs absorb a
-    // routing event's client updates in one processing pass) versus
-    // TBRR's staggered inter-TRR races. Model that regime directly.
-    spec.timing.mrai = 0;
-    spec.timing.proc_delay = sim::msec(100);
-    spec.timing.latency_jitter = sim::msec(150);
-    auto bed = std::make_unique<harness::Testbed>(
-        topology, spec.testbed_config(cfg.seed), prefixes);
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
-    regen.load_snapshot(0, sim::sec(30));
-    bed->run_to_quiescence(500'000'000);
-    bed->reset_counters();
-    regen.play(trace, bed->scheduler().now());
-    bed->run_to_quiescence(500'000'000);
+  const auto run = [&](const runner::ScenarioSpec& spec,
+                       runner::World world) -> Result {
+    harness::Testbed& bed = *world.bed;
+    runner::converge(bed, sim::sec_f(spec.workload.snapshot_seconds));
+    bed.reset_counters();
+    world.regen->play(trace, bed.scheduler().now());
+    bed.run_to_quiescence(500'000'000);
 
     Result r;
-    std::uint64_t routes = 0, updates = 0;
-    for (const auto id : bed->rr_ids()) {
-      const auto c = bed->delta_counters(id);
-      updates += c.updates_transmitted;
-      routes += c.routes_transmitted;
-    }
-    const auto rr = bed->rr_counters();
+    const obs::Labels rrs{{"role", "rr"}};
+    const std::uint64_t updates =
+        bed.counter_delta("speaker.updates_transmitted", rrs);
+    const std::uint64_t routes =
+        bed.counter_delta("speaker.routes_transmitted", rrs);
+    const auto rr = bed.rr_counters();
     r.tx_per_rr_sec = rr.avg_transmitted() / cfg.trace_seconds;
     r.wire_bytes_per_rr_sec = rr.avg_wire_bytes() / cfg.trace_seconds;
     r.routes_per_update =
         updates ? static_cast<double>(routes) / updates : 0;
     r.generated_per_rr = rr.avg_generated();
     double peers = 0;
-    for (const auto id : bed->rr_ids()) {
-      peers += static_cast<double>(bed->speaker(id).peer_count());
-      const auto c = bed->delta_counters(id);
-      r.gen_clients += static_cast<double>(c.generated_to_clients);
-      r.gen_rrs += static_cast<double>(c.generated_to_rrs);
+    for (const auto id : bed.rr_ids()) {
+      peers += static_cast<double>(bed.speaker(id).peer_count());
     }
-    r.peers_per_rr = peers / static_cast<double>(bed->rr_ids().size());
-    r.gen_clients /= static_cast<double>(bed->rr_ids().size());
-    r.gen_rrs /= static_cast<double>(bed->rr_ids().size());
-    sink.capture(mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", *bed);
+    const auto n_rrs = static_cast<double>(bed.rr_ids().size());
+    r.peers_per_rr = peers / n_rrs;
+    r.gen_clients = static_cast<double>(bed.counter_delta(
+                        "speaker.generated_to_clients", rrs)) /
+                    n_rrs;
+    r.gen_rrs =
+        static_cast<double>(bed.counter_delta("speaker.generated_to_rrs", rrs)) /
+        n_rrs;
+    sink.capture(spec.mode == ibgp::IbgpMode::kAbrr ? "ABRR" : "TBRR", bed);
     return r;
   };
 
-  const Result abrr = run(ibgp::IbgpMode::kAbrr);
-  const Result tbrr = run(ibgp::IbgpMode::kTbrr);
+  const Result abrr = run(abrr_spec, std::move(abrr_world));
+  const auto tbrr_spec = spec_for(ibgp::IbgpMode::kTbrr);
+  const Result tbrr = run(tbrr_spec, runner::build_world(tbrr_spec, cfg.seed));
 
   // wire-bytes is the measured RFC 4271 length of every transmitted
   // message.
@@ -107,8 +109,7 @@ int main(int argc, char** argv) {
               tbrr.tx_per_rr_sec, tbrr.wire_bytes_per_rr_sec,
               tbrr.routes_per_update, tbrr.generated_per_rr,
               tbrr.peers_per_rr);
-  std::printf("\n# measured at this scale (%zu clients):\n",
-              topology.clients.size());
+  std::printf("\n# measured at this scale (%zu clients):\n", clients);
   std::printf("#   TRR/ARR transmitted-updates ratio: %.2fx (paper ~2.5x)\n",
               tbrr.tx_per_rr_sec / abrr.tx_per_rr_sec);
   std::printf("#   ARR/TRR transmitted-bytes ratio:  %.2fx (paper ~4x)\n",

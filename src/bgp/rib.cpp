@@ -59,50 +59,14 @@ void AdjRibIn::store_run(RunList& runs, RouterId peer,
   }
 }
 
-AdjRibIn::Change AdjRibIn::insert(std::vector<Route>& paths,
-                                  const Route& route) {
+void AdjRibIn::insert(std::vector<Route>& paths, const Route& route) {
   const auto it = std::lower_bound(paths.begin(), paths.end(), route.path_id,
                                    path_id_less);
   if (it == paths.end() || it->path_id != route.path_id) {
     paths.insert(it, route);
-    return Change::kAdded;
+  } else if (!(it->same_announcement(route) && it->via == route.via)) {
+    *it = route;
   }
-  if (it->same_announcement(route) && it->via == route.via) {
-    return Change::kUnchanged;
-  }
-  *it = route;
-  return Change::kReplaced;
-}
-
-AdjRibIn::Change AdjRibIn::announce(const Route& route) {
-  if (!route.valid()) throw std::invalid_argument{"announce: invalid route"};
-  RunList& runs = ensure_list(index_->add(route.prefix));
-  const auto it = find_run(runs, route.learned_from);
-  scratch_.clear();
-  if (it != runs.end() && it->peer == route.learned_from) {
-    scratch_.assign(it->set->begin(), it->set->end());
-  }
-  const Change change = insert(scratch_, route);
-  if (change != Change::kUnchanged) {
-    store_run(runs, route.learned_from, scratch_);
-  }
-  return change;
-}
-
-bool AdjRibIn::withdraw(RouterId peer, const Ipv4Prefix& prefix,
-                        PathId path_id) {
-  const auto id = index_->id_of(prefix);
-  if (!id || *id >= flat_.size()) return false;
-  RunList& runs = flat_[*id];
-  const auto it = find_run(runs, peer);
-  if (it == runs.end() || it->peer != peer) return false;
-  scratch_.assign(it->set->begin(), it->set->end());
-  const auto path = std::lower_bound(scratch_.begin(), scratch_.end(),
-                                     path_id, path_id_less);
-  if (path == scratch_.end() || path->path_id != path_id) return false;
-  scratch_.erase(path);
-  store_run(runs, peer, scratch_);
-  return true;
 }
 
 void AdjRibIn::replace(RouterId peer, const Ipv4Prefix& prefix,
@@ -118,8 +82,7 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
       throw std::invalid_argument{"replace: route not from (peer, prefix)"};
     }
   }
-  // The new run is `routes` announce()d one by one into an empty list:
-  // sorted by path id, a repeated path id resolved as announce() would.
+  // The new run is `routes` inserted one by one into an empty list.
   scratch_.clear();
   for (const Route& route : routes) insert(scratch_, route);
   store_run(ensure_list(key.id), peer, scratch_);

@@ -38,9 +38,6 @@ namespace abrr::bgp {
 /// (prefix, sending peer, add-paths path id).
 class AdjRibIn {
  public:
-  /// Result of applying an announcement.
-  enum class Change { kUnchanged, kAdded, kReplaced };
-
   /// Stores prefixes under `index`'s ids and route sets in `sets` (fresh
   /// private ones when none are given).
   explicit AdjRibIn(
@@ -51,17 +48,12 @@ class AdjRibIn {
   AdjRibIn(const AdjRibIn&) = delete;
   AdjRibIn& operator=(const AdjRibIn&) = delete;
 
-  /// Stores/overwrites the route keyed by (prefix, learned_from,
-  /// path_id). Requires route.valid().
-  Change announce(const Route& route);
-
-  /// Removes one path. Returns true if it existed.
-  bool withdraw(RouterId peer, const Ipv4Prefix& prefix, PathId path_id);
-
-  /// Replacement semantics for one (peer, prefix): removes every path
-  /// `peer` reported for the prefix, then announce()s each of `routes`
-  /// (all learned from `peer`; empty withdraws the prefix from the
-  /// peer), storing the result as one shared set.
+  /// Replacement semantics for one (peer, prefix), the only way to
+  /// store routes: removes every path `peer` reported for the prefix,
+  /// then keeps each of `routes` (all valid and learned from `peer`;
+  /// empty withdraws the prefix from the peer) keyed by path id, a
+  /// repeated path id keeping the later route unless it is the same
+  /// announcement. The result is stored as one shared set.
   void replace(RouterId peer, const Ipv4Prefix& prefix,
                std::span<const Route> routes);
   void replace(RouterId peer, const IndexedPrefix& key,
@@ -123,15 +115,16 @@ class AdjRibIn {
   /// Makes `paths` (all from `peer`, sorted by path id) the peer's run,
   /// erasing the run when `paths` is empty, and keeps the counts.
   void store_run(RunList& runs, RouterId peer, std::span<const Route> paths);
-  /// announce() into a path list sorted by path id.
-  static Change insert(std::vector<Route>& paths, const Route& route);
+  /// Adds `route` to a path list sorted by path id, or overwrites the
+  /// path with its id unless that is the same announcement.
+  static void insert(std::vector<Route>& paths, const Route& route);
 
   std::shared_ptr<PrefixIndex> index_;
   std::shared_ptr<RouteSetStore> sets_;
   std::vector<RunList> flat_;  // slot per PrefixId; empty = no routes
   std::unordered_map<RouterId, std::size_t> per_peer_;
   std::size_t size_ = 0;
-  /// Where announce/withdraw/replace build a peer's new path list.
+  /// Where replace builds a peer's new path list.
   std::vector<Route> scratch_;
 };
 

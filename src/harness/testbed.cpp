@@ -346,35 +346,12 @@ void Testbed::igp_event(const std::function<void(igp::Graph&)>& mutate) {
 }
 
 void Testbed::reset_counters() {
-  baseline_.clear();
-  for (const auto& [id, speaker] : speakers_) {
-    baseline_[id] = speaker->counters();
-  }
   counter_baseline_ = obs_->metrics().counter_snapshot();
 }
 
-ibgp::SpeakerCounters Testbed::delta_counters(RouterId id) const {
-  ibgp::SpeakerCounters now = speakers_.at(id)->counters();
-  const auto it = baseline_.find(id);
-  if (it == baseline_.end()) return now;
-  const ibgp::SpeakerCounters& base = it->second;
-  now.updates_received -= base.updates_received;
-  now.routes_received -= base.routes_received;
-  now.updates_generated -= base.updates_generated;
-  now.generated_to_clients -= base.generated_to_clients;
-  now.generated_to_rrs -= base.generated_to_rrs;
-  now.updates_transmitted -= base.updates_transmitted;
-  now.wire_bytes_transmitted -= base.wire_bytes_transmitted;
-  now.routes_transmitted -= base.routes_transmitted;
-  now.loops_suppressed -= base.loops_suppressed;
-  now.misdirected -= base.misdirected;
-  now.ebgp_updates_sent -= base.ebgp_updates_sent;
-  now.best_changes -= base.best_changes;
-  now.keepalives_sent -= base.keepalives_sent;
-  now.keepalives_received -= base.keepalives_received;
-  now.hold_expirations -= base.hold_expirations;
-  now.sessions_reestablished -= base.sessions_reestablished;
-  return now;
+std::uint64_t Testbed::counter_delta(std::string_view name,
+                                     const obs::Labels& filter) const {
+  return obs_->metrics().sum_counters(name, filter, &counter_baseline_);
 }
 
 ibgp::ApId Testbed::arr_ap(RouterId id) const {
@@ -435,15 +412,11 @@ Aggregate Testbed::rr_rib_out() const {
 
 RoleTotals Testbed::role_totals(const obs::Labels& filter,
                                 std::size_t speakers) const {
-  const auto& m = obs_->metrics();
-  const obs::CounterSnapshot* base =
-      counter_baseline_.empty() ? nullptr : &counter_baseline_;
   RoleTotals t;
-  t.received = m.sum_counters("speaker.updates_received", filter, base);
-  t.generated = m.sum_counters("speaker.updates_generated", filter, base);
-  t.transmitted = m.sum_counters("speaker.updates_transmitted", filter, base);
-  t.wire_bytes =
-      m.sum_counters("speaker.wire_bytes_transmitted", filter, base);
+  t.received = counter_delta("speaker.updates_received", filter);
+  t.generated = counter_delta("speaker.updates_generated", filter);
+  t.transmitted = counter_delta("speaker.updates_transmitted", filter);
+  t.wire_bytes = counter_delta("speaker.wire_bytes_transmitted", filter);
   t.speakers = speakers;
   return t;
 }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -140,6 +141,13 @@ class Testbed {
   /// so Figure 7 counts only the update phase).
   void reset_counters();
 
+  /// Sum of the registry counter `name` over the cells whose labels
+  /// contain `filter`, minus the last reset_counters() snapshot. Speaker
+  /// counters are `speaker.<SpeakerCounters field>`, labelled
+  /// {speaker=<id>, role=rr|client}; an empty filter sums every speaker.
+  std::uint64_t counter_delta(std::string_view name,
+                              const obs::Labels& filter = {}) const;
+
   /// Applies an IGP change (link failure, metric change) through
   /// `mutate`, then recomputes SPF and re-runs every speaker's decision
   /// process — the control-plane reaction to an IGP event.
@@ -219,14 +227,10 @@ class Testbed {
   std::unordered_map<RouterId, ibgp::ApId> arr_ap_;
   core::ArrDirectory arr_directory_;
 
-  // Counter snapshots for reset_counters(): a per-speaker view baseline
-  // (delta_counters) and the dense registry snapshot (role_totals).
-  std::unordered_map<RouterId, ibgp::SpeakerCounters> baseline_;
+  /// The registry's counters at the last reset_counters().
   obs::CounterSnapshot counter_baseline_;
 
  public:
-  /// Counters minus the last reset_counters() snapshot.
-  ibgp::SpeakerCounters delta_counters(RouterId id) const;
   /// ARR's managed AP, or -1.
   ibgp::ApId arr_ap(RouterId id) const;
 };

@@ -121,11 +121,8 @@ void run_fault_episode(const ScenarioSpec& spec, std::uint64_t seed,
     }
   }
 
-  for (const bgp::RouterId id : bed.all_ids()) {
-    const auto c = bed.delta_counters(id);
-    r.churn_updates += c.updates_received;
-    r.churn_routes += c.routes_received;
-  }
+  r.churn_updates = bed.counter_delta("speaker.updates_received");
+  r.churn_routes = bed.counter_delta("speaker.routes_received");
   r.dropped_messages = bed.network().total_dropped() - dropped0;
 }
 
@@ -150,6 +147,26 @@ trace::Workload make_trial_workload(const WorkloadOptions& w,
   return trace::Workload::generate(wp, topology, rng);
 }
 
+World build_world(const ScenarioSpec& spec, std::uint64_t seed) {
+  sim::Rng rng{seed};
+  topo::Topology topology = make_trial_topology(spec.topology, rng);
+  trace::Workload workload = make_trial_workload(spec.workload, topology, rng);
+  auto bed = std::make_unique<harness::Testbed>(
+      std::move(topology), spec.testbed_config(seed), workload.prefixes());
+  auto regen = std::make_unique<trace::RouteRegenerator>(
+      bed->scheduler(), workload, bed->inject_fn());
+  regen->load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
+  return World{std::move(workload), std::move(bed), std::move(regen)};
+}
+
+bool converge(harness::Testbed& bed, sim::Time inputs_end) {
+  if (bed.config().timing.hold_time > 0) {
+    bed.run_until(inputs_end + sim::sec(40));
+    return true;
+  }
+  return bed.run_to_quiescence(500'000'000);
+}
+
 TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                       std::size_t index) {
   TrialResult r;
@@ -166,24 +183,9 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
 
   // Everything below is regenerated from (spec, seed): the trial shares
   // no state with any other trial and never leaves this thread.
-  sim::Rng rng{seed};
-  topo::Topology topology = make_trial_topology(spec.topology, rng);
-  const trace::Workload workload = make_trial_workload(spec.workload, topology, rng);
-  const std::vector<bgp::Ipv4Prefix> prefixes = workload.prefixes();
-
-  harness::Testbed bed{topology, spec.testbed_config(seed), prefixes};
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
-
-  // Hold-timer beds never quiesce (keepalives tick forever): run to a
-  // generous convergence deadline instead, as the fault bench did.
-  const bool hold_armed = bed.config().timing.hold_time > 0;
-  if (hold_armed) {
-    bed.run_until(sim::sec_f(spec.workload.snapshot_seconds) + sim::sec(40));
-    r.converged = true;
-  } else {
-    r.converged = bed.run_to_quiescence(500'000'000);
-  }
+  World world = build_world(spec, seed);
+  harness::Testbed& bed = *world.bed;
+  r.converged = converge(bed, sim::sec_f(spec.workload.snapshot_seconds));
   r.memory = bed.memory();
 
   if (r.converged && spec.workload.trace_seconds > 0) {
@@ -193,43 +195,31 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
     tparams.events_per_second = spec.workload.trace_events_per_second;
     sim::Rng trace_rng{seed + 1};
     const auto trace =
-        trace::UpdateTrace::generate(tparams, workload, trace_rng);
+        trace::UpdateTrace::generate(tparams, world.workload, trace_rng);
     r.trace_events = trace.events().size();
-    regen.play(trace, bed.scheduler().now());
-    if (hold_armed) {
-      bed.run_until(bed.scheduler().now() +
-                    sim::sec_f(spec.workload.trace_seconds) + sim::sec(40));
-    } else {
-      r.converged = bed.run_to_quiescence(500'000'000);
-    }
+    world.regen->play(trace, bed.scheduler().now());
+    r.converged = converge(bed, bed.scheduler().now() + tparams.duration);
   }
 
   if (r.converged && spec.fault.enabled) {
-    run_fault_episode(spec, seed, bed, regen, r);
+    run_fault_episode(spec, seed, bed, *world.regen, r);
     if (spec.fault.verify_fullmesh) {
       // An untouched full-mesh reference built from the same
       // (spec, seed), inside this trial so the comparison stays
       // thread-confined.
-      sim::Rng base_rng{seed};
-      topo::Topology base_topology = make_trial_topology(spec.topology, base_rng);
-      const trace::Workload base_workload =
-          make_trial_workload(spec.workload, base_topology, base_rng);
-      const std::vector<bgp::Ipv4Prefix> base_prefixes =
-          base_workload.prefixes();
-      harness::TestbedConfig base_cfg = spec.testbed_config(seed);
-      base_cfg.mode = ibgp::IbgpMode::kFullMesh;
-      base_cfg.multipath = false;
-      base_cfg.timing.hold_time = 0;
-      base_cfg.obs.enabled = false;
-      harness::Testbed baseline{std::move(base_topology), base_cfg,
-                               base_prefixes};
-      trace::RouteRegenerator base_regen{baseline.scheduler(), base_workload,
-                                         baseline.inject_fn()};
-      base_regen.load_snapshot(0,
-                               sim::sec_f(spec.workload.snapshot_seconds));
-      if (baseline.run_to_quiescence(500'000'000)) {
+      ScenarioSpec reference = spec;
+      reference.mode = ibgp::IbgpMode::kFullMesh;
+      reference.multipath = false;
+      reference.timing.hold_time = 0;
+      reference.obs.enabled = false;
+      reference.fault.enabled = false;
+      World baseline = build_world(reference, seed);
+      if (converge(*baseline.bed,
+                   sim::sec_f(spec.workload.snapshot_seconds))) {
         r.fullmesh_equivalent =
-            verify::compare_loc_ribs(bed, baseline, prefixes).equivalent();
+            verify::compare_loc_ribs(bed, *baseline.bed,
+                                     world.workload.prefixes())
+                .equivalent();
       }
     }
   }

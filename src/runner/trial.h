@@ -1,17 +1,20 @@
 // One trial = one (ScenarioSpec, seed) pair executed end to end:
-// regenerate topology + workload, build a testbed, load the snapshot,
-// optionally replay an update trace and/or a fault episode, and collect
-// every number the benches report. Trials are fully self-contained —
-// they own their Scheduler, Network, MetricsRegistry and Rng — so the
-// runner can execute them on any worker thread.
+// build_world (topology, workload, testbed, scheduled snapshot load),
+// converge, optionally replay an update trace and/or a fault episode,
+// and collect every number the benches report. Trials are fully
+// self-contained — they own their Scheduler, Network, MetricsRegistry
+// and Rng — so the runner can execute them on any worker thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "harness/testbed.h"
 #include "runner/scenario.h"
+#include "trace/regenerator.h"
+#include "trace/workload.h"
 
 namespace abrr::runner {
 
@@ -95,10 +98,34 @@ struct TrialResult {
 TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                       std::size_t index);
 
-/// The spec's deterministic world pieces, exported so the serving mode
-/// (src/serve) and the benches that drive their own testbeds regenerate
-/// bit-identical worlds from the same (spec, seed) — serve's snapshot
-/// fingerprints must match batch trials.
+/// One (ScenarioSpec, seed) testbed with its snapshot load scheduled.
+/// The regenerator's pending events point into itself and inject into
+/// the bed, so it is declared last: it is destroyed first.
+struct World {
+  /// The workload as generated; the regenerator replays its own copy.
+  trace::Workload workload;
+  std::unique_ptr<harness::Testbed> bed;
+  std::unique_ptr<trace::RouteRegenerator> regen;
+};
+
+/// The only code that turns (spec, seed) into a paper testbed. It draws
+/// the topology, then the workload, from Rng{seed}, builds the bed from
+/// spec.testbed_config(seed) and schedules the snapshot load over
+/// spec.workload.snapshot_seconds. It runs no event, so a caller may
+/// attach hooks to the bed before converge(). run_trial, the serving
+/// mode and the hand-driven benches all start here, which is what keeps
+/// a serve snapshot equal to a batch trial of the same (spec, seed).
+World build_world(const ScenarioSpec& spec, std::uint64_t seed);
+
+/// run_trial's convergence rule. A bed without hold timers runs until
+/// its event queue drains (false when 500M events did not drain it). A
+/// bed with hold timers never drains, since keepalives tick forever: it
+/// runs to 40 s past `inputs_end`, the time of its last scheduled
+/// input, and counts as converged.
+bool converge(harness::Testbed& bed, sim::Time inputs_end);
+
+/// build_world's generators. Only build_world and the callers that need
+/// the pieces without a loaded bed use them directly.
 topo::Topology make_trial_topology(const TopologyOptions& t, sim::Rng& rng);
 trace::Workload make_trial_workload(const WorkloadOptions& w,
                                     const topo::Topology& topology,

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <ctime>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -30,51 +29,27 @@ std::uint64_t now_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-/// One deterministic serving world: the same (spec, seed) construction
-/// sequence as runner::run_trial, shared verbatim by the writer thread
-/// and the batch comparator so their virtual states are bit-identical.
-struct World {
-  std::optional<trace::Workload> workload;
-  std::vector<bgp::Ipv4Prefix> prefixes;
-  std::unique_ptr<harness::Testbed> bed;
-  std::unique_ptr<trace::RouteRegenerator> regen;
-  std::unique_ptr<fault::FaultInjector> injector;
-  sim::Time t0 = 0;     // virtual clock at convergence
-  sim::Time t_end = 0;  // churn horizon
-  bool converged = false;
-};
-
-/// Builds and converges the world. `before_load` runs between bed
-/// construction and the snapshot load — the writer attaches its RIB
-/// listener there so the mirror sees every best-change from the start
-/// (no post-hoc RIB scan).
-World build_world(const runner::ScenarioSpec& spec, std::uint64_t seed,
-                  const std::function<void(harness::Testbed&)>& before_load) {
-  World w;
-  sim::Rng rng{seed};
-  topo::Topology topology = runner::make_trial_topology(spec.topology, rng);
-  w.workload.emplace(
-      runner::make_trial_workload(spec.workload, topology, rng));
-  w.prefixes = w.workload->prefixes();
-  w.bed = std::make_unique<harness::Testbed>(
-      std::move(topology), spec.testbed_config(seed), w.prefixes);
-  w.regen = std::make_unique<trace::RouteRegenerator>(
-      w.bed->scheduler(), *w.workload, w.bed->inject_fn());
-  if (before_load) before_load(*w.bed);
-  w.regen->load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
-  w.converged = w.bed->run_to_quiescence(500'000'000);
-  w.t0 = w.bed->scheduler().now();
-  w.t_end = w.t0 + sim::sec_f(spec.serve.churn_seconds);
-  return w;
+/// Converges a world runner::build_world just built (serving beds arm
+/// no hold timers, so this drains the queue) and returns its virtual
+/// clock: the converged time, where the churn plan starts.
+sim::Time converge_world(const runner::ScenarioSpec& spec,
+                         runner::World& w, const char* who) {
+  if (!runner::converge(*w.bed,
+                        sim::sec_f(spec.workload.snapshot_seconds))) {
+    throw std::runtime_error{std::string{who} + ": no quiescence"};
+  }
+  return w.bed->scheduler().now();
 }
 
-/// Arms the churn plan: the update-trace replay plus (optionally) a
-/// fault-chaos schedule restricted to session-reset/delay/loss — crash
-/// and link faults are weighted off because hold_time stays 0 in
-/// serving beds (explicit session events need no hold timers; a crash
-/// would go undetected forever).
-void arm_churn(const runner::ScenarioSpec& spec, std::uint64_t seed,
-               World& w) {
+/// Arms the churn plan from `t0`: the update-trace replay plus
+/// (optionally) a fault-chaos schedule restricted to
+/// session-reset/delay/loss — crash and link faults are weighted off
+/// because hold_time stays 0 in serving beds (explicit session events
+/// need no hold timers; a crash would go undetected forever). Returns
+/// the chaos injector (nullptr without chaos); it must not outlive `w`.
+std::unique_ptr<fault::FaultInjector> arm_churn(
+    const runner::ScenarioSpec& spec, std::uint64_t seed, runner::World& w,
+    sim::Time t0) {
   const runner::ServeOptions& so = spec.serve;
   if (so.churn_events_per_second > 0) {
     trace::TraceParams tp;
@@ -82,25 +57,25 @@ void arm_churn(const runner::ScenarioSpec& spec, std::uint64_t seed,
     tp.events_per_second = so.churn_events_per_second;
     sim::Rng trace_rng{seed + 2};
     const trace::UpdateTrace trace =
-        trace::UpdateTrace::generate(tp, *w.workload, trace_rng);
-    w.regen->play(trace, w.t0);
+        trace::UpdateTrace::generate(tp, w.workload, trace_rng);
+    w.regen->play(trace, t0);
   }
-  if (so.chaos_events > 0) {
-    fault::ChaosParams cp;
-    cp.events = so.chaos_events;
-    cp.start = w.t0 + std::min<sim::Time>(
-                          sim::sec(1), sim::sec_f(so.churn_seconds * 0.25));
-    cp.horizon = w.t_end;
-    cp.crash_weight = 0;
-    cp.link_weight = 0;
-    sim::Rng chaos_rng{seed + 3};
-    fault::FaultSchedule schedule = fault::FaultSchedule::chaos(
-        cp, w.bed->all_ids(), w.bed->network().sessions(), chaos_rng);
-    w.injector =
-        std::make_unique<fault::FaultInjector>(*w.bed, std::move(schedule));
-    w.injector->set_resync(fault::make_workload_resync(*w.bed, *w.regen));
-    w.injector->arm();
-  }
+  if (so.chaos_events == 0) return nullptr;
+  fault::ChaosParams cp;
+  cp.events = so.chaos_events;
+  cp.start = t0 + std::min<sim::Time>(sim::sec(1),
+                                      sim::sec_f(so.churn_seconds * 0.25));
+  cp.horizon = t0 + sim::sec_f(so.churn_seconds);
+  cp.crash_weight = 0;
+  cp.link_weight = 0;
+  sim::Rng chaos_rng{seed + 3};
+  fault::FaultSchedule schedule = fault::FaultSchedule::chaos(
+      cp, w.bed->all_ids(), w.bed->network().sessions(), chaos_rng);
+  auto injector =
+      std::make_unique<fault::FaultInjector>(*w.bed, std::move(schedule));
+  injector->set_resync(fault::make_workload_resync(*w.bed, *w.regen));
+  injector->arm();
+  return injector;
 }
 
 }  // namespace
@@ -301,19 +276,17 @@ bool RouteService::try_publish(WriterState& ws, sim::Time now) {
 void RouteService::writer_main() {
   try {
     bgp::AttrsInterner::TrialScope attrs_scope{spec_.expected_attr_blocks()};
-    WriterState ws;  // declared before World: speaker hooks point into it
-    World w = build_world(spec_, seed_, [&ws](harness::Testbed& bed) {
-      ws.rib.init(bed);
-      bed.attach_rib_listener(
-          [&ws](bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
-                const bgp::Route* best) {
-            ws.rib.on_change(id, prefix, best);
-          },
-          [&ws](bgp::RouterId id) { ws.rib.on_cleared(id); });
-    });
-    if (!w.converged) {
-      throw std::runtime_error{"serve: initial convergence did not quiesce"};
-    }
+    WriterState ws;  // declared before the world: speaker hooks point into it
+    runner::World w = runner::build_world(spec_, seed_);
+    // build_world ran no event yet, so the mirror sees every best-change
+    // from the start (no post-hoc RIB scan).
+    ws.rib.init(*w.bed);
+    w.bed->attach_rib_listener(
+        [&ws](bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
+              const bgp::Route* best) { ws.rib.on_change(id, prefix, best); },
+        [&ws](bgp::RouterId id) { ws.rib.on_cleared(id); });
+    const sim::Time t0 = converge_world(spec_, w, "serve");
+    const sim::Time t_end = t0 + sim::sec_f(spec_.serve.churn_seconds);
     obs::MetricsRegistry& reg = w.bed->metrics();
     ws.g_version = reg.gauge("serve.version");
     ws.g_epoch = reg.gauge("serve.published_epoch");
@@ -322,20 +295,20 @@ void RouteService::writer_main() {
     ws.c_deferred = reg.counter("serve.publishes_deferred");
     ws.c_reclaimed = reg.counter("serve.reclaimed");
 
-    try_publish(ws, w.t0);  // bin is empty: cannot defer
-    t0_virtual_.store(w.t0, std::memory_order_release);
+    try_publish(ws, t0);  // bin is empty: cannot defer
+    t0_virtual_.store(t0, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lock{ready_mutex_};
       ready_ = true;
     }
     ready_cv_.notify_all();
 
-    arm_churn(spec_, seed_, w);
+    const auto injector = arm_churn(spec_, seed_, w, t0);
     const sim::Time step =
         std::max<sim::Time>(1, sim::sec_f(spec_.serve.publish_period_seconds));
-    sim::Time now = w.t0;
-    while (!stop_.load(std::memory_order_acquire) && now < w.t_end) {
-      now = std::min<sim::Time>(now + step, w.t_end);
+    sim::Time now = t0;
+    while (!stop_.load(std::memory_order_acquire) && now < t_end) {
+      now = std::min<sim::Time>(now + step, t_end);
       w.bed->run_until(now);
       if (ws.rib.any_dirty) try_publish(ws, now);
     }
@@ -436,30 +409,21 @@ BatchResult RouteService::Reader::lookup_batch(
   return out;
 }
 
-std::uint64_t batch_fingerprint_at(const runner::ScenarioSpec& spec0,
+std::uint64_t batch_fingerprint_at(const runner::ScenarioSpec& spec,
                                    std::uint64_t seed, sim::Time at) {
-  runner::ScenarioSpec spec = spec0;
-  spec.serve.enabled = true;
   bgp::AttrsInterner::TrialScope attrs_scope{spec.expected_attr_blocks()};
-  World w = build_world(spec, seed, nullptr);
-  if (!w.converged) {
-    throw std::runtime_error{"batch_fingerprint_at: no quiescence"};
-  }
-  arm_churn(spec, seed, w);
-  if (at > w.t0) w.bed->run_until(at);
+  runner::World w = runner::build_world(spec, seed);
+  const sim::Time t0 = converge_world(spec, w, "batch_fingerprint_at");
+  const auto injector = arm_churn(spec, seed, w, t0);
+  if (at > t0) w.bed->run_until(at);
   return fault::rib_fingerprint(*w.bed);
 }
 
-sim::Time batch_converged_time(const runner::ScenarioSpec& spec0,
+sim::Time batch_converged_time(const runner::ScenarioSpec& spec,
                                std::uint64_t seed) {
-  runner::ScenarioSpec spec = spec0;
-  spec.serve.enabled = true;
   bgp::AttrsInterner::TrialScope attrs_scope{spec.expected_attr_blocks()};
-  World w = build_world(spec, seed, nullptr);
-  if (!w.converged) {
-    throw std::runtime_error{"batch_converged_time: no quiescence"};
-  }
-  return w.t0;
+  runner::World w = runner::build_world(spec, seed);
+  return converge_world(spec, w, "batch_converged_time");
 }
 
 }  // namespace abrr::serve

@@ -296,9 +296,10 @@ class RouteService {
 };
 
 /// Batch-mode comparator for the snapshot-consistency contract: builds
-/// the identical world from (spec, seed), converges it, arms the
-/// identical churn plan, runs ONE run_until to the absolute virtual
-/// time `at`, and returns fault::rib_fingerprint of the bed. A
+/// the world from (spec, seed) with runner::build_world, as the writer
+/// does, converges it, arms the identical churn plan, runs ONE
+/// run_until to the absolute virtual time `at`, and returns
+/// fault::rib_fingerprint of the bed. A
 /// snapshot published at virtual_time T must carry exactly
 /// batch_fingerprint_at(spec, seed, T).
 std::uint64_t batch_fingerprint_at(const runner::ScenarioSpec& spec,

@@ -137,25 +137,20 @@ TEST(UpdateAllocationBudget, AtMostTwoAllocationsPerDeliveredUpdate) {
   const runner::ScenarioSpec spec = small_abrr();
   const std::uint64_t seed = 5;
   bgp::AttrsInterner::TrialScope attrs_scope{spec.expected_attr_blocks()};
-  sim::Rng rng{seed};
-  topo::Topology topology = runner::make_trial_topology(spec.topology, rng);
-  const trace::Workload workload =
-      runner::make_trial_workload(spec.workload, topology, rng);
-  const std::vector<bgp::Ipv4Prefix> prefixes = workload.prefixes();
-  harness::Testbed bed{std::move(topology), spec.testbed_config(seed),
-                       prefixes};
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
+  const runner::World world = runner::build_world(spec, seed);
+  harness::Testbed& bed = *world.bed;
   trace::TraceParams tparams;
   tparams.duration = sim::sec_f(spec.workload.trace_seconds);
   tparams.events_per_second = spec.workload.trace_events_per_second;
   sim::Rng trace_rng{seed + 1};
   const trace::UpdateTrace churn =
-      trace::UpdateTrace::generate(tparams, workload, trace_rng);
+      trace::UpdateTrace::generate(tparams, world.workload, trace_rng);
 
+  // The snapshot load is already scheduled: counting starts with its
+  // delivery.
   AllocationCounter counter;
-  regen.load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
   ASSERT_TRUE(bed.run_to_quiescence());
-  regen.play(churn, bed.scheduler().now());
+  world.regen->play(churn, bed.scheduler().now());
   ASSERT_TRUE(bed.run_to_quiescence());
   const std::uint64_t allocations = counter.stop();
 

@@ -1,7 +1,8 @@
 // Randomized-operation properties of the RIB structures: size counters
 // never drift from ground truth under arbitrary announce/withdraw
-// interleavings, and RIBs whose sets live in a shared RouteSetStore read
-// exactly like private per-copy path lists.
+// interleavings (each one a replace() of the peer's new set), and RIBs
+// whose sets live in a shared RouteSetStore read exactly like private
+// per-copy path lists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,23 +34,27 @@ TEST_P(RibProperty, AdjRibInSizeNeverDrifts) {
 
     const int action = static_cast<int>(rng.index(4));
     if (action <= 1) {  // announce (50%)
-      const auto gen = static_cast<std::uint32_t>(rng.index(4));
-      rib.announce(RouteBuilder{prefix}
-                       .path_id(path)
-                       .as_path({65000 + gen})
-                       .learned_from(peer, LearnedVia::kIbgp)
-                       .build());
-      truth[{pfx_idx, peer, path}] = static_cast<int>(gen);
+      truth[{pfx_idx, peer, path}] = static_cast<int>(rng.index(4));
     } else if (action == 2) {  // withdraw one path
-      rib.withdraw(peer, prefix, path);
       truth.erase({pfx_idx, peer, path});
     } else {  // withdraw the peer's whole prefix
-      rib.replace(peer, prefix, {});
       for (auto it = truth.begin(); it != truth.end();) {
         const auto& [p, pr, pa] = it->first;
         it = (p == pfx_idx && pr == peer) ? truth.erase(it) : std::next(it);
       }
     }
+    // The peer's whole set for the prefix after the operation.
+    std::vector<Route> paths;
+    for (const auto& [key, gen] : truth) {
+      const auto& [p, pr, pa] = key;
+      if (p != pfx_idx || pr != peer) continue;
+      paths.push_back(RouteBuilder{prefix}
+                          .path_id(pa)
+                          .as_path({static_cast<Asn>(65000 + gen)})
+                          .learned_from(peer, LearnedVia::kIbgp)
+                          .build());
+    }
+    rib.replace(peer, prefix, paths);
     ASSERT_EQ(rib.size(), truth.size()) << "op " << op;
   }
 
@@ -130,6 +135,13 @@ class PerCopyRib {
     }
   }
   const std::vector<Route>& paths(std::uint32_t id) { return at(id); }
+  std::vector<Route> peer_paths(std::uint32_t id, RouterId peer) {
+    std::vector<Route> out;
+    for (const Route& r : at(id)) {
+      if (r.learned_from == peer) out.push_back(r);
+    }
+    return out;
+  }
   std::vector<Route> all() const {
     std::vector<Route> out;
     for (const auto& paths : lists_) {
@@ -195,12 +207,13 @@ TEST_P(RibProperty, SharedSetsReadLikePerCopyLists) {
     for (std::size_t i = 0; i < kRibs; ++i) {
       if (!everywhere && i != one) continue;
       if (action == 0 && !routes.empty()) {
-        ribs[i]->announce(routes.front());
+        // One path announced: the peer's set with it added or swapped in.
         refs[i].announce(id, routes.front());
+        ribs[i]->replace(peer, prefix, refs[i].peer_paths(id, peer));
       } else if (action == 1) {
         const auto path = static_cast<PathId>(rng.index(3));
-        ribs[i]->withdraw(peer, prefix, path);
         refs[i].withdraw(id, peer, path);
+        ribs[i]->replace(peer, prefix, refs[i].peer_paths(id, peer));
       } else if (action == 2 && rng.index(4) == 0) {
         ribs[i]->withdraw_peer(peer);
         refs[i].withdraw_peer(peer);

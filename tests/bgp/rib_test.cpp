@@ -24,40 +24,36 @@ Route mk(const Ipv4Prefix& pfx, RouterId peer, PathId id, Asn first_as) {
       .build();
 }
 
-TEST(AdjRibIn, AnnounceAddReplaceUnchanged) {
-  AdjRibIn rib;
-  EXPECT_EQ(rib.announce(mk(kP1, 5, 1, 100)), AdjRibIn::Change::kAdded);
-  EXPECT_EQ(rib.announce(mk(kP1, 5, 1, 100)), AdjRibIn::Change::kUnchanged);
-  EXPECT_EQ(rib.announce(mk(kP1, 5, 1, 101)), AdjRibIn::Change::kReplaced);
-  EXPECT_EQ(rib.size(), 1u);
-  EXPECT_EQ(rib.peer_size(5), 1u);
-}
+using Routes = std::vector<Route>;
 
 TEST(AdjRibIn, KeysByPeerAndPathId) {
   AdjRibIn rib;
-  rib.announce(mk(kP1, 5, 1, 100));
-  rib.announce(mk(kP1, 5, 2, 100));  // same peer, different path id
-  rib.announce(mk(kP1, 6, 1, 100));  // different peer, same path id
+  // Same peer, two path ids; a different peer with a repeated path id.
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100), mk(kP1, 5, 2, 100)});
+  rib.replace(6, kP1, Routes{mk(kP1, 6, 1, 100)});
   EXPECT_EQ(rib.size(), 3u);
   EXPECT_EQ(rib.routes_for(kP1).size(), 3u);
   EXPECT_EQ(rib.peer_size(5), 2u);
   EXPECT_EQ(rib.peer_size(6), 1u);
+  // A repeated path id within one set keeps one path: the later route.
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100), mk(kP1, 5, 1, 101)});
+  EXPECT_EQ(rib.peer_size(5), 1u);
+  EXPECT_EQ(rib.routes_for(kP1).front().neighbor_as(), 101u);
 }
 
 TEST(AdjRibIn, WithdrawSinglePath) {
   AdjRibIn rib;
-  rib.announce(mk(kP1, 5, 1, 100));
-  rib.announce(mk(kP1, 5, 2, 100));
-  EXPECT_TRUE(rib.withdraw(5, kP1, 1));
-  EXPECT_FALSE(rib.withdraw(5, kP1, 1));
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100), mk(kP1, 5, 2, 100)});
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 2, 100)});
   EXPECT_EQ(rib.size(), 1u);
+  EXPECT_EQ(rib.peer_size(5), 1u);
+  EXPECT_EQ(rib.routes_for(kP1).front().path_id, 2u);
 }
 
 TEST(AdjRibIn, WithdrawPrefixRemovesAllFromPeer) {
   AdjRibIn rib;
-  rib.announce(mk(kP1, 5, 1, 100));
-  rib.announce(mk(kP1, 5, 2, 100));
-  rib.announce(mk(kP1, 6, 3, 100));
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100), mk(kP1, 5, 2, 100)});
+  rib.replace(6, kP1, Routes{mk(kP1, 6, 3, 100)});
   rib.replace(5, kP1, {});
   EXPECT_EQ(rib.size(), 1u);
   EXPECT_EQ(rib.peer_size(5), 0u);
@@ -66,16 +62,15 @@ TEST(AdjRibIn, WithdrawPrefixRemovesAllFromPeer) {
 
 TEST(AdjRibIn, ReplaceSwapsOnePeersSetAndKeepsOrder) {
   AdjRibIn rib;
-  rib.announce(mk(kP1, 5, 1, 100));
-  rib.announce(mk(kP1, 5, 2, 100));
-  rib.announce(mk(kP1, 6, 3, 100));
-  const std::vector<Route> next = {mk(kP1, 5, 9, 101), mk(kP1, 5, 4, 102)};
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100), mk(kP1, 5, 2, 100)});
+  rib.replace(6, kP1, Routes{mk(kP1, 6, 3, 100)});
+  const Routes next = {mk(kP1, 5, 9, 101), mk(kP1, 5, 4, 102)};
   rib.replace(5, kP1, next);
   EXPECT_EQ(rib.size(), 3u);
   EXPECT_EQ(rib.peer_size(5), 2u);
-  const std::vector<Route> all = rib.routes_for(kP1);
+  const Routes all = rib.routes_for(kP1);
   ASSERT_EQ(all.size(), 3u);
-  // Sorted by (peer, path id), as announce() keeps them.
+  // Sorted by (peer, path id).
   EXPECT_EQ(all[0].path_id, 4u);
   EXPECT_EQ(all[1].path_id, 9u);
   EXPECT_EQ(all[2].learned_from, 6u);
@@ -86,15 +81,14 @@ TEST(AdjRibIn, ReplaceWithAnEqualSizeSetKeepsTheNeighbours) {
   // The peer's run sits between two other peers' paths; an equal-size
   // set takes its place without moving the neighbours.
   AdjRibIn rib;
-  rib.announce(mk(kP1, 4, 1, 100));
-  rib.announce(mk(kP1, 5, 1, 100));
-  rib.announce(mk(kP1, 5, 2, 100));
-  rib.announce(mk(kP1, 6, 3, 100));
-  const std::vector<Route> next = {mk(kP1, 5, 7, 101), mk(kP1, 5, 8, 102)};
+  rib.replace(4, kP1, Routes{mk(kP1, 4, 1, 100)});
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100), mk(kP1, 5, 2, 100)});
+  rib.replace(6, kP1, Routes{mk(kP1, 6, 3, 100)});
+  const Routes next = {mk(kP1, 5, 7, 101), mk(kP1, 5, 8, 102)};
   rib.replace(5, kP1, next);
   EXPECT_EQ(rib.size(), 4u);
   EXPECT_EQ(rib.peer_size(5), 2u);
-  const std::vector<Route> all = rib.routes_for(kP1);
+  const Routes all = rib.routes_for(kP1);
   ASSERT_EQ(all.size(), 4u);
   EXPECT_EQ(all[0].learned_from, 4u);
   EXPECT_EQ(all[1].path_id, 7u);
@@ -102,7 +96,7 @@ TEST(AdjRibIn, ReplaceWithAnEqualSizeSetKeepsTheNeighbours) {
   EXPECT_EQ(all[2].path_id, 8u);
   EXPECT_EQ(all[3].learned_from, 6u);
   // Rejected sets leave the RIB untouched.
-  const std::vector<Route> bad = {mk(kP1, 5, 9, 103), mk(kP1, 6, 10, 103)};
+  const Routes bad = {mk(kP1, 5, 9, 103), mk(kP1, 6, 10, 103)};
   EXPECT_THROW(rib.replace(5, kP1, bad), std::invalid_argument);
   EXPECT_EQ(rib.routes_for(kP1)[1].path_id, 7u);
   EXPECT_EQ(rib.peer_size(5), 2u);
@@ -110,9 +104,9 @@ TEST(AdjRibIn, ReplaceWithAnEqualSizeSetKeepsTheNeighbours) {
 
 TEST(AdjRibIn, WithdrawPeerReportsAffectedPrefixes) {
   AdjRibIn rib;
-  rib.announce(mk(kP1, 5, 1, 100));
-  rib.announce(mk(kP2, 5, 1, 100));
-  rib.announce(mk(kP2, 6, 2, 100));
+  rib.replace(5, kP1, Routes{mk(kP1, 5, 1, 100)});
+  rib.replace(5, kP2, Routes{mk(kP2, 5, 1, 100)});
+  rib.replace(6, kP2, Routes{mk(kP2, 6, 2, 100)});
   const auto affected = rib.withdraw_peer(5);
   EXPECT_EQ(affected.size(), 2u);
   EXPECT_EQ(rib.size(), 1u);
@@ -126,7 +120,8 @@ TEST(AdjRibIn, RoutesForUnknownPrefixEmpty) {
 
 TEST(AdjRibIn, RejectsInvalidRoute) {
   AdjRibIn rib;
-  EXPECT_THROW(rib.announce(Route{}), std::invalid_argument);
+  EXPECT_THROW(rib.replace(5, kP1, Routes{Route{}}), std::invalid_argument);
+  EXPECT_EQ(rib.size(), 0u);
 }
 
 TEST(LocRib, InstallDetectsChange) {

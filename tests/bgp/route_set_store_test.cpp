@@ -222,9 +222,15 @@ TEST(RouteSetStore, ChurnSoakLeavesNothingBehind) {
       auto routes = set_from(peer, n, prefix);
       AdjRibIn& in = *ins[rng.index(ins.size())];
       switch (rng.index(8)) {
-        case 0:
-          in.withdraw(peer, prefix, static_cast<PathId>(1 + rng.index(3)));
+        case 0: {  // withdraw one path: replace with the peer's others
+          const auto path = static_cast<PathId>(1 + rng.index(3));
+          std::vector<Route> kept;
+          for (const Route& r : in.routes_for(prefix)) {
+            if (r.learned_from == peer && r.path_id != path) kept.push_back(r);
+          }
+          in.replace(peer, prefix, kept);
           break;
+        }
         case 1:
           in.withdraw_peer(peer);
           break;

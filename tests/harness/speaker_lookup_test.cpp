@@ -65,23 +65,21 @@ TEST_F(SpeakerLookup, ResetCountersTwiceIsIdempotent) {
   regen.load_snapshot(0, sim::sec(2));
   ASSERT_TRUE(bed.run_to_quiescence());
 
-  const RouterId id = bed.all_ids().front();
+  const obs::Labels one{{"speaker", std::to_string(bed.all_ids().front())}};
   ASSERT_GT(bed.client_counters().received + bed.rr_counters().received, 0u);
 
   bed.reset_counters();
-  const auto after_first = bed.delta_counters(id);
   const auto rr_first = bed.rr_counters();
-  EXPECT_EQ(after_first.updates_received, 0u);
+  EXPECT_EQ(bed.counter_delta("speaker.updates_received", one), 0u);
   EXPECT_EQ(rr_first.received, 0u);
   EXPECT_EQ(rr_first.generated, 0u);
 
   // A second reset with no traffic in between must be a no-op, not an
   // underflow or a stale-baseline swap.
   bed.reset_counters();
-  const auto after_second = bed.delta_counters(id);
   const auto rr_second = bed.rr_counters();
-  EXPECT_EQ(after_second.updates_received, 0u);
-  EXPECT_EQ(after_second.routes_received, 0u);
+  EXPECT_EQ(bed.counter_delta("speaker.updates_received", one), 0u);
+  EXPECT_EQ(bed.counter_delta("speaker.routes_received", one), 0u);
   EXPECT_EQ(rr_second.received, 0u);
   EXPECT_EQ(rr_second.generated, 0u);
   EXPECT_EQ(rr_second.transmitted, 0u);

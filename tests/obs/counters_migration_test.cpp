@@ -1,10 +1,13 @@
 // Transition test for the SpeakerCounters -> registry migration: the
 // registry-backed role totals (Testbed::rr_counters/client_counters)
 // must equal manual sums over the per-speaker counter views, both raw
-// and after a reset_counters() baseline. This pins the label wiring
+// and after a reset_counters() baseline (per-speaker counter_delta
+// sums). This pins the label wiring
 // (role=rr|client per speaker) to the id-list partition the old
 // CounterTotals aggregation path summed over.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "harness/testbed.h"
 #include "obs/metrics.h"
@@ -58,11 +61,11 @@ harness::RoleTotals manual_deltas(harness::Testbed& bed,
                                   const std::vector<bgp::RouterId>& ids) {
   harness::RoleTotals t;
   for (const auto id : ids) {
-    const auto c = bed.delta_counters(id);
-    t.received += c.updates_received;
-    t.generated += c.updates_generated;
-    t.transmitted += c.updates_transmitted;
-    t.wire_bytes += c.wire_bytes_transmitted;
+    const obs::Labels one{{"speaker", std::to_string(id)}};
+    t.received += bed.counter_delta("speaker.updates_received", one);
+    t.generated += bed.counter_delta("speaker.updates_generated", one);
+    t.transmitted += bed.counter_delta("speaker.updates_transmitted", one);
+    t.wire_bytes += bed.counter_delta("speaker.wire_bytes_transmitted", one);
   }
   t.speakers = ids.size();
   return t;

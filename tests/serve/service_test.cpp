@@ -19,7 +19,6 @@
 #include "harness/testbed.h"
 #include "runner/scenario.h"
 #include "runner/trial.h"
-#include "trace/regenerator.h"
 
 namespace abrr::serve {
 namespace {
@@ -273,6 +272,26 @@ TEST(RouteService, LookupBatchAnswersUnderOneSnapshotAndMatchesSingleShot) {
   service.stop();
 }
 
+// Serve's batch comparators and run_trial build their worlds with the
+// same runner::build_world: with no churn to replay, the converged serve
+// world is the batch trial's converged bed, in every iBGP mode.
+TEST(RouteService, SnapshotOnlyBatchWorldEqualsRunTrial) {
+  constexpr std::uint64_t kSeed = 13;
+  for (const ibgp::IbgpMode mode : modes_under_test()) {
+    runner::ScenarioSpec spec = serve_tiny(mode);
+    SCOPED_TRACE(spec.name);
+    spec.serve.churn_events_per_second = 0;
+    spec.serve.chaos_events = 0;
+    const std::uint64_t served =
+        batch_fingerprint_at(spec, kSeed, batch_converged_time(spec, kSeed));
+
+    spec.serve.enabled = false;
+    const runner::TrialResult batch = runner::run_trial(spec, kSeed, 0);
+    ASSERT_TRUE(batch.converged);
+    EXPECT_EQ(served, batch.fingerprint);
+  }
+}
+
 TEST(RouteService, RejectsInvalidServeSpecs) {
   {
     runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kAbrr);
@@ -295,22 +314,17 @@ TEST(RouteService, RejectsInvalidServeSpecs) {
 // first sees later changes the bed's Loc-RIBs but not what is served.
 TEST(RibMirror, PrefixFirstSeenAfterInitLeavesFingerprintUnchanged) {
   const runner::ScenarioSpec spec = serve_tiny(ibgp::IbgpMode::kAbrr);
-  sim::Rng rng{5};
-  topo::Topology topology = runner::make_trial_topology(spec.topology, rng);
-  const trace::Workload workload =
-      runner::make_trial_workload(spec.workload, topology, rng);
-  const topo::PeeringPoint point = topology.peering_points.front();
-  harness::Testbed bed{std::move(topology), spec.testbed_config(5),
-                       workload.prefixes()};
+  const runner::World world = runner::build_world(spec, 5);
+  harness::Testbed& bed = *world.bed;
+  const topo::PeeringPoint point = bed.topology().peering_points.front();
   RibMirror mirror;
   mirror.init(bed);
   bed.attach_rib_listener(
       [&](bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
           const bgp::Route* best) { mirror.on_change(id, prefix, best); },
       [&](bgp::RouterId id) { mirror.on_cleared(id); });
-  trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-  regen.load_snapshot(0, sim::sec(5));
-  ASSERT_TRUE(bed.run_to_quiescence());
+  ASSERT_TRUE(
+      runner::converge(bed, sim::sec_f(spec.workload.snapshot_seconds)));
   const std::uint64_t served = mirror.fingerprint();
   EXPECT_EQ(served, fault::rib_fingerprint(bed));
 
