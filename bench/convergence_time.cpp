@@ -9,7 +9,7 @@
 // every client has switched to the new egress.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "common.h"
