@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,6 +174,13 @@ class MetricsSink {
     sections_.emplace_back(label, std::move(metrics_json));
   }
 
+  /// Writes `stamp` (JSON members, one per line, each followed by a
+  /// comma) between the bench name and the sections, e.g.
+  /// bench::write_build_stamp for a report that names its host and build.
+  void set_stamp(std::function<void(std::FILE*)> stamp) {
+    stamp_ = std::move(stamp);
+  }
+
   ~MetricsSink() {
     if (!enabled() || sections_.empty()) return;
     FILE* f = std::fopen(path_.c_str(), "w");
@@ -180,7 +188,14 @@ class MetricsSink {
       std::fprintf(stderr, "error: cannot write %s\n", path_.c_str());
       return;
     }
-    std::fprintf(f, "{\"bench\": \"%s\", \"sections\": [\n", bench_.c_str());
+    if (stamp_) {
+      std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_.c_str());
+      stamp_(f);
+      std::fprintf(f, "  \"sections\": [\n");
+    } else {
+      std::fprintf(f, "{\"bench\": \"%s\", \"sections\": [\n",
+                   bench_.c_str());
+    }
     for (std::size_t i = 0; i < sections_.size(); ++i) {
       std::fprintf(f, "{\"label\": \"%s\", \"metrics\": %s}%s\n",
                    sections_[i].first.c_str(), sections_[i].second.c_str(),
@@ -194,6 +209,7 @@ class MetricsSink {
  private:
   std::string bench_;
   std::string path_;
+  std::function<void(std::FILE*)> stamp_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 

@@ -1,6 +1,7 @@
 #include "bgp/rib.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -19,7 +20,10 @@ AdjRibIn::AdjRibIn(std::shared_ptr<PrefixIndex> index,
                    std::shared_ptr<RouteSetStore> sets)
     : index_(std::move(index)), sets_(std::move(sets)) {}
 
-AdjRibIn::~AdjRibIn() { clear(); }
+AdjRibIn::~AdjRibIn() {
+  // A dropped store freed the sets wholesale; the handles just go.
+  if (!sets_->dropped()) clear();
+}
 
 const AdjRibIn::RunList* AdjRibIn::find_list(
     std::optional<std::uint32_t> id) const {
@@ -32,12 +36,9 @@ AdjRibIn::RunList& AdjRibIn::ensure_list(std::uint32_t id) {
   return flat_[id];
 }
 
-void AdjRibIn::store_run(RunList& runs, RouterId peer,
-                         std::span<const Route> paths) {
-  // Acquire first: the store's table lookup does not depend on the run
-  // list or the old set, so the loads overlap.
-  const RouteSet* set = sets_->acquire(paths);
-  const auto count = static_cast<std::uint32_t>(paths.size());
+void AdjRibIn::store_run(RunList& runs, RouterId peer, const RouteSet* set) {
+  const auto count =
+      static_cast<std::uint32_t>(set != nullptr ? set->size() : 0);
   const auto it = find_run(runs, peer);
   std::size_t removed = 0;
   if (it != runs.end() && it->peer == peer) {
@@ -52,10 +53,10 @@ void AdjRibIn::store_run(RunList& runs, RouterId peer,
   } else if (set != nullptr) {
     runs.insert(it, Run{peer, count, set});
   }
-  size_ = size_ - removed + paths.size();
+  size_ = size_ - removed + count;
   // The peer's count moves once per call, not once per stored route.
-  if (paths.size() != removed) {
-    per_peer_[peer] += paths.size() - removed;  // mod 2^64
+  if (count != removed) {
+    per_peer_[peer] += count - removed;  // mod 2^64
   }
 }
 
@@ -85,7 +86,24 @@ void AdjRibIn::replace(RouterId peer, const IndexedPrefix& key,
   // The new run is `routes` inserted one by one into an empty list.
   scratch_.clear();
   for (const Route& route : routes) insert(scratch_, route);
-  store_run(ensure_list(key.id), peer, scratch_);
+  // Acquire first: the store's table lookup does not depend on the run
+  // list or the old set, so the loads overlap.
+  const RouteSet* set = sets_->acquire(scratch_);
+  store_run(ensure_list(key.id), peer, set);
+}
+
+void AdjRibIn::take(RouterId peer, const IndexedPrefix& key,
+                    RouteSetRef routes) {
+#ifndef NDEBUG
+  assert(!routes || routes.store() == sets_.get());
+  const std::span<const Route> set = routes.routes();
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    assert(set[i].valid() && set[i].prefix == key.prefix &&
+           set[i].learned_from == peer);
+    assert(i == 0 || set[i - 1].path_id < set[i].path_id);
+  }
+#endif
+  store_run(ensure_list(key.id), peer, routes.release());
 }
 
 std::vector<Ipv4Prefix> AdjRibIn::withdraw_peer(RouterId peer) {
@@ -139,6 +157,13 @@ void AdjRibIn::for_each(const std::function<void(const Route&)>& fn) const {
     for (const Run& run : runs) {
       for (const Route& route : *run.set) fn(route);
     }
+  }
+}
+
+void AdjRibIn::for_each_set(
+    const std::function<void(const RouteSet&)>& fn) const {
+  for (const RunList& runs : flat_) {
+    for (const Run& run : runs) fn(*run.set);
   }
 }
 
@@ -224,7 +249,10 @@ AdjRibOut::AdjRibOut(std::shared_ptr<PrefixIndex> index,
                      std::shared_ptr<RouteSetStore> sets)
     : index_(std::move(index)), sets_(std::move(sets)) {}
 
-AdjRibOut::~AdjRibOut() { clear(); }
+AdjRibOut::~AdjRibOut() {
+  // A moved-from RIB holds neither sets nor a store.
+  if (sets_ != nullptr && !sets_->dropped()) clear();
+}
 
 namespace {
 

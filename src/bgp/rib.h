@@ -14,8 +14,8 @@
 // The route sets of Adj-RIB-In and Adj-RIB-Out live in a RouteSetStore
 // (bgp/route_set_store.h): a slot holds a handle to an immutable,
 // shared set, so a set that many routers hold is stored once. A
-// speaker's RIBs share the store it was given (a testbed gives all of
-// its speakers one); a RIB built without one owns a private store.
+// speaker's RIBs use its network's store, which every speaker on the
+// network shares; a RIB built without one owns a private store.
 #pragma once
 
 #include <algorithm>
@@ -43,7 +43,7 @@ class AdjRibIn {
   explicit AdjRibIn(
       std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>(),
       std::shared_ptr<RouteSetStore> sets = std::make_shared<RouteSetStore>());
-  /// Gives every held set back to the store.
+  /// Gives every held set back to the store (unless it was dropped).
   ~AdjRibIn();
   AdjRibIn(const AdjRibIn&) = delete;
   AdjRibIn& operator=(const AdjRibIn&) = delete;
@@ -58,6 +58,13 @@ class AdjRibIn {
                std::span<const Route> routes);
   void replace(RouterId peer, const IndexedPrefix& key,
                std::span<const Route> routes);
+
+  /// replace() for a set already stored in this RIB's store and already
+  /// in the form replace() would store: valid routes for the prefix,
+  /// learned from `peer`, sorted by path id with unique ids. The RIB
+  /// keeps the handle's reference: nothing is copied, hashed or looked
+  /// up. A null handle withdraws the prefix from the peer.
+  void take(RouterId peer, const IndexedPrefix& key, RouteSetRef routes);
 
   /// Session teardown: removes everything from `peer`; returns the
   /// affected prefixes (sorted) for re-running decisions.
@@ -80,6 +87,10 @@ class AdjRibIn {
 
   /// Visits every stored route.
   void for_each(const std::function<void(const Route&)>& fn) const;
+
+  /// Visits the set of every (prefix, peer) run: each reference this RIB
+  /// holds in its store.
+  void for_each_set(const std::function<void(const RouteSet&)>& fn) const;
 
   /// Drops every entry (router crash with state loss). Keeps the index.
   void clear();
@@ -112,9 +123,10 @@ class AdjRibIn {
         runs.begin(), runs.end(), peer,
         [](const Run& run, RouterId p) { return run.peer < p; });
   }
-  /// Makes `paths` (all from `peer`, sorted by path id) the peer's run,
-  /// erasing the run when `paths` is empty, and keeps the counts.
-  void store_run(RunList& runs, RouterId peer, std::span<const Route> paths);
+  /// Makes `set` (all from `peer`, sorted by path id; null = no paths)
+  /// the peer's run, taking over the caller's reference, erasing the
+  /// run when `set` is null, and keeps the counts.
+  void store_run(RunList& runs, RouterId peer, const RouteSet* set);
   /// Adds `route` to a path list sorted by path id, or overwrites the
   /// path with its id unless that is the same announcement.
   static void insert(std::vector<Route>& paths, const Route& route);
@@ -176,7 +188,7 @@ class AdjRibOut {
   explicit AdjRibOut(
       std::shared_ptr<PrefixIndex> index = std::make_shared<PrefixIndex>(),
       std::shared_ptr<RouteSetStore> sets = std::make_shared<RouteSetStore>());
-  /// Gives every held set back to the store.
+  /// Gives every held set back to the store (unless it was dropped).
   ~AdjRibOut();
   /// Moving leaves `other` empty, so one set is released once.
   AdjRibOut(AdjRibOut&& other) = default;

@@ -22,7 +22,7 @@ constexpr std::uint64_t kSetHashSeed = 0x84222325cbf29ce4ULL;
 
 }  // namespace
 
-std::uint64_t route_set_hash(const std::vector<Route>& routes) {
+std::uint64_t route_set_hash(std::span<const Route> routes) {
   std::uint64_t h = kSetHashSeed;
   for (const Route& r : routes) mix_route(h, r);
   return h == 0 ? 1 : h;

@@ -3,6 +3,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "bgp/attributes.h"
 #include "bgp/prefix.h"
@@ -64,7 +65,10 @@ struct Route {
 /// colliding — silently suppressing a needed transmission — around 2^16
 /// distinct advertised sets. Routes with interned attributes hash via
 /// their cached content hash.
-std::uint64_t route_set_hash(const std::vector<Route>& routes);
+std::uint64_t route_set_hash(std::span<const Route> routes);
+inline std::uint64_t route_set_hash(const std::vector<Route>& routes) {
+  return route_set_hash(std::span<const Route>{routes});
+}
 
 /// Same hash over a pointer set (the copy-free pipeline's currency).
 std::uint64_t route_set_hash(std::span<const Route* const> routes);

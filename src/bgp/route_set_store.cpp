@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -57,13 +58,24 @@ bool RouteSet::holds(std::span<const Route> other) const {
   return true;
 }
 
-RouteSetStore::~RouteSetStore() {
-  // Pooled blocks go with the arena.
-  for (const Slot& slot : slots_) {
-    if (slot.set != nullptr && slot.set->size_ > kPooledRoutes) {
-      deallocate(slot.set);
+RouteSetStore::~RouteSetStore() { drop_all(); }
+
+void RouteSetStore::drop_all() {
+  // Pooled blocks go with the arena; only the large ones are freed one
+  // by one, and when none is live the table is not walked.
+  if (large_bytes_ != 0) {
+    for (const Slot& slot : slots_) {
+      if (slot.set != nullptr && slot.set->size_ > kPooledRoutes) {
+        deallocate(slot.set);
+      }
     }
   }
+  std::vector<Slot>{}.swap(slots_);
+  shift_ = 64;
+  live_ = 0;
+  arena_ = sim::Arena{};
+  free_ = {};
+  dropped_ = true;
 }
 
 void* RouteSetStore::allocate(std::size_t routes) {
@@ -93,6 +105,7 @@ void RouteSetStore::deallocate(RouteSet* set) {
 }
 
 const RouteSet* RouteSetStore::acquire(std::span<const Route> routes) {
+  assert(!dropped_ && "acquire after drop_all");
   if (routes.empty()) return nullptr;
   const std::uint64_t hash = hash_of(routes);
   if (4 * (live_ + 1) > 3 * slots_.size()) {
@@ -117,7 +130,7 @@ const RouteSet* RouteSetStore::acquire(std::span<const Route> routes) {
 }
 
 void RouteSetStore::release(const RouteSet* set) {
-  if (set == nullptr) return;
+  if (set == nullptr || dropped_) return;
   RouteSet* block = const_cast<RouteSet*>(set);
   if (--block->refs_ != 0) return;
   // Find the block's slot from its content hash, then close the gap by

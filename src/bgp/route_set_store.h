@@ -18,7 +18,11 @@
 // Lifetime: acquire() hands out one reference; the holder gives it back
 // with release(), and the block is freed when its last reference goes.
 // The RIBs release on replace, withdraw, withdraw_peer, clear and
-// destruction, so the store holds exactly the sets some RIB holds.
+// destruction; a RouteSetRef (below) holds one reference for whoever
+// else keeps a set: a message in flight, a queued input, a sender's
+// memo. So the store holds exactly the sets someone holds. A store whose
+// holders are all about to go can be dropped wholesale (drop_all())
+// instead of taking each set back through its table.
 // Blocks of up to kPooledRoutes routes are carved from a sim::Arena and
 // a freed one goes on a free list for its route count, where the next
 // set of that size reuses it: churn allocates nothing, and the store
@@ -31,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bgp/route.h"
@@ -87,9 +92,20 @@ class RouteSetStore {
   /// nullptr (nothing is stored for an empty set).
   const RouteSet* acquire(std::span<const Route> routes);
 
+  /// One more reference to stored `set` (not null).
+  void retain(const RouteSet* set) { ++const_cast<RouteSet*>(set)->refs_; }
+
   /// Gives back one reference; frees the set with its last one. Null is
-  /// a no-op.
+  /// a no-op, and so is every call after drop_all().
   void release(const RouteSet* set);
+
+  /// Frees every stored set at once, without reading a block or probing
+  /// the table per set: for a store whose holders are all about to be
+  /// destroyed. Their handles dangle from here on and may only be
+  /// dropped (release() ignores them); acquire() must not be called
+  /// again.
+  void drop_all();
+  bool dropped() const { return dropped_; }
 
   /// Distinct sets currently stored.
   std::size_t live_blocks() const { return live_; }
@@ -128,6 +144,64 @@ class RouteSetStore {
   /// Free pooled blocks by route count, linked through their first word.
   std::array<void*, kPooledRoutes + 1> free_{};
   std::size_t large_bytes_ = 0;  // allocator chunks of the unpooled blocks
+  bool dropped_ = false;
+};
+
+/// An owning handle to one stored set: it holds one reference and gives
+/// it back when destroyed. Move-only; share() takes another reference to
+/// the same set. A null handle holds nothing and reads as the empty set.
+/// The store must outlive the handle.
+class RouteSetRef {
+ public:
+  RouteSetRef() = default;
+  /// Stores `routes` in `store` and holds the reference (null for an
+  /// empty set).
+  RouteSetRef(RouteSetStore& store, std::span<const Route> routes)
+      : store_(&store), set_(store.acquire(routes)) {}
+  RouteSetRef(RouteSetRef&& other) noexcept
+      : store_(other.store_), set_(std::exchange(other.set_, nullptr)) {}
+  RouteSetRef& operator=(RouteSetRef&& other) noexcept {
+    if (this != &other) {
+      reset();
+      store_ = other.store_;
+      set_ = std::exchange(other.set_, nullptr);
+    }
+    return *this;
+  }
+  RouteSetRef(const RouteSetRef&) = delete;
+  RouteSetRef& operator=(const RouteSetRef&) = delete;
+  ~RouteSetRef() { reset(); }
+
+  /// Another reference to the same set.
+  RouteSetRef share() const {
+    RouteSetRef copy;
+    copy.store_ = store_;
+    copy.set_ = set_;
+    if (set_ != nullptr) store_->retain(set_);
+    return copy;
+  }
+
+  const RouteSet* get() const { return set_; }
+  RouteSetStore* store() const { return store_; }
+  explicit operator bool() const { return set_ != nullptr; }
+  std::size_t size() const { return set_ != nullptr ? set_->size() : 0; }
+  std::span<const Route> routes() const {
+    return set_ != nullptr ? std::span<const Route>{*set_}
+                           : std::span<const Route>{};
+  }
+
+  /// Hands the reference to the caller, who must release it; the handle
+  /// is left null.
+  const RouteSet* release() { return std::exchange(set_, nullptr); }
+
+  /// Gives the reference back now; the handle is left null.
+  void reset() {
+    if (set_ != nullptr) store_->release(std::exchange(set_, nullptr));
+  }
+
+ private:
+  RouteSetStore* store_ = nullptr;
+  const RouteSet* set_ = nullptr;
 };
 
 }  // namespace abrr::bgp

@@ -16,8 +16,7 @@ Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
       rng_(config.seed),
       network_(scheduler_, rng_),
       obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)),
-      prefix_index_(std::make_shared<bgp::PrefixIndex>()),
-      route_sets_(std::make_shared<bgp::RouteSetStore>()) {
+      prefix_index_(std::make_shared<bgp::PrefixIndex>()) {
   network_.set_metrics(&obs_->metrics());
   network_.set_tracer(obs_->tracer());
   for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
@@ -45,6 +44,13 @@ Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
   }
 
   if (obs_->enabled()) start_sampler();
+}
+
+Testbed::~Testbed() {
+  // Every holder of a stored set goes with the bed: the speakers' RIBs
+  // and memos, their input queues and the messages in flight. Free the
+  // sets at once instead of handing each back through the store's table.
+  network_.route_sets()->drop_all();
 }
 
 void Testbed::start_sampler() {
@@ -100,7 +106,7 @@ ibgp::Speaker& Testbed::make_speaker(ibgp::SpeakerConfig cfg) {
   }
   auto speaker = std::make_unique<ibgp::Speaker>(
       cfg, scheduler_, network_, &obs_->metrics(), prefix_index_,
-      cfg.ap_of ? prefix_aps_ : nullptr, route_sets_);
+      cfg.ap_of ? prefix_aps_ : nullptr);
   speaker->set_tracer(obs_->tracer());
   auto& ref = *speaker;
   speakers_.emplace(cfg.id, std::move(speaker));
@@ -387,7 +393,7 @@ MemoryBreakdown Testbed::memory() const {
     m.sent_hashes += s.sent_hashes;
     m.pending += s.pending;
   }
-  m.route_sets = route_sets_->bytes();
+  m.route_sets = route_sets().bytes();
   m.attr_arena = bgp::AttrsInterner::global().bytes();
   m.channel_queues = network_.queue_bytes();
   m.events = scheduler_.bytes();

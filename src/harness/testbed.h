@@ -95,6 +95,8 @@ class Testbed {
   Testbed(topo::Topology topology, const TestbedConfig& config,
           std::span<const Ipv4Prefix> prefixes);
 
+  /// Frees the route-set store wholesale before its holders go.
+  ~Testbed();
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
@@ -180,8 +182,11 @@ class Testbed {
   /// first seen later get the following ids.
   const bgp::PrefixIndex& prefix_index() const { return *prefix_index_; }
 
-  /// The route-set store every speaker of the bed shares.
-  const bgp::RouteSetStore& route_sets() const { return *route_sets_; }
+  /// The route-set store every speaker of the bed and every message in
+  /// flight shares (the network's).
+  const bgp::RouteSetStore& route_sets() const {
+    return *network_.route_sets();
+  }
 
   /// Resident-testbed hook: mirrors every Loc-RIB change into
   /// `on_change` (speaker id + best-change arguments; nullptr route =
@@ -217,7 +222,6 @@ class Testbed {
   std::shared_ptr<bgp::PrefixIndex> prefix_index_;
   /// ap_of_ over prefix_index_, shared by the ABRR speakers.
   std::shared_ptr<const ibgp::PrefixApTable> prefix_aps_;
-  std::shared_ptr<bgp::RouteSetStore> route_sets_;
 
   std::unordered_map<RouterId, std::unique_ptr<ibgp::Speaker>> speakers_;
   std::vector<RouterId> rr_ids_;

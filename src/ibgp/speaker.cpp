@@ -1,6 +1,7 @@
 #include "ibgp/speaker.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -63,16 +64,14 @@ PrefixApTable::PrefixApTable(const bgp::PrefixIndex& index,
 Speaker::Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
                  net::Network& network, obs::MetricsRegistry* metrics,
                  std::shared_ptr<bgp::PrefixIndex> index,
-                 std::shared_ptr<const PrefixApTable> aps,
-                 std::shared_ptr<bgp::RouteSetStore> route_sets)
+                 std::shared_ptr<const PrefixApTable> aps)
     : config_(std::move(config)),
       scheduler_(&scheduler),
       network_(&network),
       prefix_index_(index ? std::move(index)
                           : std::make_shared<bgp::PrefixIndex>()),
       prefix_aps_(std::move(aps)),
-      route_sets_(route_sets ? std::move(route_sets)
-                             : std::make_shared<bgp::RouteSetStore>()),
+      route_sets_(network.route_sets()),
       adj_rib_in_(prefix_index_, route_sets_),
       loc_rib_(prefix_index_),
       metrics_(metrics) {
@@ -146,7 +145,8 @@ SpeakerMemory Speaker::memory() const {
   m.loc_rib = loc_rib_.bytes();
   m.rib_out = sim::heap_bytes(groups_);
   for (const auto& [key, g] : groups_) {
-    m.rib_out += g.rib.bytes() + sim::heap_bytes(g.members);
+    m.rib_out += g.rib.bytes() + sim::heap_bytes(g.members) +
+                 sim::heap_bytes(g.memo);
   }
   m.pending = sim::heap_bytes(input_queue_) + sim::heap_bytes(drain_batch_);
   for (const auto& [id, ps] : peers_) {
@@ -160,6 +160,22 @@ SpeakerMemory Speaker::memory() const {
     m.sent_hashes += sim::heap_bytes(state.advertised);
   }
   return m;
+}
+
+void Speaker::for_each_held_set(
+    const std::function<void(const bgp::RouteSet&)>& fn) const {
+  adj_rib_in_.for_each_set(fn);
+  for (const auto& [key, g] : groups_) {
+    g.rib.for_each([&](const Ipv4Prefix&, const bgp::RouteSet& set) {
+      fn(set);
+    });
+    for (const TxMemo& m : g.memo) {
+      if (m.routes) fn(*m.routes.get());
+    }
+  }
+  for (const Incoming& in : input_queue_) {
+    if (in.routes) fn(*in.routes.get());
+  }
 }
 
 void Speaker::add_peer(const PeerInfo& peer) {
@@ -214,7 +230,7 @@ void Speaker::add_peer(const PeerInfo& peer) {
 void Speaker::start() {
   network_->register_endpoint(
       config_.id,
-      [this](RouterId from, bgp::UpdateMessage&& msg) {
+      [this](RouterId from, net::Message&& msg) {
         receive(from, std::move(msg));
       });
   if (config_.hold_time > 0 && !keepalive_armed_) {
@@ -249,17 +265,15 @@ void Speaker::keepalive_tick() {
   // Keepalive every session still considered up.
   for (const RouterId id : peer_order_) {
     if (!peers_.at(id).up) continue;
-    bgp::UpdateMessage msg;
-    msg.keepalive = true;
     c_.keepalives_sent->inc();
-    network_->send(config_.id, id, std::move(msg));
+    network_->send(config_.id, id, net::Message{.keepalive = true});
   }
   keepalive_armed_ = true;
   keepalive_timer_ = scheduler_->schedule_after(
       keepalive_interval(), [this] { keepalive_tick(); });
 }
 
-void Speaker::receive(RouterId from, bgp::UpdateMessage&& msg) {
+void Speaker::receive(RouterId from, net::Message&& msg) {
   if (!alive_) return;  // a crashed process hears nothing
   const auto pit = peers_.find(from);
   PeerState* sender = pit != peers_.end() ? &pit->second : nullptr;
@@ -276,14 +290,15 @@ void Speaker::receive(RouterId from, bgp::UpdateMessage&& msg) {
     c_.keepalives_received->inc();
     return;
   }
+  const std::size_t routes = msg.routes.size();
   c_.updates_received->inc();
-  c_.routes_received->inc(msg.announce.size());
-  c_.update_routes->record(static_cast<double>(msg.announce.size()));
+  c_.routes_received->inc(routes);
+  c_.update_routes->record(static_cast<double>(routes));
   if (tracer_ != nullptr) {
-    tracer_->record(obs::TraceEventKind::kUpdateRx, config_.id, from,
-                    msg.announce.size());
+    tracer_->record(obs::TraceEventKind::kUpdateRx, config_.id, from, routes);
   }
-  enqueue(Incoming{from, std::move(msg), /*ebgp=*/false, Route{}, sender});
+  enqueue(Incoming{from, msg.prefix, std::move(msg.routes), /*ebgp=*/false,
+                   Route{}, sender});
 }
 
 void Speaker::enqueue(Incoming&& incoming) {
@@ -335,6 +350,8 @@ void Speaker::trim_scratch() {
   recycle(scratch_dirty_);
   recycle(scratch_out_);
   recycle(scratch_to_rrs_);
+  recycle(scratch_tx_);
+  recycle(scratch_rx_);
 }
 
 void Speaker::mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
@@ -361,7 +378,7 @@ bool Speaker::accept_route(const Route& route, const PeerState*) const {
 
 void Speaker::apply(Incoming& incoming,
                     std::vector<bgp::IndexedPrefix>& dirty) {
-  const Ipv4Prefix prefix = incoming.msg.prefix;
+  const Ipv4Prefix prefix = incoming.prefix;
   const PrefixId pid = prefix_id(prefix);
 
   if (incoming.ebgp) {
@@ -395,20 +412,42 @@ void Speaker::apply(Incoming& incoming,
     }
   }
 
-  // The message is ours: stamp who we learned its routes from, in place,
-  // and drop the loops.
-  std::vector<Route>& received = incoming.msg.announce;
-  std::size_t kept = 0;
-  for (Route& r : received) {
-    r.learned_from = incoming.from;
-    r.via = bgp::LearnedVia::kIbgp;
-    if (!accept_route(r, &peer)) {
-      c_.loops_suppressed->inc();
-      continue;
+  // The delivered set is kept as it is when the sender built it in the
+  // form this RIB stores (learned from the sender via iBGP, sorted by
+  // path id with unique ids) and no route is dropped as a loop. Otherwise
+  // the routes are stamped and filtered into a copy, from the first
+  // route that needs it on.
+  const std::span<const Route> delivered = incoming.routes.routes();
+  std::vector<Route>& copy = scratch_rx_;
+  bool copied = false;
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    const Route& r = delivered[i];
+    const bool accepted = accept_route(r, &peer);
+    if (!accepted) c_.loops_suppressed->inc();
+    if (!copied) {
+      const bool as_stored =
+          accepted && r.prefix == prefix && r.learned_from == incoming.from &&
+          r.via == bgp::LearnedVia::kIbgp &&
+          (i == 0 || delivered[i - 1].path_id < r.path_id);
+      if (as_stored) continue;
+      copy.assign(delivered.begin(), delivered.begin() + i);
+      copied = true;
     }
-    received[kept++] = r;
+    if (!accepted) continue;
+    Route& stamped = copy.emplace_back(r);
+    stamped.learned_from = incoming.from;
+    stamped.via = bgp::LearnedVia::kIbgp;
   }
-  received.resize(kept);
+  const std::span<const Route> received =
+      copied ? std::span<const Route>{copy} : delivered;
+  const auto store_received = [&] {
+    if (copied) {
+      adj_rib_in_.replace(incoming.from, {prefix, pid}, received);
+    } else {
+      adj_rib_in_.take(incoming.from, {prefix, pid},
+                       std::move(incoming.routes));
+    }
+  };
 
   if (from_abrr_reflector) {
     // §3.4 storage: pure control-plane speakers (ARRs in their client
@@ -422,17 +461,18 @@ void Speaker::apply(Incoming& incoming,
     // what makes ABRR match full-mesh exactly.
     const bool reduce =
         !config_.data_plane || config_.abrr_force_client_reduction;
-    std::span<const Route> stored = received;
     if (reduce && !received.empty()) {
       scratch_candidates_.clear();
       for (const Route& r : received) scratch_candidates_.push_back(&r);
       const Route* best =
           bgp::select_best_from(scratch_candidates_, config_.id, igp_,
                                 config_.decision, scratch_select_);
-      stored = best != nullptr ? std::span<const Route>{best, 1}
-                               : std::span<const Route>{};
+      adj_rib_in_.replace(incoming.from, {prefix, pid},
+                          best != nullptr ? std::span<const Route>{best, 1}
+                                          : std::span<const Route>{});
+    } else {
+      store_received();
     }
-    adj_rib_in_.replace(incoming.from, {prefix, pid}, stored);
     mark_dirty(prefix, pid, dirty);
     return;
   }
@@ -460,7 +500,7 @@ void Speaker::apply(Incoming& incoming,
       }
     }
   }
-  adj_rib_in_.replace(incoming.from, {prefix, pid}, received);
+  store_received();
   mark_dirty(prefix, pid, dirty);
 }
 
@@ -640,7 +680,10 @@ void Speaker::crash() {
   adj_rib_in_.clear();
   loc_rib_.clear();
   if (rib_cleared_hook_) rib_cleared_hook_();
-  for (auto& [key, g] : groups_) g.rib.clear();
+  for (auto& [key, g] : groups_) {
+    g.rib.clear();
+    g.memo.clear();
+  }
   for (auto& [neighbor, state] : ebgp_neighbors_) {
     std::fill(state.advertised.begin(), state.advertised.end(), 0);
   }
@@ -843,6 +886,7 @@ void Speaker::set_group_routes(int key, const Ipv4Prefix& prefix,
                                PrefixId pid, std::span<Route> routes) {
   OutGroup& g = group(key);
   if (!g.rib.set({prefix, pid}, routes)) return;
+  if (pid < g.memo.size()) g.memo[pid] = TxMemo{};  // built for the old set
   c_.updates_generated->inc();
   if (key == kGroupClients || (key >= 0 && key % 2 == 0)) {
     c_.generated_to_clients->inc();  // reflections toward clients
@@ -903,49 +947,91 @@ void Speaker::flush_peer(PeerState& ps) {
 void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix,
                        PrefixId pid) {
   if (!ps.up) return;
-  const OutGroup& g = group(key);
+  OutGroup& g = group(key);
   const bgp::RouteSet* current = g.rib.get({prefix, pid});
+  const std::span<const Route> advertised =
+      current != nullptr ? std::span<const Route>{*current}
+                         : std::span<const Route>{};
 
-  // "Not returned to sender": drop routes this peer itself advertised.
-  // Filter and hash over pointers first; Route copies are made only when
-  // the peer actually needs an update.
-  scratch_target_.clear();
-  if (current != nullptr) {
-    scratch_target_.reserve(current->size());
-    for (const Route& r : *current) {
-      if (r.learned_from == ps.info.id) continue;
-      if (r.attrs->originator_id && *r.attrs->originator_id == ps.info.id) {
-        continue;
-      }
-      scratch_target_.push_back(&r);
+  // "Not returned to sender": a peer that advertised one of the routes
+  // itself is sent the set without it.
+  const auto returned = [&](const Route& r) {
+    return r.learned_from == ps.info.id ||
+           (r.attrs->originator_id && *r.attrs->originator_id == ps.info.id);
+  };
+  const bool whole = std::none_of(advertised.begin(), advertised.end(),
+                                  returned);
+
+  // A member that gets the whole set shares the slot's memo: the set is
+  // hashed, stored and sized once per change for the whole group.
+  TxMemo* m = whole && !advertised.empty() ? memo(g, pid) : nullptr;
+  std::uint64_t h = 0;
+  if (m != nullptr) {
+    if (m->hash == 0) m->hash = bgp::route_set_hash(advertised);
+    h = m->hash;
+  } else {
+    // Filter and hash over pointers first; the set is built only when
+    // the peer actually needs an update.
+    scratch_target_.clear();
+    for (const Route& r : advertised) {
+      if (!returned(r)) scratch_target_.push_back(&r);
+    }
+    if (!scratch_target_.empty()) {
+      h = bgp::route_set_hash(
+          std::span<const Route* const>{scratch_target_});
     }
   }
-
-  const std::uint64_t h = scratch_target_.empty()
-                              ? 0
-                              : bgp::route_set_hash(std::span<
-                                    const Route* const>{scratch_target_});
   std::uint64_t& last = sent_hash(ps, key, pid);
   if (h == last) return;  // peer already has exactly this
   last = h;
 
-  // The message's route vector is the one allocation a transmission
-  // makes: it travels through the network into the receiver's queue and
-  // is stamped in place there.
-  bgp::UpdateMessage msg;
-  msg.prefix = prefix;
-  msg.full_set = true;
-  msg.announce.reserve(scratch_target_.size());
-  for (const Route* r : scratch_target_) msg.announce.push_back(*r);
-  const std::uint64_t bytes = network_->measure(msg);
+  net::Message msg{prefix, {}, /*keepalive=*/false};
+  std::uint64_t bytes = 0;
+  if (m != nullptr) {
+    const bool built = static_cast<bool>(m->routes);
+    if (!built) {
+      scratch_tx_.assign(advertised.begin(), advertised.end());
+      m->routes = receiver_form();
+    }
+    msg.routes = m->routes.share();
+    if (!built) m->bytes = network_->measure(msg);
+    bytes = m->bytes;
+  } else {
+    scratch_tx_.clear();
+    for (const Route* r : scratch_target_) scratch_tx_.push_back(*r);
+    msg.routes = receiver_form();
+    bytes = network_->measure(msg);
+  }
+  const std::size_t routes = msg.routes.size();
   c_.updates_transmitted->inc();
-  c_.routes_transmitted->inc(msg.announce.size());
+  c_.routes_transmitted->inc(routes);
   c_.wire_bytes_transmitted->inc(bytes);
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kUpdateTx, config_.id, ps.info.id,
-                    msg.announce.size());
+                    routes);
   }
   network_->send(config_.id, ps.info.id, std::move(msg), bytes);
+}
+
+bgp::RouteSetRef Speaker::receiver_form() {
+  // An Adj-RIB-Out set is sorted by path id with unique ids (the
+  // reflectors dedup theirs), and so is any subset of it: that is what
+  // lets a receiver keep the set as it is.
+  assert(std::adjacent_find(scratch_tx_.begin(), scratch_tx_.end(),
+                            [](const Route& a, const Route& b) {
+                              return a.path_id >= b.path_id;
+                            }) == scratch_tx_.end());
+  for (Route& r : scratch_tx_) {
+    r.learned_from = config_.id;
+    r.via = bgp::LearnedVia::kIbgp;
+  }
+  return bgp::RouteSetRef{*route_sets_, scratch_tx_};
+}
+
+Speaker::TxMemo* Speaker::memo(OutGroup& g, PrefixId pid) {
+  if (g.members.size() <= kMemoMembers) return nullptr;
+  if (g.memo.size() <= pid) g.memo.resize(prefix_index_->size());
+  return &g.memo[pid];
 }
 
 std::uint64_t& Speaker::sent_hash(PeerState& ps, int key, PrefixId pid) {
@@ -976,15 +1062,11 @@ void Speaker::inject_ebgp(RouterId neighbor, Route route) {
     route.learned_from = neighbor;
     route.via = bgp::LearnedVia::kEbgp;
   }
-  bgp::UpdateMessage msg;
-  msg.prefix = route.prefix;
-  enqueue(Incoming{neighbor, std::move(msg), /*ebgp=*/true, route});
+  enqueue(Incoming{neighbor, route.prefix, {}, /*ebgp=*/true, route});
 }
 
 void Speaker::withdraw_ebgp(RouterId neighbor, const Ipv4Prefix& prefix) {
-  bgp::UpdateMessage msg;
-  msg.prefix = prefix;
-  enqueue(Incoming{neighbor, std::move(msg), /*ebgp=*/true, Route{}});
+  enqueue(Incoming{neighbor, prefix, {}, /*ebgp=*/true, Route{}});
 }
 
 void Speaker::originate(Route route) {
@@ -995,9 +1077,7 @@ void Speaker::originate(Route route) {
     route.attrs = bgp::with_attrs(
         route.attrs, [&](bgp::PathAttrs& a) { a.next_hop = config_.id; });
   }
-  bgp::UpdateMessage msg;
-  msg.prefix = route.prefix;
-  enqueue(Incoming{bgp::kNoRouter, std::move(msg), /*ebgp=*/true, route});
+  enqueue(Incoming{bgp::kNoRouter, route.prefix, {}, /*ebgp=*/true, route});
 }
 
 std::size_t Speaker::rib_out_size() const {

@@ -4,11 +4,17 @@
 //
 // Advertisement rules follow Table 1 of the paper exactly; see the
 // per-role comments in speaker.cpp. All iBGP transmissions use per-sender
-// replacement semantics: an UpdateMessage is the complete new set of
+// replacement semantics: a net::Message is the complete new set of
 // routes the sender advertises for that prefix (full_set), which for
 // single-path modes is just a set of size one and models BGP's implicit
 // per-prefix withdraw, and for ARRs models add-paths conveying the whole
 // best-AS-level set with each update (§2.1, §3.4).
+//
+// Reflection by handle: the sender builds the set a receiver stores
+// (learned_from = the sender, via iBGP) once per Adj-RIB-Out change of a
+// peer group and sends every member a reference to it; a receiver that
+// filters nothing from it keeps it as delivered. A real speaker likewise
+// builds one UPDATE per peer group and copies it to every member.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +29,7 @@
 #include "bgp/prefix_index.h"
 #include "bgp/rib.h"
 #include "bgp/route.h"
-#include "bgp/update.h"
+#include "bgp/route_set_store.h"
 #include "ibgp/ebgp_export.h"
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -192,15 +198,14 @@ class Speaker {
   /// state and the dirty-prefix coalescing; a testbed shares one between
   /// its speakers. When null the speaker owns a private one. `aps`, when
   /// given, must be built over the same index from config().ap_of; the
-  /// prefixes it covers take their APs from it. `route_sets` stores the
-  /// route sets of the Adj-RIB-In and the Adj-RIB-Outs; a testbed shares
-  /// one between its speakers, and when null the speaker owns a private
-  /// one.
+  /// prefixes it covers take their APs from it. The route sets of the
+  /// Adj-RIB-In and the Adj-RIB-Outs live in the network's store
+  /// (net::Network::route_sets()), which every speaker on the network
+  /// shares and every message's set lives in.
   Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
           net::Network& network, obs::MetricsRegistry* metrics = nullptr,
           std::shared_ptr<bgp::PrefixIndex> index = nullptr,
-          std::shared_ptr<const PrefixApTable> aps = nullptr,
-          std::shared_ptr<bgp::RouteSetStore> route_sets = nullptr);
+          std::shared_ptr<const PrefixApTable> aps = nullptr);
 
   Speaker(const Speaker&) = delete;
   Speaker& operator=(const Speaker&) = delete;
@@ -339,6 +344,11 @@ class Speaker {
   SpeakerCounters counters() const;
   /// Heap bytes by structure, at this moment.
   SpeakerMemory memory() const;
+  /// Visits every stored set this speaker holds a reference to, once per
+  /// reference: Adj-RIB-In runs, Adj-RIB-Out slots, transmission memos
+  /// and queued received sets.
+  void for_each_held_set(
+      const std::function<void(const bgp::RouteSet&)>& fn) const;
   /// The registry holding this speaker's counter cells (the testbed's
   /// shared registry, or the speaker's own when none was passed in).
   obs::MetricsRegistry& metrics() { return *metrics_; }
@@ -364,12 +374,28 @@ class Speaker {
 
   struct PeerState;
 
+  /// One Adj-RIB-Out slot's set in receiver form, as sent to every member
+  /// that none of its routes came from: built at the first transmission
+  /// after the slot changed, reused by the others.
+  struct TxMemo {
+    bgp::RouteSetRef routes;  // null until built
+    std::uint64_t hash = 0;   // route_set_hash; 0 = not computed yet
+    std::uint64_t bytes = 0;  // wire bytes of the UPDATE carrying it
+  };
+
   struct OutGroup {
     bgp::AdjRibOut rib;
     /// Member peers, in join order. Entries of `peers_`, which is
     /// node-based and never erased, so the pointers stay valid.
     std::vector<PeerState*> members;
+    /// Per PrefixId; kept only for groups of more than kMemoMembers
+    /// members, and grown when an id past its end is first used.
+    std::vector<TxMemo> memo;
   };
+  /// Groups up to this size (a client's uplink to its redundant
+  /// reflectors) build their set per transmission: a memo per prefix
+  /// would cost more memory than the one build it saves.
+  static constexpr std::size_t kMemoMembers = 2;
 
   /// A (group, prefix) transmission waiting for the MRAI flush.
   struct PendingTx {
@@ -403,8 +429,9 @@ class Speaker {
 
   struct Incoming {
     RouterId from;
-    /// iBGP: the received message. eBGP: carries only the prefix.
-    bgp::UpdateMessage msg;
+    bgp::Ipv4Prefix prefix;
+    /// iBGP: the received set (null = withdrawn). eBGP: null.
+    bgp::RouteSetRef routes;
     bool ebgp = false;
     /// eBGP: the injected or originated route, held inline so a feed
     /// event allocates nothing; an invalid route withdraws.
@@ -422,11 +449,12 @@ class Speaker {
   }
 
   // -- receive path --
-  void receive(RouterId from, bgp::UpdateMessage&& msg);
+  void receive(RouterId from, net::Message&& msg);
   void enqueue(Incoming&& incoming);
   void drain_input();
   /// Applies one message to the Adj-RIB-In; appends dirty prefixes.
-  /// Stamps and filters the message's routes in place.
+  /// Keeps the delivered set when it is in receiver form and nothing is
+  /// filtered or reduced; otherwise stores a stamped, filtered copy.
   void apply(Incoming& incoming, std::vector<bgp::IndexedPrefix>& dirty);
   /// Appends `prefix` to `dirty` unless already marked this drain epoch.
   void mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
@@ -459,6 +487,11 @@ class Speaker {
   void flush_peer(PeerState& peer);
   void transmit(PeerState& peer, int group, const Ipv4Prefix& prefix,
                 PrefixId pid);
+  /// scratch_tx_'s routes in receiver form (learned_from = this speaker,
+  /// via iBGP), stored.
+  bgp::RouteSetRef receiver_form();
+  /// The slot's memo when the group keeps memos, else nullptr.
+  TxMemo* memo(OutGroup& g, PrefixId pid);
 
   std::uint64_t& sent_hash(PeerState& peer, int group, PrefixId pid);
   /// Exact (group, prefix) key for the pending set.
@@ -548,6 +581,9 @@ class Speaker {
   // stores them in the shared RouteSetStore.
   std::vector<Route> scratch_out_;
   std::vector<Route> scratch_to_rrs_;
+  // transmit()'s receiver-form copy and apply()'s stamped, filtered copy.
+  std::vector<Route> scratch_tx_;
+  std::vector<Route> scratch_rx_;
   std::vector<ApId> scratch_aps_;
   // flush_peer's batch; swapped with a peer's pending list.
   std::vector<PendingTx> flush_batch_;

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "bgp/update.h"
+#include "net/message.h"
 #include "sim/time.h"
 
 namespace abrr::net {
@@ -47,7 +47,7 @@ struct ChannelState {
   /// Messages dropped by faults (loss bursts, dead endpoints, resets).
   std::uint64_t dropped = 0;
   /// Messages awaiting a link restore, in send order.
-  std::vector<bgp::UpdateMessage> buffered;
+  std::vector<Message> buffered;
 };
 
 }  // namespace abrr::net

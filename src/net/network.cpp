@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -49,8 +50,7 @@ bool Network::connected(RouterId a, RouterId b) const {
   return channels_.count(key(a, b)) != 0;
 }
 
-void Network::dispatch(Channel& ch, const Receiver& receiver,
-                       bgp::UpdateMessage msg) {
+void Network::dispatch(Channel& ch, const Receiver& receiver, Message msg) {
   ChannelState& st = ch.state;
   sim::Time latency = st.base_latency + st.extra_delay;
   if (st.jitter > 0) latency += rng_->uniform_int(0, st.jitter);
@@ -74,7 +74,7 @@ void Network::arm(Channel& ch) {
 }
 
 void Network::deliver(Channel& ch) {
-  bgp::UpdateMessage msg = std::move(in_flight_.front(ch.in_flight).msg);
+  Message msg = std::move(in_flight_.front(ch.in_flight).msg);
   in_flight_.pop(ch.in_flight);
   // Due times strictly increase along the queue, so the next head is
   // still ahead of this event and keeps its reserved place.
@@ -82,8 +82,9 @@ void Network::deliver(Channel& ch) {
   (*ch.receiver)(ch.from, std::move(msg));
 }
 
-void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
+void Network::send(RouterId from, RouterId to, Message msg,
                    std::uint64_t bytes) {
+  assert(!msg.routes || msg.routes.store() == route_sets_.get());
   const auto cit = channels_.find(key(from, to));
   if (cit == channels_.end()) {
     throw std::logic_error{"send: no session " + std::to_string(from) +
@@ -129,7 +130,14 @@ void Network::send(RouterId from, RouterId to, bgp::UpdateMessage msg,
     m_msg_bytes_->record(static_cast<double>(bytes));
   }
   if (tracer_ != nullptr && tracer_->packets() != nullptr) {
-    const auto encoded = encoder_.encode(msg);
+    // The codec's model of the message, built only to be encoded.
+    bgp::UpdateMessage update;
+    update.prefix = msg.prefix;
+    const std::span<const bgp::Route> routes = msg.routes.routes();
+    update.announce.assign(routes.begin(), routes.end());
+    update.full_set = !msg.keepalive;
+    update.keepalive = msg.keepalive;
+    const auto encoded = encoder_.encode(update);
     tracer_->packets()->record(from, to, encoded.data(), encoded.size());
   }
 
@@ -154,11 +162,11 @@ void Network::set_link(RouterId a, RouterId b, bool up) {
     if (ch.up == up) continue;
     ch.up = up;
     if (!up) continue;
-    std::vector<bgp::UpdateMessage> flush;
+    std::vector<Message> flush;
     flush.swap(ch.buffered);
     // send() refused to buffer toward an unregistered endpoint.
     const Receiver& receiver = endpoints_.at(to);
-    for (bgp::UpdateMessage& msg : flush) {
+    for (Message& msg : flush) {
       dispatch(channel, receiver, std::move(msg));
     }
   }

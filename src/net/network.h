@@ -3,14 +3,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "bgp/route_set_store.h"
 #include "bgp/types.h"
-#include "bgp/update.h"
 #include "net/channel.h"
+#include "net/message.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/random.h"
@@ -23,9 +25,9 @@ namespace abrr::net {
 using bgp::RouterId;
 
 /// Delivery callback: (sender, message). The message is handed over by
-/// rvalue so a receiver can keep its payload without copying it; a
-/// callable taking `const bgp::UpdateMessage&` works as well.
-using Receiver = std::function<void(RouterId, bgp::UpdateMessage&&)>;
+/// rvalue so a receiver can keep its set's reference; a callable taking
+/// `const Message&` works as well.
+using Receiver = std::function<void(RouterId, Message&&)>;
 
 /// Reliable in-order message fabric between registered endpoints.
 ///
@@ -37,13 +39,19 @@ using Receiver = std::function<void(RouterId, bgp::UpdateMessage&&)>;
 class Network {
  public:
   Network(sim::Scheduler& scheduler, sim::Rng& rng)
-      : scheduler_(&scheduler), rng_(&rng) {}
+      : route_sets_(std::make_shared<bgp::RouteSetStore>()),
+        scheduler_(&scheduler),
+        rng_(&rng) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   /// Registers an endpoint's receive handler. Re-registering replaces it.
   void register_endpoint(RouterId id, Receiver receiver);
+
+  /// The handler registered for `id` (throws std::out_of_range when there
+  /// is none), so a caller can interpose on the endpoint's deliveries.
+  const Receiver& receiver(RouterId id) const { return endpoints_.at(id); }
 
   /// Establishes the transport both ways with the given one-way latency
   /// and per-message jitter bound.
@@ -58,15 +66,24 @@ class Network {
   /// delivery event scheduled at send time would fire. Throws if the
   /// channel does not exist. While the link is down the message is
   /// buffered; while the destination endpoint is down it is dropped.
-  /// `bytes` must be measure(msg): a sender that counts the bytes itself
-  /// measures once and passes the result on.
-  void send(RouterId from, RouterId to, bgp::UpdateMessage msg,
-            std::uint64_t bytes);
+  /// The message's set must live in route_sets(). `bytes` must be
+  /// measure(msg): a sender that counts the bytes itself measures once
+  /// (for a set it sends to many peers, once for all of them) and passes
+  /// the result on.
+  void send(RouterId from, RouterId to, Message msg, std::uint64_t bytes);
 
   /// send() for callers that do not count bytes themselves.
-  void send(RouterId from, RouterId to, bgp::UpdateMessage msg) {
+  void send(RouterId from, RouterId to, Message msg) {
     const std::uint64_t bytes = measure(msg);
     send(from, to, std::move(msg), bytes);
+  }
+
+  /// The store every message's set lives in. The speakers of this
+  /// network keep their RIBs' sets in it too, so a receiver can keep a
+  /// delivered set by handle. The network holds it until its own
+  /// in-flight messages are gone.
+  const std::shared_ptr<bgp::RouteSetStore>& route_sets() const {
+    return route_sets_;
   }
 
   // --- fault-injection hooks -----------------------------------------
@@ -118,15 +135,16 @@ class Network {
   /// Messages dropped by fault hooks (loss, dead endpoints, resets).
   std::uint64_t total_dropped() const { return total_dropped_; }
 
-  /// Heap bytes of the channel table and the in-flight queue pool (the
-  /// pool's chunks, not the route vectors of queued messages).
+  /// Heap bytes of the channel table and the in-flight queue pool. The
+  /// queued messages' sets are the store's (RouteSetStore::bytes).
   std::size_t queue_bytes() const;
 
   /// The encoded length of `msg`, as send() accounts it. Speakers use
   /// this for their own byte counters so every layer reports the same
   /// measured number.
-  std::uint64_t measure(const bgp::UpdateMessage& msg) {
-    return sizer_.message_size(msg);
+  std::uint64_t measure(const Message& msg) {
+    return msg.keepalive ? wire::kHeaderSize
+                         : sizer_.full_set_size(msg.prefix, msg.routes.routes());
   }
 
   /// Per-directed-channel counters, or nullptr if not connected.
@@ -140,7 +158,7 @@ class Network {
   struct InFlight {
     sim::Time at = 0;
     std::uint64_t seq = 0;
-    bgp::UpdateMessage msg;
+    Message msg;
   };
 
   /// One directed channel: its public state plus its in-flight queue
@@ -162,13 +180,14 @@ class Network {
   /// Queues `msg` on `ch` behind its in-flight messages, fixing its due
   /// time and event sequence number now. The channel must be up and its
   /// endpoint registered (`receiver` is its slot).
-  void dispatch(Channel& ch, const Receiver& receiver,
-                bgp::UpdateMessage msg);
+  void dispatch(Channel& ch, const Receiver& receiver, Message msg);
   /// Schedules the delivery event of `ch`'s head message.
   void arm(Channel& ch);
   /// Delivers `ch`'s head message and arms the next one.
   void deliver(Channel& ch);
 
+  // Declared first, so it outlives the messages below.
+  std::shared_ptr<bgp::RouteSetStore> route_sets_;
   sim::Scheduler* scheduler_;
   sim::Rng* rng_;
   // Node-based maps with no erase: an armed delivery holds a pointer to

@@ -161,8 +161,13 @@ World build_world(const ScenarioSpec& spec, std::uint64_t seed) {
 
 bool converge(harness::Testbed& bed, sim::Time inputs_end) {
   if (bed.config().timing.hold_time > 0) {
+    // The same events run as in one run to +40 s; the split only reads
+    // the UPDATE count at +30 s.
+    bed.run_until(inputs_end + sim::sec(30));
+    const std::uint64_t updates =
+        bed.metrics().sum_counters("speaker.updates_received");
     bed.run_until(inputs_end + sim::sec(40));
-    return true;
+    return bed.metrics().sum_counters("speaker.updates_received") == updates;
   }
   return bed.run_to_quiescence(500'000'000);
 }

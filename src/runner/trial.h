@@ -121,7 +121,8 @@ World build_world(const ScenarioSpec& spec, std::uint64_t seed);
 /// its event queue drains (false when 500M events did not drain it). A
 /// bed with hold timers never drains, since keepalives tick forever: it
 /// runs to 40 s past `inputs_end`, the time of its last scheduled
-/// input, and counts as converged.
+/// input, and counts as converged when no speaker received an UPDATE in
+/// the last 10 s of that run (keepalives do not count).
 bool converge(harness::Testbed& bed, sim::Time inputs_end);
 
 /// build_world's generators. Only build_world and the callers that need

@@ -20,7 +20,7 @@ namespace abrr::sim {
 /// Type-erased move-only `void()` callable with `Capacity` bytes of
 /// inline storage. Unlike std::function it is move-only (no copy), which
 /// is exactly what a scheduler slot needs and lets it hold move-only
-/// captures (e.g. a moved-in UpdateMessage).
+/// captures (e.g. a moved-in net::Message).
 template <std::size_t Capacity>
 class InplaceFunction {
  public:

@@ -317,14 +317,24 @@ std::size_t WireSizer::attrs_size(const bgp::PathAttrs& attrs) {
 
 std::uint64_t WireSizer::message_size(const bgp::UpdateMessage& msg) {
   if (msg.keepalive) return kHeaderSize;
+  const bool withdraw_all = msg.full_set && msg.announce.empty();
+  return train_size(msg.prefix,
+                    msg.full_set ? (withdraw_all ? 1 : 0) : msg.withdraw.size(),
+                    msg.announce);
+}
 
+std::uint64_t WireSizer::full_set_size(const bgp::Ipv4Prefix& prefix,
+                                       std::span<const bgp::Route> routes) {
+  return train_size(prefix, routes.empty() ? 1 : 0, routes);
+}
+
+std::uint64_t WireSizer::train_size(const bgp::Ipv4Prefix& prefix,
+                                    std::size_t n_withdraw,
+                                    std::span<const bgp::Route> announce) {
   std::uint64_t total = 0;
-  const std::size_t entry = nlri_size(msg.prefix);
+  const std::size_t entry = nlri_size(prefix);
 
   // Withdraw-only leading message train (mirrors Encoder::encode).
-  const bool withdraw_all = msg.full_set && msg.announce.empty();
-  std::size_t n_withdraw =
-      msg.full_set ? (withdraw_all ? 1 : 0) : msg.withdraw.size();
   while (n_withdraw > 0) {
     const std::size_t fit = (kMaxMessageSize - kHeaderSize - 4) / entry;
     const std::size_t take = std::min(n_withdraw, std::max<std::size_t>(fit, 1));
@@ -334,7 +344,7 @@ std::uint64_t WireSizer::message_size(const bgp::UpdateMessage& msg) {
 
   // Announce groups, first-seen order.
   order_.clear();
-  for (const bgp::Route& r : msg.announce) {
+  for (const bgp::Route& r : announce) {
     if (std::find(order_.begin(), order_.end(), r.attrs) == order_.end()) {
       order_.push_back(r.attrs);
     }
@@ -342,7 +352,7 @@ std::uint64_t WireSizer::message_size(const bgp::UpdateMessage& msg) {
   for (const bgp::AttrsPtr attrs : order_) {
     const std::size_t alen = attrs_size(*attrs);
     std::size_t members = 0;
-    for (const bgp::Route& r : msg.announce) {
+    for (const bgp::Route& r : announce) {
       if (r.attrs == attrs) ++members;
     }
     const std::size_t base = kHeaderSize + 4 + alen;

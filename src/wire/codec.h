@@ -192,11 +192,21 @@ class WireSizer {
   /// Exact total wire length of the message train encode() would emit.
   std::uint64_t message_size(const bgp::UpdateMessage& msg);
 
+  /// message_size() of the full-set UPDATE that announces `routes` for
+  /// `prefix` (no routes: the prefix is withdrawn), without building it.
+  std::uint64_t full_set_size(const bgp::Ipv4Prefix& prefix,
+                              std::span<const bgp::Route> routes);
+
   /// Exact length of one attribute block (the stored length when the
   /// block has one, bgp::encoded_attrs_size otherwise).
   static std::size_t attrs_size(const bgp::PathAttrs& attrs);
 
  private:
+  /// `n_withdraw` withdrawn path ids, then `announce` grouped by block.
+  std::uint64_t train_size(const bgp::Ipv4Prefix& prefix,
+                           std::size_t n_withdraw,
+                           std::span<const bgp::Route> announce);
+
   std::vector<const bgp::PathAttrs*> order_;  // message_size() scratch
 };
 

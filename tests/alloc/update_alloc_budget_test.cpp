@@ -2,13 +2,17 @@
 //
 // Replaces the global operator new with a counting one and runs a small
 // ABRR testbed from an empty state to quiescence, then through a short
-// update trace. Every reflected UPDATE is a heap-allocated route vector
-// that the sender builds and the receiver keeps; everything else on the
-// path (network delivery, input queue, drain batch, Adj-RIB-Out commit,
-// MRAI dedup, AP lookup, byte accounting) must reuse storage. The test
-// asserts at most 2 allocations per delivered UPDATE, amortized over the
-// run: the payload, plus the RIB and interner growth that the table
-// load itself needs.
+// update trace. An UPDATE carries a handle to a set in the shared
+// route-set store, whose blocks come from an arena, so delivering one
+// allocates nothing of its own; everything else on the path (network
+// delivery, input queue, drain batch, Adj-RIB-Out commit, MRAI dedup,
+// AP lookup, byte accounting) must reuse storage too. What remains is
+// the growth that the table load itself needs: RIB slots and run lists,
+// store arena chunks, interner slabs. The run measures 1.058 allocations
+// per delivered UPDATE (35,643 for 33,686); the test asserts at most
+// kBudget = 1.2, amortized over the run, a 13% margin for that growth.
+// (Before sets crossed the network by handle, each UPDATE's route
+// vector was an allocation of its own: 1.883 per UPDATE.)
 //
 // Its own binary: the replaced operator new applies to the whole
 // program.
@@ -133,7 +137,9 @@ runner::ScenarioSpec small_abrr() {
   return spec;
 }
 
-TEST(UpdateAllocationBudget, AtMostTwoAllocationsPerDeliveredUpdate) {
+constexpr double kBudget = 1.2;
+
+TEST(UpdateAllocationBudget, AllocationsPerDeliveredUpdateStayWithinBudget) {
   const runner::ScenarioSpec spec = small_abrr();
   const std::uint64_t seed = 5;
   bgp::AttrsInterner::TrialScope attrs_scope{spec.expected_attr_blocks()};
@@ -161,7 +167,7 @@ TEST(UpdateAllocationBudget, AtMostTwoAllocationsPerDeliveredUpdate) {
       static_cast<double>(allocations) / static_cast<double>(delivered);
   RecordProperty("allocations", static_cast<int>(allocations));
   RecordProperty("delivered_updates", static_cast<int>(delivered));
-  EXPECT_LE(per_update, 2.0) << allocations << " allocations for "
+  EXPECT_LE(per_update, kBudget) << allocations << " allocations for "
                              << delivered << " delivered UPDATEs";
   std::printf("%llu allocations / %llu delivered UPDATEs = %.3f per UPDATE\n",
               static_cast<unsigned long long>(allocations),

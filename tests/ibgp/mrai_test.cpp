@@ -45,9 +45,9 @@ class MraiTest : public ::testing::Test {
     net.connect(kSpeaker, kTap, sim::msec(1));
     speaker->add_peer(PeerInfo{.id = kTap});
     speaker->start();
-    net.register_endpoint(kTap, [this](RouterId, const bgp::UpdateMessage& m) {
+    net.register_endpoint(kTap, [this](RouterId, const net::Message& m) {
       std::vector<bgp::Asn> path;
-      if (!m.announce.empty()) path = m.announce.front().attrs->as_path.asns();
+      if (m.routes) path = m.routes.routes().front().attrs->as_path.asns();
       seen.push_back(Seen{sched.now(), m.prefix, path});
     });
   }

@@ -346,7 +346,7 @@ TEST(AbrrSentHash, StripesStaySeparateWhenTheIndexGrows) {
   arr.add_peer(PeerInfo{.id = kTap, .rr_client = true});
   arr.start();
   std::map<Ipv4Prefix, int> sent;
-  net.register_endpoint(kTap, [&](RouterId, const bgp::UpdateMessage& m) {
+  net.register_endpoint(kTap, [&](RouterId, const net::Message& m) {
     ++sent[m.prefix];
   });
   const auto route = [](const Ipv4Prefix& pfx, bgp::Asn first) {
@@ -367,16 +367,15 @@ TEST(AbrrSentHash, StripesStaySeparateWhenTheIndexGrows) {
   // The tap adds its own kLow route: the reflected set changes, but the
   // tap's view of it (its own route filtered out) does not, so the hash
   // recorded before the growth must suppress a resend.
-  bgp::UpdateMessage from_tap;
-  from_tap.prefix = kLow;
-  from_tap.full_set = true;
-  from_tap.announce.push_back(RouteBuilder{kLow}
-                                  .path_id(kTap)
-                                  .local_pref(100)
-                                  .as_path({65002})
-                                  .next_hop(kTap)
-                                  .build());
-  net.send(kTap, kArr, std::move(from_tap));
+  const Route tap_route = RouteBuilder{kLow}
+                              .path_id(kTap)
+                              .local_pref(100)
+                              .as_path({65002})
+                              .next_hop(kTap)
+                              .build();
+  net.send(kTap, kArr,
+           net::Message{kLow, bgp::RouteSetRef{*net.route_sets(),
+                                               {&tap_route, 1}}});
   ASSERT_TRUE(sched.run_to_quiescence(100000));
   EXPECT_EQ(arr.out_group(Speaker::arr_group(0))->get(kLow)->size(), 2u);
   EXPECT_EQ(sent[kLow], 1);

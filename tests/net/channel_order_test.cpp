@@ -15,30 +15,35 @@ namespace {
 
 using bgp::Ipv4Prefix;
 using bgp::RouteBuilder;
-using bgp::UpdateMessage;
 
-UpdateMessage msg(int tag) {
-  UpdateMessage m;
-  m.prefix = Ipv4Prefix::parse("10.0.0.0/8");
-  m.announce.push_back(RouteBuilder{m.prefix}
-                           .path_id(static_cast<bgp::PathId>(tag))
-                           .as_path({65001})
-                           .build());
-  return m;
-}
-
-int tag_of(const UpdateMessage& m) {
-  return static_cast<int>(m.announce.front().path_id);
+int tag_of(const Message& m) {
+  return static_cast<int>(m.routes.routes().front().path_id);
 }
 
 class ChannelOrderTest : public ::testing::Test {
  protected:
   ChannelOrderTest() {
-    net.register_endpoint(1, [](RouterId, const UpdateMessage&) {});
-    net.register_endpoint(2, [&](RouterId, const UpdateMessage& m) {
+    net.register_endpoint(1, [](RouterId, const Message&) {});
+    net.register_endpoint(2, [&](RouterId, const Message& m) {
       delivered.push_back(tag_of(m));
     });
     net.connect(1, 2, sim::msec(5), /*jitter=*/sim::msec(20));
+  }
+
+  /// Every message is delivered or dropped by the end of a test, and
+  /// either way its set is given back.
+  void TearDown() override {
+    EXPECT_EQ(net.route_sets()->live_blocks(), 0u);
+  }
+
+  /// A one-route message whose path id is `tag`.
+  Message msg(int tag) {
+    const Ipv4Prefix p = Ipv4Prefix::parse("10.0.0.0/8");
+    const bgp::Route r = RouteBuilder{p}
+                             .path_id(static_cast<bgp::PathId>(tag))
+                             .as_path({65001})
+                             .build();
+    return Message{p, bgp::RouteSetRef{*net.route_sets(), {&r, 1}}};
   }
 
   /// The delivered tags must be a strictly increasing subsequence of
