@@ -143,8 +143,8 @@ class Network {
   /// this for their own byte counters so every layer reports the same
   /// measured number.
   std::uint64_t measure(const Message& msg) {
-    return msg.keepalive ? wire::kHeaderSize
-                         : sizer_.full_set_size(msg.prefix, msg.routes.routes());
+    if (msg.keepalive) return wire::kHeaderSize;
+    return sizer_.full_set_size(msg.prefix, msg.routes.routes());
   }
 
   /// Per-directed-channel counters, or nullptr if not connected.
