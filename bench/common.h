@@ -18,11 +18,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "build_stamp.h"
 #include "harness/testbed.h"
 #include "runner/arg_parser.h"
 #include "runner/runner.h"
@@ -146,14 +146,19 @@ inline runner::ScenarioSpec paper_spec(ibgp::IbgpMode mode,
 }
 
 /// Collects the aggregated metrics-registry dump of every testbed a
-/// bench runs and writes one JSON report on destruction:
-///   {"bench": "...", "sections": [{"label": "...", "metrics": {...}}]}
+/// bench runs and writes one JSON report on destruction, opening with
+/// the build stamp (build_stamp.h):
+///   {"bench": "...", "host_cpus": N, ..., "git": "...",
+///    "sections": [{"label": "...", "metrics": {...}}]}
 /// With an empty path every call is a no-op, so benches can capture
-/// unconditionally.
+/// unconditionally. Construct it before the bench writes any file into
+/// the checkout: it reads the git revision then.
 class MetricsSink {
  public:
   MetricsSink(std::string bench, std::string path)
-      : bench_(std::move(bench)), path_(std::move(path)) {}
+      : bench_(std::move(bench)), path_(std::move(path)) {
+    if (enabled()) revision_ = git_revision();
+  }
 
   MetricsSink(const MetricsSink&) = delete;
   MetricsSink& operator=(const MetricsSink&) = delete;
@@ -174,13 +179,6 @@ class MetricsSink {
     sections_.emplace_back(label, std::move(metrics_json));
   }
 
-  /// Writes `stamp` (JSON members, one per line, each followed by a
-  /// comma) between the bench name and the sections, e.g.
-  /// bench::write_build_stamp for a report that names its host and build.
-  void set_stamp(std::function<void(std::FILE*)> stamp) {
-    stamp_ = std::move(stamp);
-  }
-
   ~MetricsSink() {
     if (!enabled() || sections_.empty()) return;
     FILE* f = std::fopen(path_.c_str(), "w");
@@ -188,14 +186,9 @@ class MetricsSink {
       std::fprintf(stderr, "error: cannot write %s\n", path_.c_str());
       return;
     }
-    if (stamp_) {
-      std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_.c_str());
-      stamp_(f);
-      std::fprintf(f, "  \"sections\": [\n");
-    } else {
-      std::fprintf(f, "{\"bench\": \"%s\", \"sections\": [\n",
-                   bench_.c_str());
-    }
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_.c_str());
+    write_build_stamp(f, revision_);
+    std::fprintf(f, "  \"sections\": [\n");
     for (std::size_t i = 0; i < sections_.size(); ++i) {
       std::fprintf(f, "{\"label\": \"%s\", \"metrics\": %s}%s\n",
                    sections_[i].first.c_str(), sections_[i].second.c_str(),
@@ -209,7 +202,7 @@ class MetricsSink {
  private:
   std::string bench_;
   std::string path_;
-  std::function<void(std::FILE*)> stamp_;
+  std::string revision_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 

@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
   const auto results = run.run(specs);
 
   MetricsSink sink{"fault_resilience", cfg.metrics_out};
-  sink.set_stamp([&](std::FILE* f) { write_build_stamp(f, revision); });
   for (const runner::TrialResult& r : results) {
     if (!r.error.empty()) {
       std::fprintf(stderr, "error: %s: %s\n", r.scenario.c_str(),

@@ -3,7 +3,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "bgp/attributes.h"
 #include "bgp/prefix.h"
@@ -66,9 +65,6 @@ struct Route {
 /// distinct advertised sets. Routes with interned attributes hash via
 /// their cached content hash.
 std::uint64_t route_set_hash(std::span<const Route> routes);
-inline std::uint64_t route_set_hash(const std::vector<Route>& routes) {
-  return route_set_hash(std::span<const Route>{routes});
-}
 
 /// Same hash over a pointer set (the copy-free pipeline's currency).
 std::uint64_t route_set_hash(std::span<const Route* const> routes);

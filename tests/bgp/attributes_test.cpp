@@ -85,14 +85,16 @@ TEST(Route, SetHashStableAndSensitive) {
   const Route a = RouteBuilder{pfx}.path_id(1).as_path({1}).med(5).build();
   const Route b = RouteBuilder{pfx}.path_id(2).as_path({2}).build();
 
-  const auto h1 = route_set_hash({a, b});
-  const auto h2 = route_set_hash({a, b});
+  using Set = std::vector<Route>;
+  const auto h1 = route_set_hash(Set{a, b});
+  const auto h2 = route_set_hash(Set{a, b});
   EXPECT_EQ(h1, h2);
   EXPECT_NE(h1, 0u);
-  EXPECT_NE(route_set_hash({a}), route_set_hash({a, b}));
-  EXPECT_NE(route_set_hash({a, b}), route_set_hash({b, a}));  // order matters
+  EXPECT_NE(route_set_hash(Set{a}), route_set_hash(Set{a, b}));
+  EXPECT_NE(route_set_hash(Set{a, b}),
+            route_set_hash(Set{b, a}));  // order matters
   // empty set hashes to a sentinel != 0
-  EXPECT_NE(route_set_hash(std::vector<Route>{}), 0u);
+  EXPECT_NE(route_set_hash(Set{}), 0u);
 }
 
 }  // namespace
