@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
         if (r.via != bgp::LearnedVia::kIbgp) return;
         s.routes += 1;
         // Attribute bytes attributable to loop prevention.
-        s.cluster_hops += static_cast<double>(r.attrs->cluster_list.size());
-        s.with_originator += r.attrs->originator_id ? 1 : 0;
+        s.cluster_hops += static_cast<double>(r.attrs->cluster_list().size());
+        s.with_originator += r.attrs->originator_id() ? 1 : 0;
         s.with_bit +=
             r.attrs->has_ext_community(bgp::kAbrrReflectedCommunity) ? 1 : 0;
-        s.bytes += 4.0 * static_cast<double>(r.attrs->cluster_list.size()) +
-                   (r.attrs->originator_id ? 4.0 : 0.0) +
+        s.bytes += 4.0 * static_cast<double>(r.attrs->cluster_list().size()) +
+                   (r.attrs->originator_id() ? 4.0 : 0.0) +
                    (r.attrs->has_ext_community(bgp::kAbrrReflectedCommunity)
                         ? 8.0
                         : 0.0);

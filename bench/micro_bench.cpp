@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/attrs_intern.h"
 #include "bgp/decision.h"
 #include "bgp/flat_lpm.h"
 #include "bgp/rib.h"
@@ -203,16 +204,17 @@ void BM_SchedulerThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerThroughput);
 
-// The trial allocation model in isolation: 1000 PathAttrs blocks built
-// per iteration, then the whole batch torn down at once. The arena bumps
-// a slab pointer and reuses the same chunks across resets.
+// The trial allocation model in isolation: storage for 1000 typical
+// attribute blocks per iteration, then the whole batch dropped at once.
+// The arena bumps a slab pointer and reuses the same chunks across
+// resets.
 void BM_ArenaAlloc(benchmark::State& state) {
   sim::Arena arena;
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) {
-      bgp::PathAttrs* attrs = arena.create<bgp::PathAttrs>();
-      attrs->local_pref = static_cast<std::uint32_t>(i);
-      benchmark::DoNotOptimize(attrs);
+      void* block = arena.allocate(bgp::AttrsInterner::kTypicalBlockBytes,
+                                   alignof(bgp::AttrBlock));
+      benchmark::DoNotOptimize(block);
     }
     arena.reset();
   }

@@ -10,6 +10,14 @@
 // load has converged) columns, the observed speedup, and the host and
 // build it ran on (CPUs, compiler, build type, git revision).
 //
+// --repeat=N runs both passes N times (every run must serialize
+// identically) and adds a per-trial `spread` object: the median, min and
+// max over the repetitions of the trial's CPU at each --jobs setting and
+// of each mem_*_mb column (from the --jobs=1 runs). The other per-trial
+// columns are the first repetition's. Trial CPU moves by tens of
+// percent between runs of one binary on a shared host, so one run
+// cannot show a CPU side effect.
+//
 // Reading the numbers: wall-clock speedup is bounded by the host's core
 // count (reported as host_cpus); with --jobs > cores, per-trial wall_ms
 // inflates with timesharing while cpu_ms stays flat. cpu_efficiency
@@ -17,8 +25,10 @@
 // independent signal: ~1.0 means the trials run contention-free — no
 // allocator locks, no refcount ping-pong — and parallel speedup is
 // limited only by the hardware the sweep happens to run on.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +40,33 @@ namespace {
 
 double mb(std::size_t bytes) { return static_cast<double>(bytes) / 1e6; }
 
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  const double median = n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  return Spread{median, v.front(), v.back()};
+}
+
+/// A trial's mem_*_mb columns, in the order the JSON writes them.
+std::vector<double> mem_columns(const abrr::harness::MemoryBreakdown& m) {
+  return {mb(m.rib_in),         mb(m.loc_rib),     mb(m.rib_out),
+          mb(m.route_sets),     mb(m.sent_hashes), mb(m.pending),
+          mb(m.attr_arena),     mb(m.channel_queues), mb(m.events),
+          mb(m.total())};
+}
+
+constexpr const char* kMemColumns[] = {
+    "mem_rib_in_mb",     "mem_loc_rib_mb",        "mem_rib_out_mb",
+    "mem_route_sets_mb", "mem_sent_hashes_mb",    "mem_pending_mb",
+    "mem_attr_arena_mb", "mem_channel_queues_mb", "mem_events_mb",
+    "mem_total_mb"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -39,9 +76,17 @@ int main(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.prefixes = 1000;  // 12 trials; keep each one modest by default
   cfg.jobs = 4;
+  std::size_t repeat = 1;
   runner::ArgParser parser{"sweep"};
   cfg.register_flags(parser);
+  parser.add("repeat",
+             "run both passes N times; adds per-trial median/min/max",
+             &repeat);
   parser.parse(argc, argv);
+  if (repeat == 0) {
+    std::fprintf(stderr, "error: --repeat must be at least 1\n");
+    return 2;
+  }
   const bool seeds_given = !cfg.seeds.empty();  // before finish() fills it
   cfg.finish(Seeds::kMany, ModeFilter::kHonoured);
   const std::size_t jobs = cfg.jobs == 0 ? 1 : cfg.jobs;
@@ -76,19 +121,38 @@ int main(int argc, char** argv) {
   };
 
   runner::ExperimentRunner serial{{.jobs = 1}};
-  double elapsed1 = 0;
-  const auto r1 = timed(serial, specs, &elapsed1);
-  std::printf("  --jobs=1: %.0fms\n", elapsed1);
-
   runner::ExperimentRunner pooled{{.jobs = jobs}};
+  // runs1[k] / runsn[k]: repetition k at --jobs=1 / --jobs=N.
+  std::vector<std::vector<runner::TrialResult>> runs1;
+  std::vector<std::vector<runner::TrialResult>> runsn;
+  double elapsed1 = 0;
   double elapsedn = 0;
-  const auto rn = timed(pooled, specs, &elapsedn);
-  std::printf("  --jobs=%zu: %.0fms\n", jobs, elapsedn);
+  for (std::size_t k = 0; k < repeat; ++k) {
+    double ms1 = 0;
+    runs1.push_back(timed(serial, specs, &ms1));
+    std::printf("  --jobs=1: %.0fms\n", ms1);
+    double msn = 0;
+    runsn.push_back(timed(pooled, specs, &msn));
+    std::printf("  --jobs=%zu: %.0fms\n", jobs, msn);
+    if (k == 0) {
+      elapsed1 = ms1;
+      elapsedn = msn;
+    }
+  }
+  const auto& r1 = runs1.front();
+  const auto& rn = runsn.front();
 
-  // The acceptance gate: canonical serializations must match pairwise.
+  // The acceptance gate: every run's canonical serializations must match
+  // the first --jobs=1 run's.
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < r1.size(); ++i) {
-    if (r1[i].serialize() != rn[i].serialize()) {
+    const std::string want = r1[i].serialize();
+    bool same = true;
+    for (std::size_t k = 0; k < repeat; ++k) {
+      same = same && runs1[k][i].serialize() == want &&
+             runsn[k][i].serialize() == want;
+    }
+    if (!same) {
       ++mismatches;
       std::fprintf(stderr, "MISMATCH trial %zu (%s seed=%llu)\n", i,
                    r1[i].scenario.c_str(),
@@ -121,7 +185,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"sweep\",\n  \"jobs\": %zu,\n", jobs);
+  std::fprintf(f,
+               "{\n  \"bench\": \"sweep\",\n  \"jobs\": %zu,\n"
+               "  \"repeat\": %zu,\n",
+               jobs, repeat);
   write_build_stamp(f, revision);
   std::fprintf(f, "  \"trials\": %zu,\n  \"identical\": %s,\n", r1.size(),
                mismatches == 0 ? "true" : "false");
@@ -151,7 +218,7 @@ int main(int argc, char** argv) {
                  "\"mem_pending_mb\": %.3f, \"mem_attr_arena_mb\": %.3f, "
                  "\"mem_channel_queues_mb\": %.3f, \"mem_events_mb\": %.3f, "
                  "\"mem_total_mb\": %.3f, "
-                 "\"converged\": %s}%s\n",
+                 "\"converged\": %s,\n      \"spread\": {",
                  r1[i].scenario.c_str(),
                  static_cast<unsigned long long>(r1[i].seed), r1[i].wall_ms,
                  rn[i].wall_ms, r1[i].cpu_ms, rn[i].cpu_ms,
@@ -165,8 +232,39 @@ int main(int argc, char** argv) {
                  mb(m.route_sets), mb(m.sent_hashes), mb(m.pending),
                  mb(m.attr_arena), mb(m.channel_queues), mb(m.events),
                  mb(m.total()),
-                 r1[i].converged ? "true" : "false",
-                 i + 1 < r1.size() ? "," : "");
+                 r1[i].converged ? "true" : "false");
+    // Median, min and max over the repetitions.
+    std::vector<double> cpu1;
+    std::vector<double> cpun;
+    std::vector<std::vector<double>> mem(std::size(kMemColumns));
+    for (std::size_t k = 0; k < repeat; ++k) {
+      cpu1.push_back(runs1[k][i].cpu_ms);
+      cpun.push_back(runsn[k][i].cpu_ms);
+      const std::vector<double> cols = mem_columns(runs1[k][i].memory);
+      for (std::size_t c = 0; c < cols.size(); ++c) mem[c].push_back(cols[c]);
+    }
+    const auto put = [&](const char* name, const std::vector<double>& v,
+                         bool last) {
+      const Spread s = spread_of(v);
+      std::fprintf(f,
+                   "\"%s\": {\"median\": %.3f, \"min\": %.3f, "
+                   "\"max\": %.3f}%s",
+                   name, s.median, s.min, s.max, last ? "" : ", ");
+    };
+    put("cpu_ms_jobs1", cpu1, false);
+    put("cpu_ms_jobsN", cpun, false);
+    for (std::size_t c = 0; c < mem.size(); ++c) {
+      put(kMemColumns[c], mem[c], c + 1 == mem.size());
+    }
+    std::fprintf(f, "}}%s\n", i + 1 < r1.size() ? "," : "");
+    if (repeat > 1) {
+      const Spread s = spread_of(cpu1);
+      const Spread t = spread_of(mem.back());
+      std::printf("  %s: cpu %.0f ms [%.0f, %.0f], mem_total %.2f MB "
+                  "[%.2f, %.2f] over %zu runs\n",
+                  r1[i].scenario.c_str(), s.median, s.min, s.max, t.median,
+                  t.min, t.max, repeat);
+    }
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -1,11 +1,14 @@
 #include "bgp/as_path.h"
 
-#include <algorithm>
-
 namespace abrr::bgp {
 
-bool AsPath::contains(Asn asn) const {
-  return std::find(asns_.begin(), asns_.end(), asn) != asns_.end();
+std::string AsPathView::to_string() const {
+  std::string out;
+  for (const Asn asn : asns_) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(asn);
+  }
+  return out;
 }
 
 AsPath AsPath::prepend(Asn asn) const {
@@ -14,15 +17,6 @@ AsPath AsPath::prepend(Asn asn) const {
   next.push_back(asn);
   next.insert(next.end(), asns_.begin(), asns_.end());
   return AsPath{std::move(next)};
-}
-
-std::string AsPath::to_string() const {
-  std::string out;
-  for (const Asn asn : asns_) {
-    if (!out.empty()) out += ' ';
-    out += std::to_string(asn);
-  }
-  return out;
 }
 
 }  // namespace abrr::bgp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <new>
 #include <utility>
 
 #include "sim/heap_bytes.h"
@@ -31,16 +32,9 @@ void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
 
-// Every stored block carries its exact wire length, so byte accounting
-// on the send path reads a field instead of walking the block.
-void store_encoded_size(PathAttrs& attrs) {
-  const std::size_t size = encoded_attrs_size(attrs);
-  attrs.encoded_size = size <= 0xffff ? static_cast<std::uint16_t>(size) : 0;
-}
-
 }  // namespace
 
-std::uint64_t attrs_content_hash(const PathAttrs& attrs) {
+std::uint64_t attrs_content_hash(const AttrsView& attrs) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   mix(h, static_cast<std::uint64_t>(attrs.origin) + 1);
   mix(h, attrs.next_hop);
@@ -69,23 +63,21 @@ AttrsInterner& AttrsInterner::global() {
   return active != nullptr ? *active : default_interner();
 }
 
-AttrsPtr AttrsInterner::intern(PathAttrs&& attrs) {
-  if (attrs.content_hash == 0) attrs.content_hash = attrs_content_hash(attrs);
-  const std::uint64_t hash = attrs.content_hash;
+AttrsPtr AttrsInterner::intern(const PathAttrs& attrs, std::uint64_t hash) {
   if (2 * (live_ + 1) > slots_.size()) {
     rehash(std::max<std::size_t>(16, 2 * slots_.size()));
   }
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = home(hash);
   for (; slots_[i].block != nullptr; i = (i + 1) & mask) {
-    if (slots_[i].hash == hash && *slots_[i].block == attrs) {
+    if (slots_[i].hash == hash && AttrsView{*slots_[i].block} == attrs) {
       ++hits_;
       return slots_[i].block;
     }
   }
   ++misses_;
-  store_encoded_size(attrs);
-  const PathAttrs* block = arena_.create<PathAttrs>(std::move(attrs));
+  void* mem = arena_.allocate(AttrBlock::bytes_for(attrs), alignof(AttrBlock));
+  const AttrBlock* block = ::new (mem) AttrBlock(attrs, hash);
   slots_[i] = Slot{hash, block};
   ++live_;
   return block;
@@ -108,19 +100,11 @@ void AttrsInterner::reserve(std::size_t expected_blocks) {
   if (2 * expected_blocks > slots_.size()) {
     rehash(std::bit_ceil(std::max<std::size_t>(16, 2 * expected_blocks)));
   }
-  arena_.reserve(expected_blocks * sizeof(PathAttrs));
+  arena_.reserve(expected_blocks * kTypicalBlockBytes);
 }
 
 std::size_t AttrsInterner::bytes() const {
-  std::size_t n = arena_.bytes_reserved() + sim::heap_bytes(slots_);
-  for (const Slot& slot : slots_) {
-    if (slot.block == nullptr) continue;
-    const PathAttrs& a = *slot.block;
-    n += sim::heap_bytes(a.as_path.asns()) + sim::heap_bytes(a.communities) +
-         sim::heap_bytes(a.ext_communities) +
-         sim::heap_bytes(a.cluster_list);
-  }
-  return n;
+  return arena_.bytes_reserved() + sim::heap_bytes(slots_);
 }
 
 void AttrsInterner::reset() {

@@ -9,14 +9,13 @@
 // one pointer compare (canonical blocks with equal content are the
 // *same* block) or one integer compare.
 //
-// Storage model: blocks live in arena-backed slabs owned by the
-// interner and are handed out as stable `const PathAttrs*`. Nothing is
-// refcounted — a block stays valid until the owning interner is reset,
-// which the experiment runner does at the *start* of each trial (via
-// TrialScope), when no route of the previous trial can still be alive.
-// Compared with the earlier shared_ptr/weak_ptr design this removes the
-// per-block control-block allocation, the atomic refcount traffic on
-// every Route copy, and the weak-table sweeps.
+// Storage model: each block is one compact AttrBlock, bump-allocated
+// from an arena the interner owns, with its lists inline; it owns no
+// heap memory, so nothing runs per block when the arena is dropped.
+// Nothing is refcounted — a block stays valid until the owning interner
+// is reset, which the experiment runner does at the *start* of each
+// trial (via TrialScope), when no route of the previous trial can still
+// be alive.
 //
 // The simulator is single-threaded; the interner is not synchronized.
 // global() is THREAD-LOCAL: each worker thread of the parallel
@@ -35,17 +34,16 @@
 namespace abrr::bgp {
 
 /// 64-bit content hash over every semantic field of an attribute set
-/// (everything operator== compares). Never returns 0, so 0 can serve as
-/// the "not yet computed" sentinel on PathAttrs::content_hash.
-std::uint64_t attrs_content_hash(const PathAttrs& attrs);
+/// (everything operator== compares). Never returns 0.
+std::uint64_t attrs_content_hash(const AttrsView& attrs);
 
-/// Canonicalization table + slab storage for PathAttrs blocks.
+/// Canonicalization table + arena storage for AttrBlocks.
 ///
 /// Blocks are arena-allocated and never individually freed: the table
-/// is an index over live slab storage, not an owner of refcounts. The
+/// is an index over live arena storage, not an owner of refcounts. The
 /// interner stays bounded because every trial starts by resetting its
-/// thread's trial interner (TrialScope below), reusing the slabs the
-/// previous trial on that worker warmed up.
+/// thread's trial interner (TrialScope below), reusing the arena chunks
+/// the previous trial on that worker warmed up.
 class AttrsInterner {
  public:
   /// The calling thread's ACTIVE interner, used by make_attrs(): the
@@ -54,15 +52,24 @@ class AttrsInterner {
   static AttrsInterner& global();
 
   /// Canonicalizes `attrs`: returns the existing block when an equal one
-  /// is live, otherwise moves `attrs` into a fresh slab-backed block.
-  /// Always returns a block with content_hash and encoded_size set.
-  AttrsPtr intern(PathAttrs&& attrs);
+  /// is live, otherwise copies `attrs` into a fresh arena block.
+  AttrsPtr intern(const PathAttrs& attrs) {
+    return intern(attrs, attrs_content_hash(attrs));
+  }
 
-  /// Pre-sizes table and slabs for an expected number of distinct
-  /// blocks (ScenarioSpec scale hint); avoids rehash/slab growth mid-trial.
+  /// intern() with the content hash already known. `hash` must be
+  /// attrs_content_hash(attrs), except in tests that force collisions.
+  AttrsPtr intern(const PathAttrs& attrs, std::uint64_t hash);
+
+  /// Arena bytes a typical block takes (header plus a few ASNs), which
+  /// reserve() sizes the arena by.
+  static constexpr std::size_t kTypicalBlockBytes = 64;
+
+  /// Pre-sizes table and arena for an expected number of distinct
+  /// blocks (ScenarioSpec scale hint); avoids rehash/arena growth mid-trial.
   void reserve(std::size_t expected_blocks);
 
-  /// Destroys every block and rewinds the slabs for reuse. All
+  /// Drops every block and rewinds the arena for reuse. All
   /// previously returned AttrsPtr values become dangling — callers
   /// (TrialScope) must only reset when no Route can still be alive.
   void reset();
@@ -75,8 +82,8 @@ class AttrsInterner {
   std::uint64_t misses() const { return misses_; }
   void reset_stats() { hits_ = misses_ = 0; }
   std::size_t arena_bytes() const { return arena_.bytes_used(); }
-  /// Heap bytes the interner holds: its slabs, its table and the
-  /// vectors (AS path, communities, cluster list) of its live blocks.
+  /// Heap bytes the interner holds: its arena (every block, lists
+  /// included) and its table.
   std::size_t bytes() const;
   std::uint64_t arena_allocations() const { return arena_.allocations(); }
   std::uint64_t slab_resets() const { return arena_.resets(); }
@@ -110,7 +117,7 @@ class AttrsInterner {
   // one by one, so there are no tombstones; reset() empties every slot.
   struct Slot {
     std::uint64_t hash = 0;
-    const PathAttrs* block = nullptr;  // null = empty
+    const AttrBlock* block = nullptr;  // null = empty
   };
 
   /// Index of `hash`'s first probe slot.

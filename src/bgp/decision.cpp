@@ -21,7 +21,7 @@ struct AsLevelKey {
 AsLevelKey as_level_key(const Route& r) {
   return AsLevelKey{std::numeric_limits<std::uint32_t>::max() -
                         r.attrs->local_pref,
-                    r.attrs->as_path.length(), r.attrs->origin};
+                    r.attrs->as_path().length(), r.attrs->origin};
 }
 
 // Decision steps 5-8 as one lexicographic key. The steps form a total
@@ -57,7 +57,7 @@ std::vector<const Route*> to_ptrs(std::span<const Route> candidates) {
 
 std::uint32_t DecisionConfig::med_of(const Route& r) const {
   if (ignore_med) return 0;
-  if (r.attrs->med) return *r.attrs->med;
+  if (const auto med = r.attrs->med()) return *med;
   return missing_med_as_worst ? std::numeric_limits<std::uint32_t>::max() : 0;
 }
 
@@ -149,8 +149,8 @@ const Route* select_best_sequential_from(
     if (a.attrs->local_pref != b.attrs->local_pref) {
       return a.attrs->local_pref > b.attrs->local_pref;
     }
-    if (a.attrs->as_path.length() != b.attrs->as_path.length()) {
-      return a.attrs->as_path.length() < b.attrs->as_path.length();
+    if (a.attrs->as_path().length() != b.attrs->as_path().length()) {
+      return a.attrs->as_path().length() < b.attrs->as_path().length();
     }
     if (a.attrs->origin != b.attrs->origin) {
       return a.attrs->origin < b.attrs->origin;
@@ -165,11 +165,11 @@ const Route* select_best_sequential_from(
     if (via_a != via_b) return via_a < via_b;
     if (igp_cost(a) != igp_cost(b)) return igp_cost(a) < igp_cost(b);
     if (cfg.prefer_shorter_cluster_list &&
-        a.attrs->cluster_list.size() != b.attrs->cluster_list.size()) {
-      return a.attrs->cluster_list.size() < b.attrs->cluster_list.size();
+        a.attrs->cluster_list().size() != b.attrs->cluster_list().size()) {
+      return a.attrs->cluster_list().size() < b.attrs->cluster_list().size();
     }
-    const RouterId oa = a.attrs->originator_id.value_or(a.learned_from);
-    const RouterId ob = b.attrs->originator_id.value_or(b.learned_from);
+    const RouterId oa = a.attrs->originator_id().value_or(a.learned_from);
+    const RouterId ob = b.attrs->originator_id().value_or(b.learned_from);
     if (oa != ob) return oa < ob;
     if (a.learned_from != b.learned_from) {
       return a.learned_from < b.learned_from;
@@ -207,8 +207,8 @@ const Route* select_best_from(std::span<const Route* const> candidates,
     const RouterId nh = r->egress();
     key.igp = nh == self || !igp_distance ? 0 : igp_distance(nh);
     key.cluster_list =
-        cfg.prefer_shorter_cluster_list ? r->attrs->cluster_list.size() : 0;
-    key.originator = r->attrs->originator_id.value_or(r->learned_from);
+        cfg.prefer_shorter_cluster_list ? r->attrs->cluster_list().size() : 0;
+    key.originator = r->attrs->originator_id().value_or(r->learned_from);
     key.learned_from = r->learned_from;
     key.path_id = r->path_id;
     if (best == nullptr || key < best_key) {

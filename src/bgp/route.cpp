@@ -1,7 +1,5 @@
 #include "bgp/route.h"
 
-#include "bgp/attrs_intern.h"
-
 namespace abrr::bgp {
 namespace {
 
@@ -11,11 +9,9 @@ void mix(std::uint64_t& h, std::uint64_t v) {
 
 void mix_route(std::uint64_t& h, const Route& r) {
   mix(h, r.path_id);
-  if (!r.attrs) return;
   // Interned blocks carry their content hash; one mix replaces the deep
-  // attribute walk. The fallback covers hand-built blocks in tests.
-  const std::uint64_t cached = r.attrs->content_hash;
-  mix(h, cached != 0 ? cached : attrs_content_hash(*r.attrs));
+  // attribute walk.
+  if (r.attrs) mix(h, r.attrs->content_hash);
 }
 
 constexpr std::uint64_t kSetHashSeed = 0x84222325cbf29ce4ULL;
@@ -38,10 +34,10 @@ std::string Route::to_string() const {
   std::string out = prefix.to_string();
   out += " id=" + std::to_string(path_id);
   if (attrs) {
-    out += " path=[" + attrs->as_path.to_string() + "]";
+    out += " path=[" + attrs->as_path().to_string() + "]";
     out += " nh=" + std::to_string(attrs->next_hop);
     out += " lp=" + std::to_string(attrs->local_pref);
-    if (attrs->med) out += " med=" + std::to_string(*attrs->med);
+    if (const auto med = attrs->med()) out += " med=" + std::to_string(*med);
   }
   switch (via) {
     case LearnedVia::kLocal: out += " local"; break;

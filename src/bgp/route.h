@@ -32,24 +32,19 @@ struct Route {
 
   /// Neighboring AS for MED comparison grouping (first AS on the path;
   /// 0 for locally-originated routes, which form their own group).
-  Asn neighbor_as() const { return attrs->as_path.first(); }
+  Asn neighbor_as() const { return attrs->as_path().first(); }
 
   /// Egress border router: with next-hop-self, NEXT_HOP is the egress's
   /// RouterId (see bgp/types.h).
   RouterId egress() const { return static_cast<RouterId>(attrs->next_hop); }
 
-  /// Same announced content (prefix, path id, attributes)? Interned
-  /// attribute blocks make this a pointer compare; otherwise the cached
-  /// content hashes decide (falling back to a deep compare only when a
-  /// hash is missing or as collision insurance).
+  /// Same announced content (prefix, path id, attributes)? Blocks of
+  /// one interner make this a pointer compare; blocks of two interners
+  /// compare by content hash, then deeply as collision insurance.
   bool same_announcement(const Route& other) const {
     if (prefix != other.prefix || path_id != other.path_id) return false;
     if (attrs == other.attrs) return true;
     if (!attrs || !other.attrs) return false;
-    if (attrs->content_hash != 0 && other.attrs->content_hash != 0 &&
-        attrs->content_hash != other.attrs->content_hash) {
-      return false;
-    }
     return *attrs == *other.attrs;
   }
 
@@ -62,8 +57,8 @@ struct Route {
 /// copies of the Adj-RIB-Out. 64 bits wide: the per-peer sent-hash state
 /// compares these across the whole run, and a 32-bit hash starts
 /// colliding — silently suppressing a needed transmission — around 2^16
-/// distinct advertised sets. Routes with interned attributes hash via
-/// their cached content hash.
+/// distinct advertised sets. Each route's attributes enter as their
+/// block's content hash.
 std::uint64_t route_set_hash(std::span<const Route> routes);
 
 /// Same hash over a pointer set (the copy-free pipeline's currency).
@@ -97,11 +92,7 @@ class RouteBuilder {
   }
 
   Route build() {
-    // Through with_attrs()'s clone buffer: building a route whose
-    // attributes are already interned allocates nothing.
-    PathAttrs& copy = detail::clone_buffer();
-    copy = attrs_;
-    route_.attrs = detail::intern_clone(copy);
+    route_.attrs = make_attrs(attrs_);
     return route_;
   }
 

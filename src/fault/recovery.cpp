@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "bgp/attrs_intern.h"
 
 namespace abrr::fault {
 
@@ -25,12 +24,8 @@ std::uint64_t fp_route_term(bgp::Ipv4Addr address, std::uint8_t length,
 }
 
 std::uint64_t fp_route_term(const bgp::Route& route) {
-  const std::uint64_t attrs_hash =
-      route.attrs->content_hash != 0
-          ? route.attrs->content_hash
-          : bgp::attrs_content_hash(*route.attrs);
   return fp_route_term(route.prefix.address(), route.prefix.length(),
-                       route.attrs->next_hop, attrs_hash);
+                       route.attrs->next_hop, route.attrs->content_hash);
 }
 
 std::uint64_t fp_chain(std::uint64_t fp, bgp::RouterId id,

@@ -15,11 +15,10 @@ Testbed::Testbed(topo::Topology topology, const TestbedConfig& config,
       config_(config),
       rng_(config.seed),
       network_(scheduler_, rng_),
-      obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)),
-      prefix_index_(std::make_shared<bgp::PrefixIndex>()) {
+      obs_(std::make_unique<obs::Obs>(scheduler_, config.obs)) {
   network_.set_metrics(&obs_->metrics());
   network_.set_tracer(obs_->tracer());
-  for (const Ipv4Prefix& p : prefixes) prefix_index_->add(p);
+  for (const Ipv4Prefix& p : prefixes) network_.prefix_index()->add(p);
 
   switch (config_.mode) {
     case ibgp::IbgpMode::kFullMesh:
@@ -101,11 +100,11 @@ ibgp::Speaker& Testbed::make_speaker(ibgp::SpeakerConfig cfg) {
   // Every ABRR speaker of the bed maps prefixes through ap_of_: resolve
   // each prefix's APs once, for all of them.
   if (cfg.ap_of && !prefix_aps_) {
-    prefix_aps_ =
-        std::make_shared<const ibgp::PrefixApTable>(*prefix_index_, ap_of_);
+    prefix_aps_ = std::make_shared<const ibgp::PrefixApTable>(
+        prefix_index(), ap_of_);
   }
   auto speaker = std::make_unique<ibgp::Speaker>(
-      cfg, scheduler_, network_, &obs_->metrics(), prefix_index_,
+      cfg, scheduler_, network_, &obs_->metrics(),
       cfg.ap_of ? prefix_aps_ : nullptr);
   speaker->set_tracer(obs_->tracer());
   auto& ref = *speaker;

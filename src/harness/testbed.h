@@ -180,7 +180,9 @@ class Testbed {
   /// 0 .. n-1 are the prefix universe the bed was built over, in order
   /// (slot i == PrefixId i == the serving mode's LPM slot i); prefixes
   /// first seen later get the following ids.
-  const bgp::PrefixIndex& prefix_index() const { return *prefix_index_; }
+  const bgp::PrefixIndex& prefix_index() const {
+    return *network_.prefix_index();
+  }
 
   /// The route-set store every speaker of the bed and every message in
   /// flight shares (the network's).
@@ -219,8 +221,7 @@ class Testbed {
   std::unique_ptr<igp::SpfCache> spf_;
   std::optional<core::PartitionScheme> partition_;
   ibgp::ApOfFn ap_of_;
-  std::shared_ptr<bgp::PrefixIndex> prefix_index_;
-  /// ap_of_ over prefix_index_, shared by the ABRR speakers.
+  /// ap_of_ over prefix_index(), shared by the ABRR speakers.
   std::shared_ptr<const ibgp::PrefixApTable> prefix_aps_;
 
   std::unordered_map<RouterId, std::unique_ptr<ibgp::Speaker>> speakers_;

@@ -16,9 +16,9 @@ std::optional<bgp::Route> export_to_ebgp(const bgp::Route& best,
     return std::nullopt;
   }
   // eBGP loop prevention: the neighbor would reject it anyway.
-  if (best.attrs->as_path.contains(neighbor_as)) return std::nullopt;
+  if (best.attrs->as_path().contains(neighbor_as)) return std::nullopt;
   if (policy.honor_no_export) {
-    const auto& cs = best.attrs->communities;
+    const auto cs = best.attrs->communities();
     if (std::find(cs.begin(), cs.end(), kNoExport) != cs.end()) {
       return std::nullopt;
     }

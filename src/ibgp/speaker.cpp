@@ -55,21 +55,35 @@ PrefixApTable::PrefixApTable(const bgp::PrefixIndex& index,
   begin_.reserve(index.size() + 1);
   for (const Ipv4Prefix& prefix : index.prefixes()) {
     begin_.push_back(static_cast<std::uint32_t>(aps_.size()));
-    const std::vector<ApId> aps = ap_of(prefix);
-    aps_.insert(aps_.end(), aps.begin(), aps.end());
+    for (const ApId ap : ap_of(prefix)) {
+      const auto a = static_cast<std::size_t>(ap);
+      if (ap_size_.size() <= a) ap_size_.resize(a + 1, 0);
+      aps_.push_back(ap);
+      ranks_.push_back(ap_size_[a]++);
+    }
   }
   begin_.push_back(static_cast<std::uint32_t>(aps_.size()));
 }
 
+std::uint32_t PrefixApTable::slot(std::uint32_t id, ApId ap) const {
+  if (id >= size()) {  // tail slots follow the AP's ranks
+    const auto a = static_cast<std::size_t>(ap);
+    return (a < ap_size_.size() ? ap_size_[a] : 0) +
+           static_cast<std::uint32_t>(id - size());
+  }
+  for (std::uint32_t i = begin_[id]; i < begin_[id + 1]; ++i) {
+    if (aps_[i] == ap) return ranks_[i];
+  }
+  throw std::logic_error{"prefix is not in the AP"};
+}
+
 Speaker::Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
                  net::Network& network, obs::MetricsRegistry* metrics,
-                 std::shared_ptr<bgp::PrefixIndex> index,
                  std::shared_ptr<const PrefixApTable> aps)
     : config_(std::move(config)),
       scheduler_(&scheduler),
       network_(&network),
-      prefix_index_(index ? std::move(index)
-                          : std::make_shared<bgp::PrefixIndex>()),
+      prefix_index_(network.prefix_index()),
       prefix_aps_(std::move(aps)),
       route_sets_(network.route_sets()),
       adj_rib_in_(prefix_index_, route_sets_),
@@ -297,8 +311,8 @@ void Speaker::receive(RouterId from, net::Message&& msg) {
   if (tracer_ != nullptr) {
     tracer_->record(obs::TraceEventKind::kUpdateRx, config_.id, from, routes);
   }
-  enqueue(Incoming{from, msg.prefix, std::move(msg.routes), /*ebgp=*/false,
-                   Route{}, sender});
+  enqueue(Incoming{from, msg.prefix, msg.prefix_id, std::move(msg.routes),
+                   /*ebgp=*/false, Route{}, sender});
 }
 
 void Speaker::enqueue(Incoming&& incoming) {
@@ -363,12 +377,11 @@ void Speaker::mark_dirty(const Ipv4Prefix& prefix, PrefixId pid,
 }
 
 bool Speaker::accept_route(const Route& route, const PeerState*) const {
-  if (route.attrs->originator_id &&
-      *route.attrs->originator_id == config_.id) {
+  if (route.attrs->originator_id() == config_.id) {
     return false;  // RFC 4456: our own route came back
   }
   if (config_.cluster_id != 0) {
-    const auto& cl = route.attrs->cluster_list;
+    const std::span<const std::uint32_t> cl = route.attrs->cluster_list();
     if (std::find(cl.begin(), cl.end(), config_.cluster_id) != cl.end()) {
       return false;  // RFC 4456: cluster loop
     }
@@ -379,7 +392,8 @@ bool Speaker::accept_route(const Route& route, const PeerState*) const {
 void Speaker::apply(Incoming& incoming,
                     std::vector<bgp::IndexedPrefix>& dirty) {
   const Ipv4Prefix prefix = incoming.prefix;
-  const PrefixId pid = prefix_id(prefix);
+  const PrefixId pid =
+      incoming.pid != net::kNoPrefixId ? incoming.pid : prefix_id(prefix);
 
   if (incoming.ebgp) {
     // eBGP injection / withdrawal, already policy-filtered.
@@ -886,7 +900,10 @@ void Speaker::set_group_routes(int key, const Ipv4Prefix& prefix,
                                PrefixId pid, std::span<Route> routes) {
   OutGroup& g = group(key);
   if (!g.rib.set({prefix, pid}, routes)) return;
-  if (pid < g.memo.size()) g.memo[pid] = TxMemo{};  // built for the old set
+  if (!g.memo.empty()) {  // a memo built for the old set is stale
+    const std::uint32_t at = group_slot(key, pid);
+    if (at < g.memo.size()) g.memo[at] = TxMemo{};
+  }
   c_.updates_generated->inc();
   if (key == kGroupClients || (key >= 0 && key % 2 == 0)) {
     c_.generated_to_clients->inc();  // reflections toward clients
@@ -957,14 +974,14 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix,
   // itself is sent the set without it.
   const auto returned = [&](const Route& r) {
     return r.learned_from == ps.info.id ||
-           (r.attrs->originator_id && *r.attrs->originator_id == ps.info.id);
+           r.attrs->originator_id() == ps.info.id;
   };
   const bool whole = std::none_of(advertised.begin(), advertised.end(),
                                   returned);
 
   // A member that gets the whole set shares the slot's memo: the set is
   // hashed, stored and sized once per change for the whole group.
-  TxMemo* m = whole && !advertised.empty() ? memo(g, pid) : nullptr;
+  TxMemo* m = whole && !advertised.empty() ? memo(g, key, pid) : nullptr;
   std::uint64_t h = 0;
   if (m != nullptr) {
     if (m->hash == 0) m->hash = bgp::route_set_hash(advertised);
@@ -985,7 +1002,7 @@ void Speaker::transmit(PeerState& ps, int key, const Ipv4Prefix& prefix,
   if (h == last) return;  // peer already has exactly this
   last = h;
 
-  net::Message msg{prefix, {}, /*keepalive=*/false};
+  net::Message msg{prefix, {}, /*keepalive=*/false, pid};
   std::uint64_t bytes = 0;
   if (m != nullptr) {
     const bool built = static_cast<bool>(m->routes);
@@ -1028,10 +1045,11 @@ bgp::RouteSetRef Speaker::receiver_form() {
   return bgp::RouteSetRef{*route_sets_, scratch_tx_};
 }
 
-Speaker::TxMemo* Speaker::memo(OutGroup& g, PrefixId pid) {
+Speaker::TxMemo* Speaker::memo(OutGroup& g, int key, PrefixId pid) {
   if (g.members.size() <= kMemoMembers) return nullptr;
-  if (g.memo.size() <= pid) g.memo.resize(prefix_index_->size());
-  return &g.memo[pid];
+  const std::uint32_t at = group_slot(key, pid);
+  if (g.memo.size() <= at) g.memo.resize(group_slots(key));
+  return &g.memo[at];
 }
 
 std::uint64_t& Speaker::sent_hash(PeerState& ps, int key, PrefixId pid) {
@@ -1042,8 +1060,19 @@ std::uint64_t& Speaker::sent_hash(PeerState& ps, int key, PrefixId pid) {
   const auto at = static_cast<std::size_t>(it - ps.groups.begin());
   if (ps.sent_hashes.size() <= at) ps.sent_hashes.resize(at + 1);
   std::vector<std::uint64_t>& stripe = ps.sent_hashes[at];
-  if (stripe.size() <= pid) stripe.resize(prefix_index_->size(), 0);
-  return stripe[pid];
+  const std::uint32_t slot = group_slot(key, pid);
+  if (stripe.size() <= slot) stripe.resize(group_slots(key), 0);
+  return stripe[slot];
+}
+
+std::uint32_t Speaker::group_slot(int key, PrefixId pid) const {
+  if (key < 0 || !prefix_aps_) return pid;
+  return prefix_aps_->slot(pid, key / 2);
+}
+
+std::size_t Speaker::group_slots(int key) const {
+  if (key < 0 || !prefix_aps_) return prefix_index_->size();
+  return prefix_aps_->slots(key / 2, prefix_index_->size());
 }
 
 void Speaker::inject_ebgp(RouterId neighbor, Route route) {
@@ -1062,11 +1091,13 @@ void Speaker::inject_ebgp(RouterId neighbor, Route route) {
     route.learned_from = neighbor;
     route.via = bgp::LearnedVia::kEbgp;
   }
-  enqueue(Incoming{neighbor, route.prefix, {}, /*ebgp=*/true, route});
+  enqueue(Incoming{neighbor, route.prefix, net::kNoPrefixId, {},
+                   /*ebgp=*/true, route});
 }
 
 void Speaker::withdraw_ebgp(RouterId neighbor, const Ipv4Prefix& prefix) {
-  enqueue(Incoming{neighbor, prefix, {}, /*ebgp=*/true, Route{}});
+  enqueue(Incoming{neighbor, prefix, net::kNoPrefixId, {}, /*ebgp=*/true,
+                   Route{}});
 }
 
 void Speaker::originate(Route route) {
@@ -1077,7 +1108,8 @@ void Speaker::originate(Route route) {
     route.attrs = bgp::with_attrs(
         route.attrs, [&](bgp::PathAttrs& a) { a.next_hop = config_.id; });
   }
-  enqueue(Incoming{bgp::kNoRouter, route.prefix, {}, /*ebgp=*/true, route});
+  enqueue(Incoming{bgp::kNoRouter, route.prefix, net::kNoPrefixId, {},
+                   /*ebgp=*/true, route});
 }
 
 std::size_t Speaker::rib_out_size() const {

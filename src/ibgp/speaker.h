@@ -63,6 +63,11 @@ using ApOfFn = std::function<std::vector<ApId>(const Ipv4Prefix&)>;
 /// shares the PrefixIndex, so a speaker's per-message AP lookup is an
 /// array read instead of a call returning a fresh vector. It covers the
 /// ids the index held when the table was built.
+///
+/// It also numbers each AP's prefixes densely: state that one AP's
+/// prefixes alone use (an ABRR peer group's sent hashes and memos) is
+/// indexed by slot(), not by the prefix id, so it takes one AP's share
+/// of the universe instead of all of it.
 class PrefixApTable {
  public:
   PrefixApTable(const bgp::PrefixIndex& index, const ApOfFn& ap_of);
@@ -75,9 +80,23 @@ class PrefixApTable {
     return {aps_.data() + begin_[id], aps_.data() + begin_[id + 1]};
   }
 
+  /// Dense slot of the prefix with id `id` among `ap`'s: its rank within
+  /// the AP when the table covers the id, else a tail slot past the
+  /// AP's ranks (one per id added since). Throws std::logic_error when
+  /// a covered prefix is not in `ap`.
+  std::uint32_t slot(std::uint32_t id, ApId ap) const;
+
+  /// Slots `ap` needs while the index holds `ids` ids (>= size()).
+  std::size_t slots(ApId ap, std::size_t ids) const {
+    const auto a = static_cast<std::size_t>(ap);
+    return (a < ap_size_.size() ? ap_size_[a] : 0) + (ids - size());
+  }
+
  private:
   std::vector<std::uint32_t> begin_;  // per id, offset into aps_; +1 end
   std::vector<ApId> aps_;
+  std::vector<std::uint32_t> ranks_;    // parallel to aps_
+  std::vector<std::uint32_t> ap_size_;  // per AP, covered prefixes in it
 };
 
 /// One iBGP peer as seen from this speaker. A peer can hold several
@@ -194,17 +213,16 @@ class Speaker {
   /// snapshotted centrally. When null the speaker owns a private
   /// registry, so standalone construction (unit tests) keeps working.
   ///
-  /// `index` numbers the prefixes for the RIBs, the per-peer sent-hash
-  /// state and the dirty-prefix coalescing; a testbed shares one between
-  /// its speakers. When null the speaker owns a private one. `aps`, when
-  /// given, must be built over the same index from config().ap_of; the
+  /// The network's PrefixIndex (net::Network::prefix_index()) numbers
+  /// the prefixes for the RIBs, the per-peer sent-hash state and the
+  /// dirty-prefix coalescing, and messages carry those ids. `aps`, when
+  /// given, must be built over that index from config().ap_of; the
   /// prefixes it covers take their APs from it. The route sets of the
   /// Adj-RIB-In and the Adj-RIB-Outs live in the network's store
   /// (net::Network::route_sets()), which every speaker on the network
   /// shares and every message's set lives in.
   Speaker(SpeakerConfig config, sim::Scheduler& scheduler,
           net::Network& network, obs::MetricsRegistry* metrics = nullptr,
-          std::shared_ptr<bgp::PrefixIndex> index = nullptr,
           std::shared_ptr<const PrefixApTable> aps = nullptr);
 
   Speaker(const Speaker&) = delete;
@@ -388,8 +406,8 @@ class Speaker {
     /// Member peers, in join order. Entries of `peers_`, which is
     /// node-based and never erased, so the pointers stay valid.
     std::vector<PeerState*> members;
-    /// Per PrefixId; kept only for groups of more than kMemoMembers
-    /// members, and grown when an id past its end is first used.
+    /// Per group_slot; kept only for groups of more than kMemoMembers
+    /// members, and grown when a slot past its end is first used.
     std::vector<TxMemo> memo;
   };
   /// Groups up to this size (a client's uplink to its redundant
@@ -422,14 +440,16 @@ class Speaker {
     // The groups this peer is a member of, in join order.
     std::vector<int> groups;
     // Last transmitted content hash per (group, prefix); 0 = nothing.
-    // One stripe per entry of `groups`, indexed by PrefixId and grown
-    // when an id past its end is first used.
+    // One stripe per entry of `groups`, indexed by group_slot and grown
+    // when a slot past its end is first used.
     std::vector<std::vector<std::uint64_t>> sent_hashes;
   };
 
   struct Incoming {
     RouterId from;
     bgp::Ipv4Prefix prefix;
+    /// The prefix's id when the message carried it, else net::kNoPrefixId.
+    PrefixId pid = net::kNoPrefixId;
     /// iBGP: the received set (null = withdrawn). eBGP: null.
     bgp::RouteSetRef routes;
     bool ebgp = false;
@@ -440,10 +460,11 @@ class Speaker {
     PeerState* peer = nullptr;
   };
 
-  /// Dense id of `prefix`, registered on first sight. Resolved once per
-  /// received message, then carried with the prefix through the dirty
-  /// list, the pipeline and the MRAI pending list down to the speaker's
-  /// own arrays and, as a bgp::IndexedPrefix, to the RIBs.
+  /// Dense id of `prefix`, registered on first sight. An iBGP message
+  /// carries it from its sender; an eBGP feed event looks it up once.
+  /// It then goes with the prefix through the dirty list, the pipeline
+  /// and the MRAI pending list down to the speaker's own arrays and, as
+  /// a bgp::IndexedPrefix, to the RIBs.
   PrefixId prefix_id(const Ipv4Prefix& prefix) {
     return prefix_index_->add(prefix);
   }
@@ -491,9 +512,16 @@ class Speaker {
   /// via iBGP), stored.
   bgp::RouteSetRef receiver_form();
   /// The slot's memo when the group keeps memos, else nullptr.
-  TxMemo* memo(OutGroup& g, PrefixId pid);
+  TxMemo* memo(OutGroup& g, int group, PrefixId pid);
 
   std::uint64_t& sent_hash(PeerState& peer, int group, PrefixId pid);
+  /// Index of (group, prefix) in the group's per-prefix arrays (sent-hash
+  /// stripes, memos): an ABRR group holds one AP's prefixes, so it is
+  /// indexed by PrefixApTable::slot when the speaker has the table;
+  /// other groups by the prefix id.
+  std::uint32_t group_slot(int group, PrefixId pid) const;
+  /// Length those arrays need to hold every slot of `group`.
+  std::size_t group_slots(int group) const;
   /// Exact (group, prefix) key for the pending set.
   static std::uint64_t tx_key(int group, const Ipv4Prefix& prefix);
 

@@ -13,10 +13,17 @@
 // one from a Message only to capture its encoding.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+
 #include "bgp/prefix.h"
 #include "bgp/route_set_store.h"
 
 namespace abrr::net {
+
+/// Message::prefix_id of a message whose sender did not look it up.
+inline constexpr std::uint32_t kNoPrefixId =
+    std::numeric_limits<std::uint32_t>::max();
 
 struct Message {
   bgp::Ipv4Prefix prefix;
@@ -26,6 +33,12 @@ struct Message {
   /// BGP KEEPALIVE: no prefix or routes, it only refreshes the
   /// receiver's hold timer.
   bool keepalive = false;
+  /// `prefix`'s dense id in the network's PrefixIndex, so the receiver
+  /// need not look it up; kNoPrefixId when the sender did not.
+  std::uint32_t prefix_id = kNoPrefixId;
 };
+
+// The id sits in what was padding.
+static_assert(sizeof(Message) == 32);
 
 }  // namespace abrr::net

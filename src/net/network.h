@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/prefix_index.h"
 #include "bgp/route_set_store.h"
 #include "bgp/types.h"
 #include "net/channel.h"
@@ -40,6 +41,7 @@ class Network {
  public:
   Network(sim::Scheduler& scheduler, sim::Rng& rng)
       : route_sets_(std::make_shared<bgp::RouteSetStore>()),
+        prefix_index_(std::make_shared<bgp::PrefixIndex>()),
         scheduler_(&scheduler),
         rng_(&rng) {}
 
@@ -84,6 +86,12 @@ class Network {
   /// in-flight messages are gone.
   const std::shared_ptr<bgp::RouteSetStore>& route_sets() const {
     return route_sets_;
+  }
+
+  /// The prefix numbering every speaker of this network shares, as it
+  /// shares the store: a message carries its prefix's id in it.
+  const std::shared_ptr<bgp::PrefixIndex>& prefix_index() const {
+    return prefix_index_;
   }
 
   // --- fault-injection hooks -----------------------------------------
@@ -188,6 +196,7 @@ class Network {
 
   // Declared first, so it outlives the messages below.
   std::shared_ptr<bgp::RouteSetStore> route_sets_;
+  std::shared_ptr<bgp::PrefixIndex> prefix_index_;
   sim::Scheduler* scheduler_;
   sim::Rng* rng_;
   // Node-based maps with no erase: an armed delivery holds a pointer to

@@ -108,9 +108,7 @@ void RibMirror::on_change(bgp::RouterId id, const bgp::Ipv4Prefix& prefix,
                                   e.next_hop, e.attrs_hash);
   }
   if (best != nullptr) {
-    e.attrs_hash = best->attrs->content_hash != 0
-                       ? best->attrs->content_hash
-                       : bgp::attrs_content_hash(*best->attrs);
+    e.attrs_hash = best->attrs->content_hash;
     e.next_hop = best->attrs->next_hop;
     e.learned_from = best->learned_from;
     e.path_id = best->path_id;

@@ -5,9 +5,9 @@
 // exclusively, so parallel trials never meet on the global heap — no
 // allocator locks, no freed-block reuse across threads, no atomic
 // refcount traffic. An Arena hands out pointers from large chunks and
-// frees nothing individually: reset() runs registered finalizers (for
-// non-trivially-destructible objects) and rewinds, keeping the chunks
-// for the next trial on the same worker thread.
+// frees nothing individually: reset() rewinds, keeping the chunks for
+// the next trial on the same worker thread. Nothing is destroyed, so an
+// arena holds only trivially destructible objects.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,7 @@
 
 namespace abrr::sim {
 
-/// Chunked bump allocator with optional per-object finalizers.
+/// Chunked bump allocator.
 ///
 /// Not synchronized: an Arena is owned by exactly one trial (and thus one
 /// thread) at a time, the same confinement contract as the Scheduler.
@@ -51,27 +51,19 @@ class Arena {
     return allocate_slow(size, align);
   }
 
-  /// Constructs a `T` in arena storage. Non-trivially-destructible types
-  /// get a finalizer that reset() runs in reverse construction order.
+  /// Constructs a `T` in arena storage.
   template <typename T, typename... Args>
   T* create(Args&&... args) {
-    void* raw = allocate(sizeof(T), alignof(T));
-    T* obj = ::new (raw) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      finalizers_.push_back(Finalizer{
-          [](void* p) { static_cast<T*>(p)->~T(); }, obj});
-    }
-    return obj;
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "reset() drops arena objects without destroying them");
+    return ::new (allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(args)...);
   }
 
-  /// Destroys every object created since the last reset and rewinds all
-  /// chunks. The chunk memory itself is retained for reuse — the whole
+  /// Rewinds all chunks: everything allocated since the last reset is
+  /// gone. The chunk memory itself is retained for reuse — the whole
   /// point: trial N+1 on this worker re-fills the pages trial N warmed.
   void reset() {
-    for (auto it = finalizers_.rbegin(); it != finalizers_.rend(); ++it) {
-      it->fn(it->obj);
-    }
-    finalizers_.clear();
     for (Chunk& c : chunks_) c.used = 0;
     current_ = 0;
     bytes_used_ = 0;
@@ -117,11 +109,6 @@ class Arena {
     }
   };
 
-  struct Finalizer {
-    void (*fn)(void*);
-    void* obj;
-  };
-
   void add_chunk(std::size_t size) {
     chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size, 0});
   }
@@ -150,7 +137,6 @@ class Arena {
   std::size_t bytes_used_ = 0;
   std::uint64_t allocations_ = 0;
   std::uint64_t resets_ = 0;
-  std::vector<Finalizer> finalizers_;
 };
 
 }  // namespace abrr::sim

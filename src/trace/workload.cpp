@@ -182,8 +182,8 @@ std::vector<std::size_t> Workload::salient_indices(
   for (const bgp::Route& r : set) {
     for (std::size_t i = 0; i < entry.anns.size(); ++i) {
       const Announcement& a = entry.anns[i];
-      if (a.router == r.egress() && a.first_as == r.attrs->as_path.first() &&
-          a.path_length == r.attrs->as_path.length()) {
+      if (a.router == r.egress() && a.first_as == r.attrs->as_path().first() &&
+          a.path_length == r.attrs->as_path().length()) {
         out.push_back(i);
         break;
       }

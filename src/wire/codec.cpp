@@ -129,8 +129,8 @@ void put_attr_header(std::vector<std::uint8_t>& out, std::uint8_t flags,
   }
 }
 
-void put_as_path(std::vector<std::uint8_t>& out, const bgp::AsPath& path) {
-  const auto& asns = path.asns();
+void put_as_path(std::vector<std::uint8_t>& out, bgp::AsPathView path) {
+  const std::span<const bgp::Asn> asns = path.asns();
   std::size_t i = 0;
   while (i < asns.size()) {
     const std::size_t count = std::min<std::size_t>(255, asns.size() - i);
@@ -156,7 +156,7 @@ std::string DecodeError::to_string() const {
 
 // --- encoder ----------------------------------------------------------
 
-void Encoder::append_path_attrs(const bgp::PathAttrs& attrs,
+void Encoder::append_path_attrs(const bgp::AttrsView& attrs,
                                 std::vector<std::uint8_t>& out) {
   // Canonical ascending type-code order.
   put_attr_header(out, kFlagTransitive, AttrType::kOrigin, 1);
@@ -310,7 +310,7 @@ std::span<const std::uint8_t> Encoder::encode(const bgp::UpdateMessage& msg) {
 
 // --- exact size accounting --------------------------------------------
 
-std::size_t WireSizer::attrs_size(const bgp::PathAttrs& attrs) {
+std::size_t WireSizer::attrs_size(const bgp::AttrBlock& attrs) {
   return attrs.encoded_size != 0 ? attrs.encoded_size
                                  : bgp::encoded_attrs_size(attrs);
 }

@@ -169,7 +169,7 @@ class Encoder {
 
   /// Appends the RFC 4271 encoding of one path-attribute block
   /// (attribute list only, no message framing) to `out`.
-  static void append_path_attrs(const bgp::PathAttrs& attrs,
+  static void append_path_attrs(const bgp::AttrsView& attrs,
                                 std::vector<std::uint8_t>& out);
 
  private:
@@ -183,7 +183,7 @@ class Encoder {
 /// Exact encoded size of model messages, without encoding them.
 ///
 /// Attribute-block lengths come from the interned block itself
-/// (PathAttrs::encoded_size, stored by AttrsInterner::intern()), so an
+/// (AttrBlock::encoded_size, stored when the block is interned), so an
 /// ARR reflecting one block to hundreds of clients walks it once, at
 /// intern time, and Network::send's byte accounting is O(#routes) field
 /// reads. Holds only a reused grouping scratch; one per Network.
@@ -199,7 +199,7 @@ class WireSizer {
 
   /// Exact length of one attribute block (the stored length when the
   /// block has one, bgp::encoded_attrs_size otherwise).
-  static std::size_t attrs_size(const bgp::PathAttrs& attrs);
+  static std::size_t attrs_size(const bgp::AttrBlock& attrs);
 
  private:
   /// `n_withdraw` withdrawn path ids, then `announce` grouped by block.
@@ -207,7 +207,7 @@ class WireSizer {
                            std::size_t n_withdraw,
                            std::span<const bgp::Route> announce);
 
-  std::vector<const bgp::PathAttrs*> order_;  // message_size() scratch
+  std::vector<bgp::AttrsPtr> order_;  // message_size() scratch
 };
 
 }  // namespace abrr::wire

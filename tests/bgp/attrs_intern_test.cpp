@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "bgp/attributes.h"
 #include "bgp/route.h"
+#include "sim/random.h"
+#include "wire/codec.h"
 
 namespace abrr::bgp {
 namespace {
@@ -124,25 +130,24 @@ TEST(AttrsInterner, EqualHashesWithUnequalContentStayDistinct) {
   const auto colliding = [&](std::uint32_t local_pref) {
     PathAttrs attrs = sample_attrs();
     attrs.local_pref = local_pref;
-    attrs.content_hash = kHash;  // preset: the interner keeps it
-    return attrs;
+    return interner.intern(attrs, kHash);  // forced: the interner keeps it
   };
-  const AttrsPtr a = interner.intern(colliding(1));
-  const AttrsPtr b = interner.intern(colliding(2));
+  const AttrsPtr a = colliding(1);
+  const AttrsPtr b = colliding(2);
   EXPECT_NE(a, b);
   EXPECT_EQ(a->content_hash, kHash);
   EXPECT_EQ(b->content_hash, kHash);
   EXPECT_EQ(interner.live_blocks(), 2u);
-  EXPECT_EQ(interner.intern(colliding(1)), a);
-  EXPECT_EQ(interner.intern(colliding(2)), b);
+  EXPECT_EQ(colliding(1), a);
+  EXPECT_EQ(colliding(2), b);
   EXPECT_EQ(interner.misses(), 2u);
   EXPECT_EQ(interner.hits(), 2u);
 
-  for (std::uint32_t lp = 3; lp < 100; ++lp) interner.intern(colliding(lp));
+  for (std::uint32_t lp = 3; lp < 100; ++lp) colliding(lp);
   EXPECT_EQ(interner.live_blocks(), 99u);
-  EXPECT_EQ(interner.intern(colliding(1)), a);
-  EXPECT_EQ(interner.intern(colliding(2)), b);
-  EXPECT_EQ(interner.intern(colliding(99))->local_pref, 99u);
+  EXPECT_EQ(colliding(1), a);
+  EXPECT_EQ(colliding(2), b);
+  EXPECT_EQ(colliding(99)->local_pref, 99u);
   EXPECT_EQ(interner.live_blocks(), 99u);
 }
 
@@ -183,6 +188,111 @@ TEST(SameAnnouncement, HashFastPathAgreesWithDeepCompare) {
   const Route d = RouteBuilder{pfx}.path_id(1).as_path({1, 2}).build();
   EXPECT_NE(a.attrs, d.attrs);
   EXPECT_TRUE(a.same_announcement(d));
+}
+
+// ---------------------------------------------------------------------
+// Compact blocks: a block is one arena allocation holding the builder's
+// whole content, lists inline.
+// ---------------------------------------------------------------------
+
+// A random attribute set. Lists are empty, short or long enough to need
+// the extended attribute length (and, for the AS path, two segments).
+PathAttrs random_attrs(sim::Rng& rng) {
+  const auto length = [&](std::int64_t long_len) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0: return std::int64_t{0};
+      case 3: return long_len;
+      default: return rng.uniform_int(1, 6);
+    }
+  };
+  const auto u32 = [&] {
+    return static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+  };
+  PathAttrs a;
+  a.origin = static_cast<Origin>(rng.uniform_int(0, 2));
+  a.next_hop = u32();
+  a.local_pref = u32();
+  if (rng.chance(0.5)) a.med = u32();
+  if (rng.chance(0.5)) a.originator_id = u32();
+  std::vector<Asn> path(static_cast<std::size_t>(length(300)));
+  for (Asn& asn : path) asn = u32();
+  a.as_path = AsPath{std::move(path)};
+  a.communities.resize(static_cast<std::size_t>(length(70)));
+  for (Community& c : a.communities) c = u32();
+  a.ext_communities.resize(static_cast<std::size_t>(length(40)));
+  for (ExtCommunity& c : a.ext_communities) {
+    c = (static_cast<std::uint64_t>(u32()) << 32) | u32();
+  }
+  a.cluster_list.resize(static_cast<std::size_t>(length(70)));
+  for (std::uint32_t& c : a.cluster_list) c = u32();
+  return a;
+}
+
+TEST(AttrBlock, HoldsTheBuilderContentExactly) {
+  sim::Rng rng{20240611};
+  AttrsInterner interner;
+  std::vector<std::pair<PathAttrs, AttrsPtr>> seen;
+  for (int i = 0; i < 400; ++i) {
+    const PathAttrs want = random_attrs(rng);
+    const AttrsPtr block = interner.intern(want);
+
+    // Interning and expanding back gives the builder.
+    PathAttrs expanded;
+    expanded.assign(*block);
+    EXPECT_EQ(expanded, want);
+    // The read accessors mean what the builder's fields mean.
+    EXPECT_EQ(block->as_path(), want.as_path.view());
+    EXPECT_EQ(block->as_path().first(), want.as_path.first());
+    EXPECT_EQ(block->as_path().length(), want.as_path.length());
+    for (const Asn asn : want.as_path.asns()) {
+      EXPECT_TRUE(block->as_path().contains(asn));
+    }
+    EXPECT_EQ(block->med(), want.med);
+    EXPECT_EQ(block->originator_id(), want.originator_id);
+    EXPECT_TRUE(std::ranges::equal(block->cluster_list(), want.cluster_list));
+    EXPECT_TRUE(std::ranges::equal(block->communities(), want.communities));
+    for (const ExtCommunity c : want.ext_communities) {
+      EXPECT_TRUE(block->has_ext_community(c));
+    }
+    EXPECT_EQ(block->has_ext_community(kAbrrReflectedCommunity),
+              want.has_ext_community(kAbrrReflectedCommunity));
+
+    // The stored hash and length are the builder's.
+    EXPECT_EQ(block->content_hash, attrs_content_hash(want));
+    EXPECT_EQ(block->encoded_size, encoded_attrs_size(want));
+
+    // The encoder writes the same bytes for both forms.
+    std::vector<std::uint8_t> from_block;
+    std::vector<std::uint8_t> from_builder;
+    wire::Encoder::append_path_attrs(*block, from_block);
+    wire::Encoder::append_path_attrs(want, from_builder);
+    EXPECT_EQ(from_block, from_builder);
+    EXPECT_EQ(from_block.size(), block->encoded_size);
+
+    seen.emplace_back(want, block);
+  }
+  // Equal content gives the same block, and only equal content does.
+  interner.reset_stats();
+  for (const auto& [attrs, block] : seen) {
+    EXPECT_EQ(interner.intern(PathAttrs{attrs}), block);
+  }
+  EXPECT_EQ(interner.misses(), 0u);
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].first == seen[0].first, seen[i].second == seen[0].second);
+  }
+}
+
+TEST(AttrBlock, TypicalEbgpBlockTakesAtMost64Bytes) {
+  // A 4-ASN path, no communities: the header plus 16 bytes of ASNs.
+  AttrsInterner interner;
+  PathAttrs a;
+  a.origin = Origin::kIgp;
+  a.next_hop = 0x0A000001;
+  a.med = 10;
+  a.as_path = AsPath{{7018, 3356, 1299, 15169}};
+  interner.intern(a);
+  EXPECT_LE(interner.arena_bytes(), 64u);
+  EXPECT_EQ(interner.arena_allocations(), 1u);  // one allocation per block
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ std::vector<const Route*> reference_best_as_level(
   keep_min(out, [](const Route& r) {
     return -static_cast<std::int64_t>(r.attrs->local_pref);
   });
-  keep_min(out, [](const Route& r) { return r.attrs->as_path.length(); });
+  keep_min(out, [](const Route& r) { return r.attrs->as_path().length(); });
   keep_min(out,
            [](const Route& r) { return static_cast<int>(r.attrs->origin); });
   if (out.size() <= 1 || cfg.ignore_med) return out;
@@ -77,10 +77,10 @@ const Route* reference_select_best(const std::vector<const Route*>& candidates,
   keep_min(s, igp_cost);
   if (igp_cost(*s.front()) == kIgpInfinity) return nullptr;
   if (cfg.prefer_shorter_cluster_list) {
-    keep_min(s, [](const Route& r) { return r.attrs->cluster_list.size(); });
+    keep_min(s, [](const Route& r) { return r.attrs->cluster_list().size(); });
   }
   keep_min(s, [](const Route& r) {
-    return r.attrs->originator_id ? *r.attrs->originator_id : r.learned_from;
+    return r.attrs->originator_id() ? *r.attrs->originator_id() : r.learned_from;
   });
   keep_min(s, [](const Route& r) { return r.learned_from; });
   keep_min(s, [](const Route& r) { return r.path_id; });
@@ -221,8 +221,8 @@ TEST_P(DecisionProperty, SurvivorsShareAsLevelKeys) {
     ASSERT_FALSE(set.empty());
     for (const Route& r : set) {
       EXPECT_EQ(r.attrs->local_pref, set.front().attrs->local_pref);
-      EXPECT_EQ(r.attrs->as_path.length(),
-                set.front().attrs->as_path.length());
+      EXPECT_EQ(r.attrs->as_path().length(),
+                set.front().attrs->as_path().length());
       EXPECT_EQ(r.attrs->origin, set.front().attrs->origin);
     }
   }

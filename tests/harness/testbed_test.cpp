@@ -234,7 +234,7 @@ TEST_F(TestbedIntegration, ClientsShareEachReflectedSetExceptContributors) {
       const bool contributed =
           std::any_of(set.begin(), set.end(), [&](const bgp::Route& r) {
             return r.learned_from == client ||
-                   r.attrs->originator_id == client;
+                   r.attrs->originator_id() == client;
           });
       bed->speaker(client).adj_rib_in().routes_for(key, paths);
       std::erase_if(paths,

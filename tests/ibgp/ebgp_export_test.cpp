@@ -38,12 +38,12 @@ TEST(EbgpExport, PrependsOwnAsAndStripsInternalState) {
   const auto out =
       export_to_ebgp(ibgp_best(), kOwnAs, kNeighborAs, kNeighborId);
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->attrs->as_path.first(), kOwnAs);
-  EXPECT_EQ(out->attrs->as_path.length(), 3u);
+  EXPECT_EQ(out->attrs->as_path().first(), kOwnAs);
+  EXPECT_EQ(out->attrs->as_path().length(), 3u);
   EXPECT_EQ(out->attrs->local_pref, bgp::kDefaultLocalPref);
-  EXPECT_FALSE(out->attrs->med.has_value());  // stripped by default
-  EXPECT_FALSE(out->attrs->originator_id.has_value());
-  EXPECT_TRUE(out->attrs->cluster_list.empty());
+  EXPECT_FALSE(out->attrs->med().has_value());  // stripped by default
+  EXPECT_FALSE(out->attrs->originator_id().has_value());
+  EXPECT_TRUE(out->attrs->cluster_list().empty());
   EXPECT_FALSE(
       out->attrs->has_ext_community(bgp::kAbrrReflectedCommunity));
 }
@@ -54,8 +54,8 @@ TEST(EbgpExport, SendMedPolicyKeepsMed) {
   const auto out =
       export_to_ebgp(ibgp_best(), kOwnAs, kNeighborAs, kNeighborId, policy);
   ASSERT_TRUE(out.has_value());
-  ASSERT_TRUE(out->attrs->med.has_value());
-  EXPECT_EQ(*out->attrs->med, 30u);
+  ASSERT_TRUE(out->attrs->med().has_value());
+  EXPECT_EQ(*out->attrs->med(), 30u);
 }
 
 TEST(EbgpExport, SplitHorizonBlocksSender) {
@@ -108,7 +108,7 @@ TEST(EbgpExport, StripCommunitiesPolicy) {
   const auto out =
       export_to_ebgp(r, kOwnAs, kNeighborAs, kNeighborId, policy);
   ASSERT_TRUE(out.has_value());
-  EXPECT_TRUE(out->attrs->communities.empty());
+  EXPECT_TRUE(out->attrs->communities().empty());
 }
 
 TEST(EbgpExport, InvalidRouteYieldsNothing) {
@@ -155,7 +155,7 @@ TEST_F(EbgpSpeakerTest, BestRoutesFlowToNeighborsButNotBackToSender) {
   EXPECT_EQ(std::get<0>(log.front()), kNeighborId + 1);
   const auto& route = std::get<2>(log.front());
   ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(route->attrs->as_path.first(), kOwnAs);
+  EXPECT_EQ(route->attrs->as_path().first(), kOwnAs);
   EXPECT_EQ(speaker->counters().ebgp_updates_sent, 1u);
 }
 

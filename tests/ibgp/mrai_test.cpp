@@ -39,15 +39,17 @@ class MraiTest : public ::testing::Test {
     cfg.mrai = sim::sec(5);
     cfg.proc_delay = sim::msec(1);
     // Dense ids in prefix order, so a resync walks P1 before P2.
-    auto index = std::make_shared<bgp::PrefixIndex>();
-    for (const Ipv4Prefix& p : {kP1, kP2, kP3}) index->add(p);
-    speaker = std::make_unique<Speaker>(cfg, sched, net, nullptr, index);
+    for (const Ipv4Prefix& p : {kP1, kP2, kP3}) net.prefix_index()->add(p);
+    speaker = std::make_unique<Speaker>(cfg, sched, net);
     net.connect(kSpeaker, kTap, sim::msec(1));
     speaker->add_peer(PeerInfo{.id = kTap});
     speaker->start();
     net.register_endpoint(kTap, [this](RouterId, const net::Message& m) {
       std::vector<bgp::Asn> path;
-      if (m.routes) path = m.routes.routes().front().attrs->as_path.asns();
+      if (m.routes) {
+        const auto asns = m.routes.routes().front().attrs->as_path().asns();
+        path.assign(asns.begin(), asns.end());
+      }
       seen.push_back(Seen{sched.now(), m.prefix, path});
     });
   }

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/address_partition.h"
@@ -302,17 +303,53 @@ TEST_F(AbrrTest, MedOnlySetChangesArePropagated) {
   sched.run_to_quiescence(1000000);
   const auto* set0 = at(91).out_group(Speaker::arr_group(0))->get(kLow);
   ASSERT_NE(set0, nullptr);
-  EXPECT_EQ(*set0->front().attrs->med, 10u);
+  EXPECT_EQ(*set0->front().attrs->med(), 10u);
 
   at(1).inject_ebgp(kNbr, route(kLow, {65001}, 30));
   ASSERT_TRUE(sched.run_to_quiescence(1000000));
   const auto* set1 = at(91).out_group(Speaker::arr_group(0))->get(kLow);
   ASSERT_NE(set1, nullptr);
-  EXPECT_EQ(*set1->front().attrs->med, 30u);
+  EXPECT_EQ(*set1->front().attrs->med(), 30u);
   // Clients saw the refreshed MED too.
   const auto routes = at(3).adj_rib_in().routes_for(kLow);
   ASSERT_FALSE(routes.empty());
-  EXPECT_EQ(*routes.front().attrs->med, 30u);
+  EXPECT_EQ(*routes.front().attrs->med(), 30u);
+}
+
+// An ABRR group's per-prefix state is indexed by the prefix's rank
+// within the group's AP; ids added after the table was built take tail
+// slots behind every AP's ranks.
+TEST(PrefixApTable, RanksEachApsPrefixesDensely) {
+  bgp::PrefixIndex index;
+  std::vector<Ipv4Prefix> prefixes;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    prefixes.push_back(Ipv4Prefix{(10u + i) << 24, 8});
+  }
+  for (std::size_t i = 0; i < 4; ++i) index.add(prefixes[i]);
+  // 10/8 -> AP 0, 11/8 -> AP 1, 12/8 -> both, 13/8 -> AP 0.
+  const ApOfFn ap_of = [](const Ipv4Prefix& p) -> std::vector<ApId> {
+    switch (p.address() >> 24) {
+      case 10: return {0};
+      case 11: return {1};
+      case 12: return {0, 1};
+      default: return {0};
+    }
+  };
+  const PrefixApTable table{index, ap_of};
+  EXPECT_EQ(table.slot(0, 0), 0u);
+  EXPECT_EQ(table.slot(2, 0), 1u);
+  EXPECT_EQ(table.slot(3, 0), 2u);
+  EXPECT_EQ(table.slot(1, 1), 0u);
+  EXPECT_EQ(table.slot(2, 1), 1u);
+  EXPECT_EQ(table.slots(0, index.size()), 3u);
+  EXPECT_EQ(table.slots(1, index.size()), 2u);
+  EXPECT_THROW(table.slot(1, 0), std::logic_error);
+
+  index.add(prefixes[4]);  // id 4, past the table
+  EXPECT_EQ(table.slot(4, 0), 3u);
+  EXPECT_EQ(table.slot(4, 1), 2u);
+  EXPECT_EQ(table.slots(0, index.size()), 4u);
+  EXPECT_EQ(table.slots(1, index.size()), 3u);
 }
 
 // A peer in two groups has one sent-hash stripe per group. Growing the
@@ -327,9 +364,9 @@ TEST(AbrrSentHash, StripesStaySeparateWhenTheIndexGrows) {
   sim::Rng rng{1};
   net::Network net{sched, rng};
 
-  auto index = std::make_shared<bgp::PrefixIndex>();
-  index->add(kLow);
-  index->add(kHigh);
+  bgp::PrefixIndex& index = *net.prefix_index();
+  index.add(kLow);
+  index.add(kHigh);
   SpeakerConfig cfg;
   cfg.id = kArr;
   cfg.asn = 65000;
@@ -338,7 +375,7 @@ TEST(AbrrSentHash, StripesStaySeparateWhenTheIndexGrows) {
   cfg.managed_aps = {0};
   cfg.mrai = 0;
   cfg.proc_delay = sim::msec(1);
-  Speaker arr{cfg, sched, net, nullptr, index};
+  Speaker arr{cfg, sched, net};
   net.connect(kArr, kTap, sim::msec(1));
   // The tap is the ARR's reflector for AP 1 (stripe 0) and its client
   // for AP 0 (stripe 1).
@@ -361,7 +398,7 @@ TEST(AbrrSentHash, StripesStaySeparateWhenTheIndexGrows) {
   // kFresh takes id 2 and goes to the tap on stripe 0.
   arr.inject_ebgp(kNbr, route(kFresh, 65001));
   ASSERT_TRUE(sched.run_to_quiescence(100000));
-  EXPECT_EQ(index->id_of(kFresh), 2u);
+  EXPECT_EQ(index.id_of(kFresh), 2u);
   EXPECT_EQ(sent[kFresh], 1);
 
   // The tap adds its own kLow route: the reflected set changes, but the

@@ -145,7 +145,7 @@ TEST_F(FullMeshTest, HotPotatoFollowsIgpDistance) {
 TEST_F(FullMeshTest, ImportPolicyCanRejectAndRewrite) {
   Build(2);
   speakers[0]->set_import_policy([](const Route& r) -> std::optional<Route> {
-    if (r.attrs->as_path.contains(65099)) return std::nullopt;  // blocklist
+    if (r.attrs->as_path().contains(65099)) return std::nullopt;  // blocklist
     Route out = r;
     out.attrs = bgp::with_attrs(
         out.attrs, [](bgp::PathAttrs& a) { a.local_pref = 250; });

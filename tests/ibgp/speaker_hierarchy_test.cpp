@@ -80,9 +80,9 @@ TEST_F(HierarchyTest, RouteClimbsAndDescendsTheHierarchy) {
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->egress(), 1u);
   // The cluster list records the reflection chain: 81, 91, 92, 82.
-  EXPECT_EQ(best->attrs->cluster_list.size(), 4u);
-  ASSERT_TRUE(best->attrs->originator_id.has_value());
-  EXPECT_EQ(*best->attrs->originator_id, 1u);
+  EXPECT_EQ(best->attrs->cluster_list().size(), 4u);
+  ASSERT_TRUE(best->attrs->originator_id().has_value());
+  EXPECT_EQ(*best->attrs->originator_id(), 1u);
 }
 
 TEST_F(HierarchyTest, MidLevelReflectsParentRoutesDownOnly) {

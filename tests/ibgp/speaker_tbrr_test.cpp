@@ -101,10 +101,10 @@ TEST_F(TbrrTest, ReflectedRouteCarriesOriginatorAndClusterList) {
   sched.run_to_quiescence(1000000);
   const Route* best = at(3).loc_rib().best(kPfx);
   ASSERT_NE(best, nullptr);
-  ASSERT_TRUE(best->attrs->originator_id.has_value());
-  EXPECT_EQ(*best->attrs->originator_id, 1u);
+  ASSERT_TRUE(best->attrs->originator_id().has_value());
+  EXPECT_EQ(*best->attrs->originator_id(), 1u);
   // Crossed cluster 1's TRR then cluster 2's TRR.
-  EXPECT_EQ(best->attrs->cluster_list.size(), 2u);
+  EXPECT_EQ(best->attrs->cluster_list().size(), 2u);
 }
 
 TEST_F(TbrrTest, RouteIsNotReflectedBackToItsOriginator) {

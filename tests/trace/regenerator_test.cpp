@@ -129,7 +129,7 @@ TEST_F(RegeneratorTest, DownStateTracksWithdrawals) {
   }
   const auto set = regen.current().best_as_level_for(after, {}, true);
   for (const auto& r : set) {
-    EXPECT_NE(r.attrs->as_path.first(), as);
+    EXPECT_NE(r.attrs->as_path().first(), as);
   }
 
   // Re-announce: the state comes back.

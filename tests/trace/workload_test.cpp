@@ -82,8 +82,8 @@ TEST_F(WorkloadTest, ToRouteSynthesizesConsistentPath) {
   const auto& a = entry.anns.front();
   const bgp::Route r = a.to_route(entry.prefix);
   EXPECT_EQ(r.prefix, entry.prefix);
-  EXPECT_EQ(r.attrs->as_path.length(), a.path_length);
-  EXPECT_EQ(r.attrs->as_path.first(), a.first_as);
+  EXPECT_EQ(r.attrs->as_path().length(), a.path_length);
+  EXPECT_EQ(r.attrs->as_path().first(), a.first_as);
   EXPECT_EQ(r.egress(), a.router);  // next-hop-self
   EXPECT_EQ(r.via, bgp::LearnedVia::kEbgp);
 }
@@ -129,7 +129,7 @@ TEST_F(WorkloadTest, BestAsLevelRespectsSelectedPeerSubset) {
   const std::vector<bgp::Asn> one{entry.anns.front().first_as};
   const auto subset = workload.best_as_level_for(entry, one, false);
   for (const auto& r : subset) {
-    EXPECT_EQ(r.attrs->as_path.first(), one.front());
+    EXPECT_EQ(r.attrs->as_path().first(), one.front());
   }
   const auto all = workload.best_as_level_for(entry, {}, false);
   EXPECT_GE(all.size(), subset.size());

@@ -292,7 +292,7 @@ TEST(WireSizer, MatchesEncoderExactly) {
     EXPECT_EQ(sizer.message_size(m), enc.encode(m).size());
   }
   // Interned blocks carry their exact length; the sizer reads it.
-  const bgp::PathAttrs& block = *cases.back().announce.front().attrs;
+  const bgp::AttrBlock& block = *cases.back().announce.front().attrs;
   EXPECT_NE(block.encoded_size, 0u);
   EXPECT_EQ(block.encoded_size, bgp::encoded_attrs_size(block));
 }
