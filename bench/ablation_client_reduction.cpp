@@ -9,7 +9,6 @@
 // full-mesh. This bench measures the memory saved by forcing the
 // reduction and the equivalence it costs.
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 #include "verify/equivalence.h"
@@ -21,30 +20,20 @@ int main(int argc, char** argv) {
       argc, argv, "ablation_client_reduction", {.prefixes = 1200, .pops = 7});
   auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
   paper.topology.clients_per_pop = 6;
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
   // Diverse per-point MEDs: the regime where a reflected low-MED route
   // is the witness that suppresses a client's own higher-MED route.
   // (With the default uniform-MED policy the reduction is lossless.)
-  trace::WorkloadParams wp;
-  wp.prefixes = paper.workload.prefixes;
-  wp.per_point_meds = true;
-  const auto workload = trace::Workload::generate(wp, topology, rng);
-  const auto prefixes = workload.prefixes();
+  paper.workload.per_point_meds = true;
 
-  // This workload is no spec's (per-point MEDs), so the beds load it
-  // here rather than through runner::build_world.
+  // Each world is built from the same (spec, seed), so all three beds
+  // load one workload.
   const auto build = [&](ibgp::IbgpMode mode, bool force_reduction) {
     auto spec = paper;
     spec.mode = mode;
     spec.abrr.force_client_reduction = force_reduction;
-    auto bed = std::make_unique<harness::Testbed>(
-        topology, spec.testbed_config(cfg.seed), prefixes);
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
-    regen.load_snapshot(0, sim::sec(30));
-    bed->run_to_quiescence(500'000'000);
-    return bed;
+    auto world = runner::build_world(spec, cfg.seed);
+    runner::converge(*world.bed, sim::sec_f(spec.workload.snapshot_seconds));
+    return world;
   };
   const auto client_rib_in = [](harness::Testbed& bed) {
     double total = 0;
@@ -54,31 +43,35 @@ int main(int argc, char** argv) {
     return total / static_cast<double>(bed.client_ids().size());
   };
 
-  auto full = build(ibgp::IbgpMode::kAbrr, false);
-  auto reduced = build(ibgp::IbgpMode::kAbrr, true);
-  auto mesh = build(ibgp::IbgpMode::kFullMesh, false);
+  const auto full_world = build(ibgp::IbgpMode::kAbrr, false);
+  const auto reduced_world = build(ibgp::IbgpMode::kAbrr, true);
+  const auto mesh_world = build(ibgp::IbgpMode::kFullMesh, false);
+  harness::Testbed& full = *full_world.bed;
+  harness::Testbed& reduced = *reduced_world.bed;
+  harness::Testbed& mesh = *mesh_world.bed;
+  const auto prefixes = full_world.workload.prefixes();
 
-  const auto eq_full = verify::compare_loc_ribs(*full, *mesh, prefixes);
+  const auto eq_full = verify::compare_loc_ribs(full, mesh, prefixes);
   const auto eq_reduced =
-      verify::compare_loc_ribs(*reduced, *mesh, prefixes);
+      verify::compare_loc_ribs(reduced, mesh, prefixes);
 
   bench::MetricsSink sink{"ablation_client_reduction", cfg.metrics_out};
-  sink.capture("full_set", *full);
-  sink.capture("reduced", *reduced);
-  sink.capture("full_mesh", *mesh);
+  sink.capture("full_set", full);
+  sink.capture("reduced", reduced);
+  sink.capture("full_mesh", mesh);
 
   std::printf("# Ablation: §3.4 client storage reduction (%zu prefixes)\n\n",
               cfg.prefixes);
   std::printf("%-22s %18s %24s\n", "client storage", "RIB-In/client",
               "divergence vs full-mesh");
   std::printf("%-22s %18.0f %14zu / %zu\n", "full set (default)",
-              client_rib_in(*full), eq_full.divergence_count,
+              client_rib_in(full), eq_full.divergence_count,
               eq_full.compared);
   std::printf("%-22s %18.0f %14zu / %zu\n", "reduced (paper §3.4)",
-              client_rib_in(*reduced), eq_reduced.divergence_count,
+              client_rib_in(reduced), eq_reduced.divergence_count,
               eq_reduced.compared);
   std::printf("\n# memory saved by the reduction: %.1f%%\n",
-              100.0 * (1.0 - client_rib_in(*reduced) / client_rib_in(*full)));
+              100.0 * (1.0 - client_rib_in(reduced) / client_rib_in(full)));
   std::printf("# divergences appear only on prefixes where the reducing\n");
   std::printf("# client also has its own eBGP routes (MED witnesses lost).\n");
   return 0;

@@ -25,22 +25,17 @@ int main(int argc, char** argv) {
   const auto run = [&](ibgp::IbgpMode mode, bool diverse_meds,
                        bool always_compare, const char* label) {
     auto spec = bench::paper_spec(mode, 8, cfg);
-    sim::Rng rng{cfg.seed};
-    const auto topology = runner::make_trial_topology(spec.topology, rng);
-    trace::WorkloadParams wp;
-    wp.prefixes = spec.workload.prefixes;
-    wp.per_point_meds = diverse_meds;
-    const auto workload = trace::Workload::generate(wp, topology, rng);
-    const auto prefixes = workload.prefixes();
-
+    spec.workload.per_point_meds = diverse_meds;
+    spec.workload.snapshot_seconds = 10;
     spec.timing.mrai = 0;  // oscillate fast rather than slowly
     spec.timing.proc_delay = sim::msec(2);
     spec.decision.always_compare_med = always_compare;
-    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
+    const auto world = runner::build_world(spec, cfg.seed);
+    harness::Testbed& bed = *world.bed;
     verify::OscillationMonitor monitor{30};
     for (const auto id : bed.all_ids()) monitor.attach(bed.speaker(id));
-    trace::RouteRegenerator regen{bed.scheduler(), workload, bed.inject_fn()};
-    regen.load_snapshot(0, sim::sec(10));
+    // Its own cap, not converge()'s: the diverse-MED TBRR rows
+    // oscillate forever by design.
     const bool converged = bed.run_to_quiescence(4'000'000);
     sink.capture(label, bed);
     std::printf("%-9s %-26s %-12s %10zu\n",

@@ -13,7 +13,13 @@
 // Experiments are runner::ScenarioSpec values (paper_spec): run by
 // runner::ExperimentRunner, or, for a bench that drives its testbed by
 // hand, built by runner::build_world (snapshot paced over
-// spec.workload.snapshot_seconds) and settled by runner::converge.
+// spec.workload.snapshot_seconds) and settled by runner::converge or,
+// where a bench needs its own event cap (ablation_med_policy's
+// oscillating TBRR rows), by Testbed::run_to_quiescence. Every §4 bed
+// a bench builds comes from build_world; only anomaly_gadgets wires its
+// own gadget topologies. fig3 and fig6 also draw a topology and
+// workload with runner::make_trial_* for their #BAL overlay, which
+// needs the Rng state after generation; they build no bed of their own.
 #pragma once
 
 #include <cstdio>

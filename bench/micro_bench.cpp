@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the BGP
 // substrate: decision process, best-AS-level filtering, RIB operations,
-// longest-prefix match, scheduler throughput, SPF, and a small
-// end-to-end convergence run. Pass --json_out=PATH to also write every
-// benchmark's time and counters as JSON (see bench/run_bench.sh).
+// longest-prefix match, scheduler throughput, arena allocation, metric
+// updates, SPF, route-set hashing and wire sizing. Each times a path
+// that runs in the perfbench workloads; end-to-end trials are timed by
+// perfbench and bench/sweep, not here. Pass --json_out=PATH to also
+// write every benchmark's time and counters as JSON (see
+// bench/run_bench.sh).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,10 +22,9 @@
 #include "bgp/flat_lpm.h"
 #include "bgp/rib.h"
 #include "build_stamp.h"
-#include "common.h"
 #include "igp/spf.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "runner/arg_parser.h"
 #include "sim/arena.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
@@ -254,18 +256,6 @@ void BM_ObsHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramRecord);
 
-void BM_ObsTracerRecord(benchmark::State& state) {
-  sim::Scheduler sched;
-  obs::Tracer tracer{sched, /*capacity=*/1 << 12};
-  std::uint32_t actor = 0;
-  for (auto _ : state) {
-    tracer.record(obs::TraceEventKind::kUpdateRx, actor++, 7, 42);
-    benchmark::DoNotOptimize(tracer);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ObsTracerRecord);
-
 void BM_SpfTier1(benchmark::State& state) {
   sim::Rng rng{4};
   topo::TopologyParams tp;
@@ -288,9 +278,8 @@ void BM_RouteSetHash(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteSetHash);
 
-// Wire codec hot paths: Network::send runs one of these per message.
-// The sizer is the per-send cost (cached attr-block lengths, so steady
-// state is arithmetic); the encoder only runs when packet capture is on.
+// Wire codec hot path: Network::send sizes every message (cached
+// attr-block lengths, so steady state is arithmetic).
 bgp::UpdateMessage make_wire_message(std::size_t n_routes) {
   sim::Rng rng{6};
   const auto candidates = make_candidates(n_routes, rng);
@@ -300,17 +289,6 @@ bgp::UpdateMessage make_wire_message(std::size_t n_routes) {
   m.announce.assign(candidates.begin(), candidates.end());
   return m;
 }
-
-void BM_EncodeUpdate(benchmark::State& state) {
-  const auto m = make_wire_message(static_cast<std::size_t>(state.range(0)));
-  wire::Encoder enc;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.encode(m).size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_EncodeUpdate)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_WireSize(benchmark::State& state) {
   const auto m = make_wire_message(static_cast<std::size_t>(state.range(0)));
@@ -322,28 +300,6 @@ void BM_WireSize(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_WireSize)->Arg(1)->Arg(10)->Arg(100);
-
-// ---------------------------------------------------------------------
-// End-to-end: a small TBRR deployment converging on an initial snapshot
-// (runner::build_world, which also generates the topology and workload,
-// then paced injection and a run to quiescence).
-// ---------------------------------------------------------------------
-void BM_TestbedConvergence(benchmark::State& state) {
-  const bench::ExperimentConfig cfg{.prefixes = 300, .pops = 4, .seed = 42};
-  auto spec = bench::paper_spec(ibgp::IbgpMode::kTbrr, 4, cfg);
-  spec.topology.clients_per_pop = 4;
-  spec.topology.peer_ases = 8;
-  spec.topology.points_per_as = 4;
-  spec.workload.snapshot_seconds = 5.0;
-  for (auto _ : state) {
-    const runner::World world = runner::build_world(spec, cfg.seed);
-    const bool converged = runner::converge(
-        *world.bed, sim::sec_f(spec.workload.snapshot_seconds));
-    if (!converged) state.SkipWithError("did not converge");
-    benchmark::DoNotOptimize(world.bed->rr_rib_in());
-  }
-}
-BENCHMARK(BM_TestbedConvergence)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // JSON reporting: console output stays the default; --json_out=PATH

@@ -8,7 +8,6 @@
 // for TBRR clients; full mesh needs ~n^2/2 total.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
 #include "analysis/session_model.h"
 #include "common.h"
@@ -42,22 +41,13 @@ int main(int argc, char** argv) {
                 analysis::SessionModel::abrr_total(p));
   }
 
-  // Measured on the scaled testbed.
-  const auto paper = bench::paper_spec(ibgp::IbgpMode::kAbrr, 8, cfg);
-  sim::Rng rng{cfg.seed};
-  const auto topology = runner::make_trial_topology(paper.topology, rng);
-  const auto workload =
-      runner::make_trial_workload(paper.workload, topology, rng);
-  const auto prefixes = workload.prefixes();
-
-  std::printf("\n# measured on the %zu-router testbed (8 APs / %u"
-              " clusters):\n",
-              topology.clients.size(), cfg.pops);
+  // Measured on the scaled testbed: each bed is built (its snapshot
+  // load scheduled, never run) and its sessions counted.
+  const auto world = [&](ibgp::IbgpMode mode, std::size_t aps) {
+    return runner::build_world(bench::paper_spec(mode, aps, cfg), cfg.seed);
+  };
   bench::MetricsSink sink{"t33_peering_sessions", cfg.metrics_out};
-  const auto measure = [&](ibgp::IbgpMode mode, std::size_t aps,
-                           const char* label) {
-    const auto spec = bench::paper_spec(mode, aps, cfg);
-    harness::Testbed bed{topology, spec.testbed_config(cfg.seed), prefixes};
+  const auto measure = [&](const harness::Testbed& bed, const char* label) {
     std::size_t rr_max = 0;
     double rr_sum = 0;
     for (const auto id : bed.rr_ids()) {
@@ -80,8 +70,12 @@ int main(int argc, char** argv) {
                 bed.session_count());
     sink.capture(label, bed);
   };
-  measure(ibgp::IbgpMode::kAbrr, 8, "ABRR");
-  measure(ibgp::IbgpMode::kTbrr, cfg.pops, "TBRR");
-  measure(ibgp::IbgpMode::kFullMesh, 0, "full-mesh");
+  const auto abrr = world(ibgp::IbgpMode::kAbrr, 8);
+  std::printf("\n# measured on the %zu-router testbed (8 APs / %u"
+              " clusters):\n",
+              abrr.bed->topology().clients.size(), cfg.pops);
+  measure(*abrr.bed, "ABRR");
+  measure(*world(ibgp::IbgpMode::kTbrr, cfg.pops).bed, "TBRR");
+  measure(*world(ibgp::IbgpMode::kFullMesh, 0).bed, "full-mesh");
   return 0;
 }

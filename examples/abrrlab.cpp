@@ -1,29 +1,18 @@
-// abrrlab — command-line laboratory around the library.
+// abrrlab — command-line laboratory around the library. `abrrlab --help`
+// lists the subcommands, `abrrlab CMD --help` the flags of one.
 //
-//   abrrlab gen   --out=FILE [--prefixes=N] [--seed=N] [--pops=N]
-//                 [--trace-seconds=S] [--rate=EPS]
-//       Synthesize a Tier-1 workload + update trace, write an MRT file.
-//
-//   abrrlab info  --in=FILE
-//       Summarize an MRT file (prefixes, announcements, events).
-//
-//   abrrlab run   --in=FILE --mode=abrr|tbrr|mesh [--aps=N] [--seed=N]
-//                 [--balanced]
-//       Load the snapshot, replay the trace, print RIB sizes, update
-//       counters, forwarding/efficiency audits.
-//
-//   abrrlab compare --in=FILE [--aps=N]
-//       Run ABRR and full-mesh side by side and report equivalence.
-//
-// The topology is re-synthesized from the same seed (the MRT file
-// stores the edge view; router placement is deterministic per seed).
+// The topology is re-synthesized from the seed and PoP count (the MRT
+// file stores the edge view). gen draws the topology, then the workload,
+// then the trace from one Rng{seed}, as runner::build_world does, so the
+// file holds the workload of every trial of that seed and scale.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "harness/testbed.h"
+#include "runner/arg_parser.h"
+#include "runner/trial.h"
 #include "trace/mrt.h"
 #include "trace/regenerator.h"
 #include "verify/efficiency.h"
@@ -34,74 +23,93 @@ using namespace abrr;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> kv;
+constexpr const char* kUsage =
+    R"(usage: abrrlab gen|info|run|compare [--flags]
+  gen      synthesize a Tier-1 workload + update trace, write an MRT file
+  info     summarize an MRT file (prefixes, announcements, events)
+  run      load the snapshot, replay the trace, print RIB sizes, update
+           counters and the forwarding/efficiency audits
+  compare  run ABRR and full-mesh side by side, report equivalence
+`abrrlab CMD --help` lists the flags of CMD.
+)";
 
-  static Args parse(int argc, char** argv) {
-    Args a;
-    if (argc > 1) a.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-      std::string s = argv[i];
-      if (s.rfind("--", 0) != 0) continue;
-      const auto eq = s.find('=');
-      if (eq == std::string::npos) {
-        a.kv[s.substr(2)] = std::string{"1"};
-      } else {
-        a.kv[s.substr(2, eq - 2)] = s.substr(eq + 1);
-      }
-    }
-    return a;
-  }
-  std::string get(const std::string& key, const std::string& dflt) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? dflt : it->second;
-  }
-  std::uint64_t num(const std::string& key, std::uint64_t dflt) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
+/// The flags of one subcommand. The spec holds the topology scale, the
+/// workload and trace shape, the iBGP mode and the AP knobs at its
+/// defaults (the paper's 13-PoP Tier-1 subset).
+struct Options {
+  runner::ScenarioSpec spec;
+  std::uint64_t seed = 42;
+  std::string in;
+  std::string out;
 };
 
-topo::Topology make_topology(std::uint64_t seed, std::uint32_t pops) {
-  sim::Rng rng{seed};
-  topo::TopologyParams tp;
-  tp.pops = pops;
-  tp.clients_per_pop = 8;
-  tp.peering_router_fraction = 1.0;
-  tp.peer_ases = 25;
-  tp.peering_points_per_as = 8;
-  tp.peering_skew = 0.8;
-  return topo::make_tier1(tp, rng);
+/// Parses `argv` (argv[0] is the subcommand) with the flags `command`
+/// takes; exits 2 on an unknown flag, a malformed value or an unknown
+/// --mode.
+Options parse_options(const std::string& command, int argc, char** argv) {
+  Options o;
+  o.spec.workload.trace_seconds = 120;
+  o.spec.workload.trace_events_per_second = 8;
+  std::string mode = "abrr";
+  runner::ArgParser p{"abrrlab " + command};
+  if (command == "gen") {
+    p.add("out", "MRT file to write", &o.out);
+    p.add("prefixes", "prefixes in the snapshot", &o.spec.workload.prefixes);
+    p.add("trace-seconds", "update-trace length (simulated seconds)",
+          &o.spec.workload.trace_seconds);
+    p.add("rate", "update-trace events per second",
+          &o.spec.workload.trace_events_per_second);
+  } else {
+    p.add("in", "MRT file to read", &o.in);
+  }
+  if (command == "run") {
+    p.add("mode", "iBGP mode: fullmesh|tbrr|abrr|dual", &mode);
+  }
+  if (command == "run" || command == "compare") {
+    p.add("aps", "ABRR address partitions", &o.spec.abrr.num_aps);
+    p.add("balanced", "balance the APs on the file's prefixes",
+          &o.spec.abrr.balanced_aps);
+  }
+  if (command != "info") {
+    p.add("seed",
+          "RNG seed of the topology (gen: also of the workload and trace)",
+          &o.seed);
+    p.add("pops", "PoPs/clusters in the Tier-1 topology",
+          &o.spec.topology.pops);
+  }
+  p.parse(argc, argv);
+  const auto parsed = runner::parse_mode(mode);
+  if (!parsed) {
+    std::fprintf(stderr, "abrrlab %s: unknown --mode '%s' (expected "
+                 "fullmesh|tbrr|abrr|dual)\n", command.c_str(), mode.c_str());
+    std::exit(2);
+  }
+  o.spec.mode = *parsed;
+  return o;
 }
 
-int cmd_gen(const Args& args) {
-  const std::string out = args.get("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "gen: --out=FILE required\n");
+int cmd_gen(const Options& o) {
+  if (o.out.empty()) {
+    std::fprintf(stderr, "abrrlab gen: --out=FILE required\n");
     return 2;
   }
-  const std::uint64_t seed = args.num("seed", 42);
-  sim::Rng rng{seed};
-  const auto topology =
-      make_topology(seed, static_cast<std::uint32_t>(args.num("pops", 13)));
-  trace::WorkloadParams wp;
-  wp.prefixes = args.num("prefixes", 4000);
-  const auto workload = trace::Workload::generate(wp, topology, rng);
+  sim::Rng rng{o.seed};
+  const auto topology = runner::make_trial_topology(o.spec.topology, rng);
+  const auto workload =
+      runner::make_trial_workload(o.spec.workload, topology, rng);
   trace::TraceParams tp;
-  tp.duration = sim::sec(static_cast<std::int64_t>(
-      args.num("trace-seconds", 120)));
-  tp.events_per_second = static_cast<double>(args.num("rate", 8));
+  tp.duration = sim::sec_f(o.spec.workload.trace_seconds);
+  tp.events_per_second = o.spec.workload.trace_events_per_second;
   const auto trace = trace::UpdateTrace::generate(tp, workload, rng);
-  trace::write_mrt(out, workload, trace);
+  trace::write_mrt(o.out, workload, trace);
   std::printf("wrote %s (%zu prefixes, %zu events, seed %llu)\n",
-              out.c_str(), workload.prefix_count(), trace.events().size(),
-              static_cast<unsigned long long>(seed));
+              o.out.c_str(), workload.prefix_count(), trace.events().size(),
+              static_cast<unsigned long long>(o.seed));
   return 0;
 }
 
-int cmd_info(const Args& args) {
-  const auto file = trace::read_mrt(args.get("in", ""));
+int cmd_info(const Options& o) {
+  const auto file = trace::read_mrt(o.in);
   std::size_t anns = 0, peers = 0;
   for (const auto& e : file.workload.table()) {
     anns += e.anns.size();
@@ -132,18 +140,14 @@ struct RunResult {
   trace::Workload final_edge;  // the regenerator's view after the replay
 };
 
-RunResult run_file(const trace::MrtFile& file, const Args& args,
+RunResult run_file(const trace::MrtFile& file, const Options& o,
                    ibgp::IbgpMode mode) {
-  const std::uint64_t seed = args.num("seed", 42);
-  const auto topology =
-      make_topology(seed, static_cast<std::uint32_t>(args.num("pops", 13)));
-  harness::TestbedConfig config;
-  config.mode = mode;
-  config.abrr.num_aps = args.num("aps", 8);
-  config.abrr.balanced_aps = args.kv.count("balanced") != 0;
-  config.seed = seed;
-  auto bed = std::make_unique<harness::Testbed>(topology, config,
-                                                file.workload.prefixes());
+  auto spec = o.spec;
+  spec.mode = mode;
+  sim::Rng rng{o.seed};
+  auto bed = std::make_unique<harness::Testbed>(
+      runner::make_trial_topology(spec.topology, rng),
+      spec.testbed_config(o.seed), file.workload.prefixes());
   trace::RouteRegenerator regen{bed->scheduler(), file.workload,
                                 bed->inject_fn()};
   regen.load_snapshot(0, sim::sec(30));
@@ -157,14 +161,9 @@ RunResult run_file(const trace::MrtFile& file, const Args& args,
   return RunResult{std::move(bed), regen.current()};
 }
 
-int cmd_run(const Args& args) {
-  const auto file = trace::read_mrt(args.get("in", ""));
-  const std::string mode_str = args.get("mode", "abrr");
-  ibgp::IbgpMode mode = ibgp::IbgpMode::kAbrr;
-  if (mode_str == "tbrr") mode = ibgp::IbgpMode::kTbrr;
-  if (mode_str == "mesh") mode = ibgp::IbgpMode::kFullMesh;
-
-  auto result = run_file(file, args, mode);
+int cmd_run(const Options& o) {
+  const auto file = trace::read_mrt(o.in);
+  auto result = run_file(file, o, o.spec.mode);
   if (!result.bed) return 1;
   auto& bed = result.bed;
 
@@ -172,7 +171,8 @@ int cmd_run(const Args& args) {
   const auto out = bed->rr_rib_out();
   const auto rr = bed->rr_counters();
   const auto clients = bed->client_counters();
-  std::printf("mode %s: %zu speakers, %zu sessions\n", mode_str.c_str(),
+  std::printf("mode %s: %zu speakers, %zu sessions\n",
+              runner::mode_name(o.spec.mode),
               bed->all_ids().size(), bed->session_count());
   if (!bed->rr_ids().empty()) {
     std::printf("RR RIB-In  min/avg/max: %.0f / %.0f / %.0f\n", in.min,
@@ -200,10 +200,10 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-int cmd_compare(const Args& args) {
-  const auto file = trace::read_mrt(args.get("in", ""));
-  auto abrr = run_file(file, args, ibgp::IbgpMode::kAbrr);
-  auto mesh = run_file(file, args, ibgp::IbgpMode::kFullMesh);
+int cmd_compare(const Options& o) {
+  const auto file = trace::read_mrt(o.in);
+  auto abrr = run_file(file, o, ibgp::IbgpMode::kAbrr);
+  auto mesh = run_file(file, o, ibgp::IbgpMode::kFullMesh);
   if (!abrr.bed || !mesh.bed) return 1;
   const auto prefixes = file.workload.prefixes();
   const auto eq = verify::compare_loc_ribs(*abrr.bed, *mesh.bed, prefixes);
@@ -220,23 +220,26 @@ int cmd_compare(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = Args::parse(argc, argv);
+  const std::string command = argc > 1 ? argv[1] : "";
+  int (*cmd)(const Options&) = command == "gen"       ? cmd_gen
+                               : command == "info"    ? cmd_info
+                               : command == "run"     ? cmd_run
+                               : command == "compare" ? cmd_compare
+                                                      : nullptr;
+  if (cmd == nullptr) {
+    const bool help = command == "--help" || command == "-h";
+    if (!help && !command.empty()) {
+      std::fprintf(stderr, "abrrlab: unknown command '%s'\n",
+                   command.c_str());
+    }
+    std::fputs(kUsage, help ? stdout : stderr);
+    return help ? 0 : 2;
+  }
+  const Options options = parse_options(command, argc - 1, argv + 1);
   try {
-    if (args.command == "gen") return cmd_gen(args);
-    if (args.command == "info") return cmd_info(args);
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "compare") return cmd_compare(args);
+    return cmd(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr,
-               "usage: abrrlab gen|info|run|compare [--flags]\n"
-               "  gen     --out=F [--prefixes=N --seed=N --pops=N "
-               "--trace-seconds=S --rate=EPS]\n"
-               "  info    --in=F\n"
-               "  run     --in=F --mode=abrr|tbrr|mesh [--aps=N "
-               "--balanced --seed=N]\n"
-               "  compare --in=F [--aps=N --seed=N]\n");
-  return 2;
 }

@@ -11,11 +11,9 @@
 //
 //   $ ./tier1_abrr [--prefixes=N]
 #include <cstdio>
-#include <cstring>
-#include <memory>
 
-#include "harness/testbed.h"
-#include "trace/regenerator.h"
+#include "runner/arg_parser.h"
+#include "runner/trial.h"
 #include "verify/efficiency.h"
 #include "verify/equivalence.h"
 #include "verify/forwarding.h"
@@ -23,67 +21,62 @@
 using namespace abrr;
 
 int main(int argc, char** argv) {
-  std::size_t n_prefixes = 2000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--prefixes=", 11) == 0) {
-      n_prefixes = std::strtoull(argv[i] + 11, nullptr, 10);
-    }
+  // One spec for both beds: the §4 topology with a steeper gateway-PoP
+  // skew (Zipf 1.0), default timing and 8 APs; seed 7.
+  runner::ScenarioSpec spec;
+  spec.topology.peering_skew = 1.0;
+  spec.workload.prefixes = 2000;
+  spec.workload.snapshot_seconds = 20;
+  constexpr std::uint64_t kSeed = 7;
+
+  runner::ArgParser parser{"tier1_abrr"};
+  parser.add("prefixes", "peer prefixes in the synthetic RIB",
+             &spec.workload.prefixes);
+  parser.parse(argc, argv);
+  if (spec.workload.prefixes == 0) {
+    std::fprintf(stderr, "tier1_abrr: --prefixes must be >= 1\n");
+    return 2;
   }
 
-  sim::Rng rng{7};
-  topo::TopologyParams tp;
-  tp.pops = 13;
-  tp.clients_per_pop = 8;
-  tp.peering_router_fraction = 1.0;
-  tp.peer_ases = 25;
-  tp.peering_points_per_as = 8;
-  const auto topology = topo::make_tier1(tp, rng);
+  const sim::Time snapshot_end = sim::sec_f(spec.workload.snapshot_seconds);
+  const auto world = [&](ibgp::IbgpMode mode) {
+    spec.mode = mode;
+    return runner::build_world(spec, kSeed);
+  };
 
-  trace::WorkloadParams wp;
-  wp.prefixes = n_prefixes;
-  const auto workload = trace::Workload::generate(wp, topology, rng);
+  const auto mesh_world = world(ibgp::IbgpMode::kFullMesh);
+  harness::Testbed& mesh = *mesh_world.bed;
+  const auto& workload = mesh_world.workload;
   const auto prefixes = workload.prefixes();
   std::printf("Tier-1 AS: %zu routers, %zu eBGP peering points, %zu"
               " prefixes\n\n",
-              topology.clients.size(), topology.peering_points.size(),
-              n_prefixes);
-
-  const auto build = [&](ibgp::IbgpMode mode) {
-    harness::TestbedConfig config;
-    config.mode = mode;
-    config.abrr.num_aps = 8;
-    config.timing.mrai = sim::sec(5);
-    auto bed = std::make_unique<harness::Testbed>(topology, config, prefixes);
-    trace::RouteRegenerator regen{bed->scheduler(), workload,
-                                  bed->inject_fn()};
-    regen.load_snapshot(0, sim::sec(20));
-    bed->run_to_quiescence();
-    return bed;
-  };
+              mesh.topology().clients.size(),
+              mesh.topology().peering_points.size(),
+              spec.workload.prefixes);
 
   std::printf("loading the snapshot under full-mesh iBGP...\n");
-  auto mesh = build(ibgp::IbgpMode::kFullMesh);
+  runner::converge(mesh, snapshot_end);
   std::printf("  %zu iBGP sessions, converged at t=%.1fs\n\n",
-              mesh->session_count(),
-              sim::to_seconds(mesh->scheduler().now()));
+              mesh.session_count(), sim::to_seconds(mesh.scheduler().now()));
 
   std::printf("loading the same snapshot under ABRR (8 APs x 2 ARRs)...\n");
-  auto abrr = build(ibgp::IbgpMode::kAbrr);
+  const auto abrr_world = world(ibgp::IbgpMode::kAbrr);
+  harness::Testbed& abrr = *abrr_world.bed;
+  runner::converge(abrr, snapshot_end);
   std::printf("  %zu iBGP sessions, converged at t=%.1fs\n\n",
-              abrr->session_count(),
-              sim::to_seconds(abrr->scheduler().now()));
+              abrr.session_count(), sim::to_seconds(abrr.scheduler().now()));
 
   // 1. Full-mesh equivalence.
-  const auto eq = verify::compare_loc_ribs(*abrr, *mesh, prefixes);
+  const auto eq = verify::compare_loc_ribs(abrr, mesh, prefixes);
   std::printf("[1] route selection: %zu (router, prefix) pairs compared, "
               "%zu diverged %s\n",
               eq.compared, eq.divergence_count,
               eq.equivalent() ? "- exact full-mesh emulation" : "(!)");
 
   // 2. Data-plane health.
-  verify::ForwardingChecker checker{*abrr};
+  verify::ForwardingChecker checker{abrr};
   const auto audit = checker.audit(prefixes);
-  const auto eff = verify::audit_efficiency(*abrr, workload);
+  const auto eff = verify::audit_efficiency(abrr, workload);
   std::printf("[2] forwarding: %zu walks, %zu delivered, %zu loops; "
               "%zu hot-potato violations\n",
               audit.checked, audit.delivered, audit.loops,
@@ -91,8 +84,8 @@ int main(int argc, char** argv) {
 
   // 3. State per reflector.
   const auto mesh_state =
-      mesh->speaker(mesh->client_ids().front()).rib_in_size();
-  const auto arr = abrr->rr_rib_in();
+      mesh.speaker(mesh.client_ids().front()).rib_in_size();
+  const auto arr = abrr.rr_rib_in();
   std::printf("[3] state: a full-mesh router holds %zu Adj-RIB-In routes;"
               " an ARR holds %.0f on average (min %.0f / max %.0f)\n",
               mesh_state, arr.avg, arr.min, arr.max);

@@ -45,6 +45,9 @@ struct WorkloadOptions {
   /// (counters reset in between, as in §4.2); 0 = snapshot only.
   double trace_seconds = 0.0;
   double trace_events_per_second = 20.0;
+  /// Diverse per-peering-point MEDs on peer routes
+  /// (trace::WorkloadParams::per_point_meds): the MED ablations' regime.
+  bool per_point_meds = false;
 };
 
 /// Serving mode (src/serve): keep the converged trial resident on a

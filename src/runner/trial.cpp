@@ -144,6 +144,7 @@ trace::Workload make_trial_workload(const WorkloadOptions& w,
                                     sim::Rng& rng) {
   trace::WorkloadParams wp;
   wp.prefixes = w.prefixes;
+  wp.per_point_meds = w.per_point_meds;
   return trace::Workload::generate(wp, topology, rng);
 }
 

@@ -1,5 +1,6 @@
 // ScenarioSpec validation + sweep expansion.
 #include "runner/scenario.h"
+#include "runner/trial.h"
 
 #include <gtest/gtest.h>
 
@@ -152,6 +153,34 @@ TEST(ScenarioSpec, FaultHoldTimeReachesTestbedConfig) {
   EXPECT_EQ(spec.testbed_config(1).timing.hold_time, sim::sec(3));
   spec.fault.enabled = false;
   EXPECT_EQ(spec.testbed_config(1).timing.hold_time, 0);
+}
+
+// The MED ablations' knob reaches the generator: with it, peer routes
+// carry per-point MEDs; without it, every peer MED is zeroed.
+TEST(ScenarioSpec, PerPointMedsReachTheWorkload) {
+  ScenarioSpec spec;
+  spec.topology.pops = 3;
+  spec.topology.clients_per_pop = 2;
+  spec.topology.peer_ases = 4;
+  spec.topology.points_per_as = 3;
+  spec.workload.prefixes = 60;
+  for (const bool diverse : {false, true}) {
+    spec.workload.per_point_meds = diverse;
+    sim::Rng rng{3};
+    const auto topology = make_trial_topology(spec.topology, rng);
+    const auto workload = make_trial_workload(spec.workload, topology, rng);
+    EXPECT_EQ(workload.params().per_point_meds, diverse);
+    std::size_t nonzero = 0;
+    for (const auto& entry : workload.table()) {
+      if (!entry.from_peers) continue;
+      for (const auto& a : entry.anns) nonzero += a.med.value_or(0) != 0;
+    }
+    if (diverse) {
+      EXPECT_GT(nonzero, 0u);
+    } else {
+      EXPECT_EQ(nonzero, 0u);
+    }
+  }
 }
 
 }  // namespace
