@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   harness::Testbed& full = *full_world.bed;
   harness::Testbed& reduced = *reduced_world.bed;
   harness::Testbed& mesh = *mesh_world.bed;
-  const auto prefixes = full_world.workload.prefixes();
+  const auto prefixes = full_world.workload().prefixes();
 
   const auto eq_full = verify::compare_loc_ribs(full, mesh, prefixes);
   const auto eq_reduced =

@@ -90,10 +90,11 @@ struct ExperimentConfig {
     p.add("out-dir", "directory for bench artifacts", &out_dir);
   }
 
-  /// Reconciles --seed/--seeds and validates --mode. Exits 2 on a bad
-  /// mode name, on --mode for a bench that does not filter by it, and
-  /// when a bench that runs one seed is given several --seeds values
-  /// (parse() already exited on unknown flags).
+  /// Reconciles --seed/--seeds and validates --mode and the scale. Exits
+  /// 2 on a bad mode name, on --mode for a bench that does not filter by
+  /// it, when a bench that runs one seed is given several --seeds
+  /// values, and on a scale flag ScenarioSpec::validate refuses, such as
+  /// --prefixes=0 (parse() already exited on unknown flags).
   void finish(Seeds accepts = Seeds::kOne,
               ModeFilter modes = ModeFilter::kRefused) {
     if (modes == ModeFilter::kRefused && !mode.empty()) {
@@ -115,6 +116,22 @@ struct ExperimentConfig {
       std::fprintf(stderr, "error: unknown --mode '%s' (expected "
                    "fullmesh|tbrr|abrr|dual)\n", mode.c_str());
       std::exit(2);
+    }
+    runner::ScenarioSpec scale;
+    scale.topology.pops = pops;
+    scale.workload.prefixes = prefixes;
+    scale.workload.trace_seconds = trace_seconds;
+    scale.workload.trace_events_per_second = trace_events_per_second;
+    static constexpr std::pair<const char*, const char*> kScaleFlags[] = {
+        {"topology.pops", "--pops"},
+        {"workload.prefixes", "--prefixes"},
+        {"workload.trace_seconds", "--trace-seconds"}};
+    for (const runner::ValidationError& e : scale.validate()) {
+      for (const auto& [field, flag] : kScaleFlags) {
+        if (e.field != field) continue;
+        std::fprintf(stderr, "error: %s %s\n", flag, e.message.c_str());
+        std::exit(2);
+      }
     }
   }
 

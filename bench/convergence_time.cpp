@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     spec.mode = mode;
     const runner::World world = runner::build_world(spec, cfg.seed);
     harness::Testbed* bed = world.bed.get();
-    const trace::Workload& workload = world.workload;
+    const trace::Workload& workload = world.workload();
     if (!runner::converge(*bed, sim::sec_f(spec.workload.snapshot_seconds))) {
       std::printf("%-10s DID NOT CONVERGE\n", label);
       return;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   tparams.single_point_fraction = 0.4;
   sim::Rng trace_rng{cfg.seed + 1};
   const auto trace =
-      trace::UpdateTrace::generate(tparams, abrr_world.workload, trace_rng);
+      trace::UpdateTrace::generate(tparams, abrr_world.workload(), trace_rng);
 
   std::printf("# §4.2: updates received by clients, ABRR vs TBRR\n");
   std::printf("# prefixes=%zu clients=%zu trace_events=%zu\n\n",

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   tparams.events_per_second = cfg.trace_events_per_second;
   sim::Rng trace_rng{cfg.seed + 1};
   const auto trace =
-      trace::UpdateTrace::generate(tparams, abrr_world.workload, trace_rng);
+      trace::UpdateTrace::generate(tparams, abrr_world.workload(), trace_rng);
 
   std::printf("# §4.2: transmitted updates and bytes, %u clusters vs %u APs\n",
               cfg.pops, cfg.pops);

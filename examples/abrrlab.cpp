@@ -157,7 +157,10 @@ RunResult run_file(const trace::MrtFile& file, const Options& o,
   }
   bed->reset_counters();
   regen.play(file.trace, bed->scheduler().now());
-  bed->run_to_quiescence();
+  if (!bed->run_to_quiescence()) {
+    std::fprintf(stderr, "trace replay did not converge\n");
+    return {};
+  }
   return RunResult{std::move(bed), regen.current()};
 }
 

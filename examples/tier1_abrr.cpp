@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   const auto mesh_world = world(ibgp::IbgpMode::kFullMesh);
   harness::Testbed& mesh = *mesh_world.bed;
-  const auto& workload = mesh_world.workload;
+  const auto& workload = mesh_world.workload();
   const auto prefixes = workload.prefixes();
   std::printf("Tier-1 AS: %zu routers, %zu eBGP peering points, %zu"
               " prefixes\n\n",
@@ -55,14 +55,20 @@ int main(int argc, char** argv) {
               spec.workload.prefixes);
 
   std::printf("loading the snapshot under full-mesh iBGP...\n");
-  runner::converge(mesh, snapshot_end);
+  if (!runner::converge(mesh, snapshot_end)) {
+    std::printf("  full mesh did not converge\n");
+    return 1;
+  }
   std::printf("  %zu iBGP sessions, converged at t=%.1fs\n\n",
               mesh.session_count(), sim::to_seconds(mesh.scheduler().now()));
 
   std::printf("loading the same snapshot under ABRR (8 APs x 2 ARRs)...\n");
   const auto abrr_world = world(ibgp::IbgpMode::kAbrr);
   harness::Testbed& abrr = *abrr_world.bed;
-  runner::converge(abrr, snapshot_end);
+  if (!runner::converge(abrr, snapshot_end)) {
+    std::printf("  ABRR did not converge\n");
+    return 1;
+  }
   std::printf("  %zu iBGP sessions, converged at t=%.1fs\n\n",
               abrr.session_count(), sim::to_seconds(abrr.scheduler().now()));
 

@@ -69,30 +69,31 @@ AttrsPtr AttrsInterner::intern(const PathAttrs& attrs, std::uint64_t hash) {
   }
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = home(hash);
-  for (; slots_[i].block != nullptr; i = (i + 1) & mask) {
-    if (slots_[i].hash == hash && AttrsView{*slots_[i].block} == attrs) {
+  for (; slots_[i] != nullptr; i = (i + 1) & mask) {
+    const AttrBlock* block = slots_[i];
+    if (block->content_hash == hash && AttrsView{*block} == attrs) {
       ++hits_;
-      return slots_[i].block;
+      return block;
     }
   }
   ++misses_;
   void* mem = arena_.allocate(AttrBlock::bytes_for(attrs), alignof(AttrBlock));
   const AttrBlock* block = ::new (mem) AttrBlock(attrs, hash);
-  slots_[i] = Slot{hash, block};
+  slots_[i] = block;
   ++live_;
   return block;
 }
 
 void AttrsInterner::rehash(std::size_t capacity) {
-  std::vector<Slot> previous(capacity);
+  std::vector<const AttrBlock*> previous(capacity, nullptr);
   previous.swap(slots_);
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
   const std::size_t mask = capacity - 1;
-  for (const Slot& slot : previous) {
-    if (slot.block == nullptr) continue;
-    std::size_t i = home(slot.hash);
-    while (slots_[i].block != nullptr) i = (i + 1) & mask;
-    slots_[i] = slot;
+  for (const AttrBlock* block : previous) {
+    if (block == nullptr) continue;
+    std::size_t i = home(block->content_hash);
+    while (slots_[i] != nullptr) i = (i + 1) & mask;
+    slots_[i] = block;
   }
 }
 
@@ -108,7 +109,7 @@ std::size_t AttrsInterner::bytes() const {
 }
 
 void AttrsInterner::reset() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
+  std::fill(slots_.begin(), slots_.end(), nullptr);
   live_ = 0;
   arena_.reset();
 }

@@ -111,14 +111,12 @@ class AttrsInterner {
   };
 
  private:
-  // Open-addressing (content_hash -> block) table with linear probing:
-  // one flat array, no node per block. Equal hashes with unequal
-  // content simply occupy neighbouring slots. Blocks are never removed
-  // one by one, so there are no tombstones; reset() empties every slot.
-  struct Slot {
-    std::uint64_t hash = 0;
-    const AttrBlock* block = nullptr;  // null = empty
-  };
+  // Open-addressing table of blocks with linear probing: one flat
+  // array of block pointers (null = empty), no node per block. A probe
+  // compares the block's own content_hash first, so a slot needs no
+  // copy of the hash. Equal hashes with unequal content simply occupy
+  // neighbouring slots. Blocks are never removed one by one, so there
+  // are no tombstones; reset() empties every slot.
 
   /// Index of `hash`'s first probe slot.
   std::size_t home(std::uint64_t hash) const {
@@ -128,7 +126,8 @@ class AttrsInterner {
   /// Rebuilds the table with `capacity` slots (a power of two).
   void rehash(std::size_t capacity);
 
-  std::vector<Slot> slots_;  // size 0 or a power of two, at most half full
+  // Size 0 or a power of two, at most half full.
+  std::vector<const AttrBlock*> slots_;
   unsigned shift_ = 64;      // 64 - log2(slots_.size())
   std::size_t live_ = 0;
   sim::Arena arena_;

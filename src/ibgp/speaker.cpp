@@ -168,7 +168,11 @@ SpeakerMemory Speaker::memory() const {
     for (const auto& stripe : ps.sent_hashes) {
       m.sent_hashes += sim::heap_bytes(stripe);
     }
-    m.pending += sim::heap_bytes(ps.pending) + ps.pending_keys.bytes();
+    m.pending +=
+        sim::heap_bytes(ps.pending) + sim::heap_bytes(ps.pending_bits);
+    for (const auto& stripe : ps.pending_bits) {
+      m.pending += sim::heap_bytes(stripe);
+    }
   }
   for (const auto& [id, state] : ebgp_neighbors_) {
     m.sent_hashes += sim::heap_bytes(state.advertised);
@@ -608,8 +612,8 @@ void Speaker::reset_peer_tx_state(PeerState& ps) {
     scheduler_->cancel(ps.mrai_timer);
     ps.mrai_armed = false;
   }
+  clear_pending(ps, ps.pending);
   ps.pending.clear();
-  ps.pending_keys.clear();
   // The peer lost our state with the TCP session.
   for (std::vector<std::uint64_t>& stripe : ps.sent_hashes) {
     std::fill(stripe.begin(), stripe.end(), 0);
@@ -931,17 +935,7 @@ void Speaker::schedule_send(PeerState& ps, int key, const Ipv4Prefix& prefix,
         config_.mrai, [this, p = &ps] { flush_peer(*p); });
     return;
   }
-  if (ps.pending_keys.insert(tx_key(key, prefix))) {
-    ps.pending.push_back({key, prefix, pid});
-  }
-}
-
-std::uint64_t Speaker::tx_key(int key, const Ipv4Prefix& prefix) {
-  // Address, length and group side by side: distinct pairs never share a
-  // key, and no pair maps to KeySet::kReservedKey (lengths stop at 32).
-  return static_cast<std::uint64_t>(prefix.address()) << 32 |
-         static_cast<std::uint64_t>(prefix.length()) << 24 |
-         (static_cast<std::uint32_t>(key + 8) & 0xffffffu);
+  if (mark_pending(ps, key, pid)) ps.pending.push_back({key, prefix, pid});
 }
 
 void Speaker::flush_peer(PeerState& ps) {
@@ -952,7 +946,7 @@ void Speaker::flush_peer(PeerState& ps) {
   // flush_batch_ is empty between flushes; the peer's list takes its
   // storage, which recycle() keeps bounded.
   flush_batch_.swap(ps.pending);
-  ps.pending_keys.clear();
+  clear_pending(ps, flush_batch_);
   for (const PendingTx& tx : flush_batch_) {
     transmit(ps, tx.group, tx.prefix, tx.pid);
   }
@@ -1052,17 +1046,44 @@ Speaker::TxMemo* Speaker::memo(OutGroup& g, int key, PrefixId pid) {
   return &g.memo[at];
 }
 
-std::uint64_t& Speaker::sent_hash(PeerState& ps, int key, PrefixId pid) {
-  // The peer's stripe for this group; stripes exist only for the groups
-  // the peer belongs to.
+std::size_t Speaker::stripe_of(PeerState& ps, int key) {
+  // Stripes exist only for the groups the peer belongs to.
   auto it = std::find(ps.groups.begin(), ps.groups.end(), key);
   if (it == ps.groups.end()) it = ps.groups.insert(it, key);  // appends
-  const auto at = static_cast<std::size_t>(it - ps.groups.begin());
+  return static_cast<std::size_t>(it - ps.groups.begin());
+}
+
+std::uint64_t& Speaker::sent_hash(PeerState& ps, int key, PrefixId pid) {
+  const std::size_t at = stripe_of(ps, key);
   if (ps.sent_hashes.size() <= at) ps.sent_hashes.resize(at + 1);
   std::vector<std::uint64_t>& stripe = ps.sent_hashes[at];
   const std::uint32_t slot = group_slot(key, pid);
   if (stripe.size() <= slot) stripe.resize(group_slots(key), 0);
   return stripe[slot];
+}
+
+bool Speaker::mark_pending(PeerState& ps, int key, PrefixId pid) {
+  const std::size_t at = stripe_of(ps, key);
+  if (ps.pending_bits.size() <= at) ps.pending_bits.resize(at + 1);
+  std::vector<std::uint64_t>& stripe = ps.pending_bits[at];
+  const std::uint32_t slot = group_slot(key, pid);
+  if (stripe.size() <= slot / 64) {
+    stripe.resize((group_slots(key) + 63) / 64, 0);
+  }
+  std::uint64_t& word = stripe[slot / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  return true;
+}
+
+void Speaker::clear_pending(PeerState& ps, std::span<const PendingTx> txs) {
+  // Every listed pair was marked, so its stripe and word exist.
+  for (const PendingTx& tx : txs) {
+    const std::uint32_t slot = group_slot(tx.group, tx.pid);
+    ps.pending_bits[stripe_of(ps, tx.group)][slot / 64] &=
+        ~(std::uint64_t{1} << (slot % 64));
+  }
 }
 
 std::uint32_t Speaker::group_slot(int key, PrefixId pid) const {

@@ -34,7 +34,6 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "sim/key_set.h"
 #include "sim/scheduler.h"
 
 namespace abrr::ibgp {
@@ -201,7 +200,7 @@ struct SpeakerMemory {
   /// Per-(peer, group) sent-hash stripes and per-eBGP-neighbor
   /// advertised hashes.
   std::size_t sent_hashes = 0;
-  /// MRAI pending lists and their key sets, and the input queues.
+  /// MRAI pending lists and their pending bits, and the input queues.
   std::size_t pending = 0;
 };
 
@@ -433,16 +432,18 @@ class Speaker {
     bool mrai_armed = false;
     sim::EventId mrai_timer = 0;
     // Pending (group, prefix) pairs awaiting the MRAI flush, in first-
-    // insertion order; `pending_keys` holds their tx_key()s so each pair
-    // is queued once per window.
+    // insertion order; each pair's bit in `pending_bits` is set while it
+    // is listed, so it is queued once per window.
     std::vector<PendingTx> pending;
-    sim::KeySet pending_keys;
     // The groups this peer is a member of, in join order.
     std::vector<int> groups;
     // Last transmitted content hash per (group, prefix); 0 = nothing.
     // One stripe per entry of `groups`, indexed by group_slot and grown
     // when a slot past its end is first used.
     std::vector<std::vector<std::uint64_t>> sent_hashes;
+    // One bit per (group, prefix), striped and indexed as sent_hashes
+    // (64 slots to a word): set while the pair is in `pending`.
+    std::vector<std::vector<std::uint64_t>> pending_bits;
   };
 
   struct Incoming {
@@ -514,7 +515,15 @@ class Speaker {
   /// The slot's memo when the group keeps memos, else nullptr.
   TxMemo* memo(OutGroup& g, int group, PrefixId pid);
 
+  /// Index of `group`'s stripe in the peer's per-group arrays (sent
+  /// hashes, pending bits); a group the peer has no stripe for yet is
+  /// appended to its `groups`.
+  static std::size_t stripe_of(PeerState& peer, int group);
   std::uint64_t& sent_hash(PeerState& peer, int group, PrefixId pid);
+  /// Sets (group, prefix)'s pending bit; false when it was already set.
+  bool mark_pending(PeerState& peer, int group, PrefixId pid);
+  /// Clears the pending bit of every entry of `txs`.
+  void clear_pending(PeerState& peer, std::span<const PendingTx> txs);
   /// Index of (group, prefix) in the group's per-prefix arrays (sent-hash
   /// stripes, memos): an ABRR group holds one AP's prefixes, so it is
   /// indexed by PrefixApTable::slot when the speaker has the table;
@@ -522,8 +531,6 @@ class Speaker {
   std::uint32_t group_slot(int group, PrefixId pid) const;
   /// Length those arrays need to hold every slot of `group`.
   std::size_t group_slots(int group) const;
-  /// Exact (group, prefix) key for the pending set.
-  static std::uint64_t tx_key(int group, const Ipv4Prefix& prefix);
 
   // -- liveness (hold/keepalive) --
   sim::Time keepalive_interval() const;

@@ -155,9 +155,9 @@ World build_world(const ScenarioSpec& spec, std::uint64_t seed) {
   auto bed = std::make_unique<harness::Testbed>(
       std::move(topology), spec.testbed_config(seed), workload.prefixes());
   auto regen = std::make_unique<trace::RouteRegenerator>(
-      bed->scheduler(), workload, bed->inject_fn());
+      bed->scheduler(), std::move(workload), bed->inject_fn());
   regen->load_snapshot(0, sim::sec_f(spec.workload.snapshot_seconds));
-  return World{std::move(workload), std::move(bed), std::move(regen)};
+  return World{std::move(bed), std::move(regen)};
 }
 
 bool converge(harness::Testbed& bed, sim::Time inputs_end) {
@@ -201,7 +201,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
     tparams.events_per_second = spec.workload.trace_events_per_second;
     sim::Rng trace_rng{seed + 1};
     const auto trace =
-        trace::UpdateTrace::generate(tparams, world.workload, trace_rng);
+        trace::UpdateTrace::generate(tparams, world.workload(), trace_rng);
     r.trace_events = trace.events().size();
     world.regen->play(trace, bed.scheduler().now());
     r.converged = converge(bed, bed.scheduler().now() + tparams.duration);
@@ -224,7 +224,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                    sim::sec_f(spec.workload.snapshot_seconds))) {
         r.fullmesh_equivalent =
             verify::compare_loc_ribs(bed, *baseline.bed,
-                                     world.workload.prefixes())
+                                     world.workload().prefixes())
                 .equivalent();
       }
     }

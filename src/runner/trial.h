@@ -102,10 +102,13 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
 /// The regenerator's pending events point into itself and inject into
 /// the bed, so it is declared last: it is destroyed first.
 struct World {
-  /// The workload as generated; the regenerator replays its own copy.
-  trace::Workload workload;
   std::unique_ptr<harness::Testbed> bed;
   std::unique_ptr<trace::RouteRegenerator> regen;
+
+  /// The workload, held once: the regenerator's copy. The snapshot load
+  /// leaves it as generated; replayed trace events then mark
+  /// announcements down and up again, never adding or removing a prefix.
+  const trace::Workload& workload() const { return regen->current(); }
 };
 
 /// The only code that turns (spec, seed) into a paper testbed. It draws

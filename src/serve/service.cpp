@@ -57,7 +57,7 @@ std::unique_ptr<fault::FaultInjector> arm_churn(
     tp.events_per_second = so.churn_events_per_second;
     sim::Rng trace_rng{seed + 2};
     const trace::UpdateTrace trace =
-        trace::UpdateTrace::generate(tp, w.workload, trace_rng);
+        trace::UpdateTrace::generate(tp, w.workload(), trace_rng);
     w.regen->play(trace, t0);
   }
   if (so.chaos_events == 0) return nullptr;

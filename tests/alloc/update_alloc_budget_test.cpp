@@ -153,7 +153,7 @@ TEST(UpdateAllocationBudget, AllocationsPerDeliveredUpdateStayWithinBudget) {
   tparams.events_per_second = spec.workload.trace_events_per_second;
   sim::Rng trace_rng{seed + 1};
   const trace::UpdateTrace churn =
-      trace::UpdateTrace::generate(tparams, world.workload, trace_rng);
+      trace::UpdateTrace::generate(tparams, world.workload(), trace_rng);
 
   // The snapshot load is already scheduled: counting starts with its
   // delivery.

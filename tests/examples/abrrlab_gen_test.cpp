@@ -28,7 +28,7 @@ TEST(AbrrlabGen, WritesTheWorkloadBuildWorldGenerates) {
   spec.workload.prefixes = 80;
   const runner::World world = runner::build_world(spec, kSeed);
 
-  const auto& want = world.workload.table();
+  const auto& want = world.workload().table();
   const auto& got = file.workload.table();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {

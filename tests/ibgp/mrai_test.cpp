@@ -129,5 +129,60 @@ TEST_F(MraiTest, SessionDownClearsPendingSoResyncResends) {
   EXPECT_GE(after[1].at, sim::sec(8));
 }
 
+TEST_F(MraiTest, PrefixFirstSeenAfterTheUniverseIsSentOncePerWindow) {
+  // The per-peer arrays are sized to the ids known when first used; a
+  // prefix registered later lands past them and must still be queued
+  // once per window.
+  const Ipv4Prefix late = Ipv4Prefix::parse("99.0.0.0/8");
+  inject_at(0, kP1, {7018});            // sent at once; arms MRAI
+  inject_at(sim::sec(1), kP2, {3356});  // pending: sizes the bit stripe
+  sched.schedule_at(sim::sec(1) + sim::msec(500), [this] {
+    // 70 prefixes the speaker never sees push `late` past the first
+    // 64-slot word of the pending bits.
+    for (std::uint32_t i = 0; i < 70; ++i) {
+      net.prefix_index()->add(Ipv4Prefix{(100 + i) << 24, 8});
+    }
+  });
+  inject_at(sim::sec(2), late, {1299});
+  inject_at(sim::sec(3), late, {1299, 2914});  // repeat: stays queued once
+  inject_at(sim::sec(6), late, {6453});        // the next window
+  ASSERT_TRUE(sched.run_to_quiescence(100000));
+  ASSERT_GT(net.prefix_index()->id_of(late).value(), 64u);
+
+  EXPECT_TRUE(between(sim::sec(1), sim::sec(5)).empty());
+  const auto first_flush = between(sim::sec(5), sim::sec(6));
+  ASSERT_EQ(first_flush.size(), 2u);
+  EXPECT_EQ(first_flush[0].prefix, kP2);
+  EXPECT_EQ(first_flush[1].prefix, late);
+  EXPECT_EQ(first_flush[1].first_path, (std::vector<bgp::Asn>{1299, 2914}));
+  const auto second_flush = between(sim::sec(6), sim::sec(60));
+  ASSERT_EQ(second_flush.size(), 1u);
+  EXPECT_EQ(second_flush[0].prefix, late);
+  EXPECT_EQ(second_flush[0].first_path, (std::vector<bgp::Asn>{6453}));
+  EXPECT_GE(second_flush[0].at, sim::sec(10));
+}
+
+TEST_F(MraiTest, SessionResetClearsThePendingBits) {
+  // P2 and P3 are pending when the session goes down. The resync must
+  // queue both again (their bits were cleared with the list), and a
+  // repeat of P2 inside the new window must not queue it twice.
+  inject_at(0, kP1, {7018});
+  inject_at(sim::sec(1), kP2, {3356});
+  inject_at(sim::sec(1) + sim::msec(500), kP3, {1299});
+  sched.schedule_at(sim::sec(2), [this] { speaker->session_down(kTap); });
+  sched.schedule_at(sim::sec(3), [this] { speaker->session_up(kTap); });
+  inject_at(sim::sec(4), kP2, {3356, 174});
+  ASSERT_TRUE(sched.run_to_quiescence(100000));
+
+  const auto after = between(sim::sec(3), sim::sec(60));
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0].prefix, kP1);
+  EXPECT_LT(after[0].at, sim::sec(4));
+  EXPECT_EQ(after[1].prefix, kP2);
+  EXPECT_EQ(after[1].first_path, (std::vector<bgp::Asn>{3356, 174}));
+  EXPECT_GE(after[1].at, sim::sec(8));
+  EXPECT_EQ(after[2].prefix, kP3);
+}
+
 }  // namespace
 }  // namespace abrr::ibgp

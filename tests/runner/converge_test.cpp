@@ -43,7 +43,7 @@ TEST(Converge, HoldTimerBedWhoseFeedKeepsFlappingIsNotConverged) {
   harness::Testbed& bed = *world.bed;
   const sim::Time inputs_end = sim::sec_f(spec.workload.snapshot_seconds);
   const topo::PeeringPoint& point = bed.topology().peering_points.front();
-  const bgp::Ipv4Prefix prefix = world.workload.prefixes().front();
+  const bgp::Ipv4Prefix prefix = world.workload().prefixes().front();
   const bgp::Route route =
       bgp::RouteBuilder{prefix}.as_path({point.peer_as, 64999}).build();
   const trace::InjectFn inject = bed.inject_fn();

@@ -54,6 +54,32 @@ TEST(QueuePool, DrainedChunksAreSharedAcrossQueues) {
   EXPECT_EQ(pool.capacity(), peak);
 }
 
+TEST(QueuePool, DrainedBurstGoesBackBeyondTheIdleBound) {
+  // A 10K-element burst over several queues needs hundreds of chunks;
+  // once it drains, the pool keeps at most its idle list.
+  QueuePool<int> pool;
+  std::vector<QueuePool<int>::Queue> queues(4);
+  for (int i = 0; i < 10'000; ++i) pool.push(queues[i % 4], int{i});
+  const std::size_t peak_bytes = pool.bytes();
+  EXPECT_GE(peak_bytes, 10'000 / 16 * QueuePool<int>::kChunkBytes);
+  for (auto& q : queues) {
+    while (!q.empty()) pool.pop(q);
+  }
+  const std::size_t idle_bound =
+      QueuePool<int>::kMaxIdleChunks * QueuePool<int>::kChunkBytes;
+  EXPECT_LE(pool.bytes(), idle_bound);
+  EXPECT_GE(pool.capacity(), 10'000u);  // the high-water mark stays
+
+  // Refilling reuses the idle chunks first, then allocates again.
+  for (int i = 0; i < 10'000; ++i) pool.push(queues[0], int{i});
+  EXPECT_EQ(pool.bytes(), 10'000 / 16 * QueuePool<int>::kChunkBytes);
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(pool.front(queues[0]), i);
+    pool.pop(queues[0]);
+  }
+  EXPECT_LE(pool.bytes(), idle_bound);
+}
+
 TEST(QueuePool, PopReleasesTheElement) {
   QueuePool<std::shared_ptr<int>> pool;
   QueuePool<std::shared_ptr<int>>::Queue q;
