@@ -128,7 +128,7 @@ class AttrsInterner {
 
   // Size 0 or a power of two, at most half full.
   std::vector<const AttrBlock*> slots_;
-  unsigned shift_ = 64;      // 64 - log2(slots_.size())
+  unsigned shift_ = 64;  // 64 - log2(slots_.size())
   std::size_t live_ = 0;
   sim::Arena arena_;
   std::uint64_t hits_ = 0;
