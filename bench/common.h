@@ -117,6 +117,8 @@ struct ExperimentConfig {
                    "fullmesh|tbrr|abrr|dual)\n", mode.c_str());
       std::exit(2);
     }
+    // The scale by the spec's own rules: a zero scale would otherwise
+    // abort deep inside the generators.
     runner::ScenarioSpec scale;
     scale.topology.pops = pops;
     scale.workload.prefixes = prefixes;
